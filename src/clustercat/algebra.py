@@ -22,13 +22,12 @@ on the third syzygy.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
 from .cluster import ClusterCategory, MeshConsistencyError
 from .linalg import matvec, nullspace, quotient_basis, rank, solve_in_columns
 from .tilting import TiltingObject
 
-_ONE = Fraction(1)
+_ONE = 1
 
 
 class PdClass(enum.Enum):

@@ -11,18 +11,27 @@ Subcommands:
 The tilting argument accepts comma-separated cids, "@mutations:k1,k2,..."
 (a mutation word applied to the initial tilting), or "@find-quiver:<name>"
 for a named preset.  Exit codes: 0 success, 1 verification disagreement,
-2 invalid input.  --seed affects listing order only; all math is exact.
+2 invalid input (including an unwritable --out), 3 internal error (an
+engine consistency check failed).  --seed affects listing order only; all
+math is exact.
 """
 
 import argparse
+import os
 import random
 import sys
 
 from . import presets
 from .algebra import build_algebra, module_of, pd_class
-from .cluster import ClusterCategory
+from .cluster import ClusterCategory, MeshConsistencyError
 from .dynkin import build_quiver
-from .hammocks import hij, left_hammock, right_hammock, verify_main_theorem
+from .hammocks import (
+    UnclassifiableShapeError,
+    hij,
+    left_hammock,
+    right_hammock,
+    verify_main_theorem,
+)
 from .render import FORMATS, RenderSpec, export_json, render
 from .tilting import (
     TiltingObject,
@@ -113,10 +122,26 @@ def _resolve_tilting(cc, text) -> TiltingObject:
     return TiltingObject(cids)
 
 
+def _check_out(out_path):
+    """Reject an --out path that cannot be written, before any work is done."""
+    if os.path.isdir(out_path):
+        raise InputError(f"--out {out_path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(out_path))
+    if not os.path.isdir(parent):
+        raise InputError(f"--out {out_path!r}: no such directory {parent!r}")
+    target = out_path if os.path.exists(out_path) else parent
+    if not os.access(target, os.W_OK):
+        raise InputError(f"--out {out_path!r} is not writable")
+
+
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise InputError(f"cannot write --out {out_path!r}: "
+                             f"{e.strerror or e}") from None
     else:
         sys.stdout.write(text)
 
@@ -250,6 +275,10 @@ def _cmd_render(args) -> int:
         raise InputError("json output needs --tilting")
     if highlight and t is None:
         raise InputError("--highlight needs --tilting")
+    for i, j, _color in highlight:
+        if not (1 <= i <= cc.n and 1 <= j <= cc.n):
+            raise InputError(f"highlight labels {i}:{j} out of range; "
+                             f"summands are labelled 1..{cc.n}")
     spec = RenderSpec(args.format, highlight=highlight, tilting=t)
     _emit(render(cc, spec, orientation=args.orientation or "default"), args.out)
     return 0
@@ -308,10 +337,15 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 2
     try:
+        if args.out:
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except (MeshConsistencyError, UnclassifiableShapeError) as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,7 +21,6 @@ the universal cover on which meshhom works.
 from __future__ import annotations
 
 import math
-import threading
 
 from .dynkin import QuiverDescriptor, knit
 
@@ -79,7 +78,6 @@ class ClusterCategory:
         self._build_heights()
         self._hom_memo: dict[tuple[int, int], int] = {}
         self._engine = None
-        self._engine_lock = threading.Lock()
 
     # -- structure ----------------------------------------------------------
 
@@ -233,11 +231,9 @@ class ClusterCategory:
 
     def _get_engine(self):
         if self._engine is None:
-            with self._engine_lock:
-                if self._engine is None:
-                    from .meshhom import MeshHomEngine
+            from .meshhom import MeshHomEngine
 
-                    self._engine = MeshHomEngine(self)
+            self._engine = MeshHomEngine(self)
         return self._engine
 
     def hom_basis(self, x: int, y: int):

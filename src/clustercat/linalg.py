@@ -1,6 +1,9 @@
 """Small exact linear algebra kernel over the rationals.
 
-Matrices are lists (or tuples) of rows; rows are sequences of Fraction or int.
+Matrices are lists (or tuples) of rows; rows are sequences of int or
+Fraction.  Integer input stays integer wherever the arithmetic allows: row
+reduction keeps ints across pivots of +-1, and only another pivot makes it
+divide, which turns the rows it touches into exact Fractions.
 Everything is immutable from the caller's point of view: functions never
 mutate their arguments and return fresh tuples.
 """
@@ -10,20 +13,23 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from .cluster import MeshConsistencyError
+
 Row = Sequence
 
 
-def _frac_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rref(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
+def rref(rows) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """Reduced row echelon form.
 
     Returns (reduced nonzero rows, pivot column indices).  Deterministic:
     pivots are chosen left to right, first nonzero entry in column order.
     """
-    mat = _frac_rows(rows)
+    return _rref(rows, unit_pivots=False)
+
+
+def _rref(rows, unit_pivots):
+    """rref; with unit_pivots, a pivot other than +-1 raises instead."""
+    mat = [list(row) for row in rows]
     if not mat:
         return (), ()
     ncols = len(mat[0])
@@ -38,12 +44,20 @@ def rref(rows) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        piv = mat[r][c]
+        if piv == -1:
+            mat[r] = [-x for x in mat[r]]
+        elif piv != 1:
+            if unit_pivots:
+                raise MeshConsistencyError(
+                    f"pivot {piv} in an integer quotient; expected +-1")
+            inv = Fraction(1) / piv
+            mat[r] = [x * inv for x in mat[r]]
+        row_r = mat[r]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [a - f * b for a, b in zip(mat[i], row_r)]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -93,7 +107,7 @@ def _rank_bareiss(mat) -> int:
 
 
 def nullspace(rows, ncols=None):
-    """Basis of the right kernel {x : A x = 0}, as tuples of Fraction.
+    """Basis of the right kernel {x : A x = 0}.
 
     ncols is required when rows is empty (the kernel is then everything).
     """
@@ -101,19 +115,23 @@ def nullspace(rows, ncols=None):
     if not mat:
         if ncols is None:
             raise ValueError("nullspace of empty matrix needs ncols")
-        return [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-    m = len(mat[0])
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
     red, pivots = rref(mat)
+    return list(_complement_rows(red, pivots, len(mat[0]))[1])
+
+
+def _complement_rows(red, pivots, ncols):
+    """(free columns, one row per free column f: e_f minus its pivot parts)."""
     pivset = set(pivots)
-    free = [c for c in range(m) if c not in pivset]
-    basis = []
+    free = tuple(c for c in range(ncols) if c not in pivset)
+    out = []
     for f in free:
-        v = [Fraction(0)] * m
-        v[f] = Fraction(1)
+        row = [0] * ncols
+        row[f] = 1
         for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(tuple(v))
-    return basis
+            row[p] = -red[i][f]
+        out.append(tuple(row))
+    return free, tuple(out)
 
 
 def quotient_basis(span_rows, ambient_dim):
@@ -125,30 +143,30 @@ def quotient_basis(span_rows, ambient_dim):
     unit vectors e_f for f in free_indices.
     """
     red, pivots = rref(span_rows) if span_rows else ((), ())
-    pivset = set(pivots)
-    free = tuple(c for c in range(ambient_dim) if c not in pivset)
-    proj = []
-    for f in free:
-        row = [Fraction(0)] * ambient_dim
-        row[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            row[p] = -red[i][f]
-        proj.append(tuple(row))
-    return free, tuple(proj)
+    return _complement_rows(red, pivots, ambient_dim)
+
+
+def unit_quotient_basis(span_rows, ambient_dim):
+    """quotient_basis of an integer span whose row reduction has only +-1 pivots.
+
+    The projection is then integral.  Any other pivot raises
+    MeshConsistencyError: mesh cokernels are integral, so one would be a bug,
+    never a case to handle over Fraction.
+    """
+    red, pivots = _rref(span_rows, unit_pivots=True) if span_rows else ((), ())
+    return _complement_rows(red, pivots, ambient_dim)
 
 
 def matvec(mat, vec):
-    return tuple(sum((Fraction(a) * b for a, b in zip(row, vec)), Fraction(0)) for row in mat)
+    return tuple(sum(a * b for a, b in zip(row, vec)) for row in mat)
 
 
 def matmul(a, b):
     if not b:
         return tuple(() for _ in a)
     bt = list(zip(*b))
-    return tuple(
-        tuple(sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in bt)
-        for row in a
-    )
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+                 for row in a)
 
 
 def solve(a_rows, b_vec):
@@ -156,13 +174,14 @@ def solve(a_rows, b_vec):
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    mat = _frac_rows(a_rows)
+    mat = [list(row) for row in a_rows]
     if not mat:
-        return () if all(Fraction(x) == 0 for x in b_vec) else None
+        return () if not any(b_vec) else None
     m = len(mat[0])
-    aug = [row + [Fraction(b_vec[i])] for i, row in enumerate(mat)]
-    red, pivots = rref(aug)
-    x = [Fraction(0)] * m
+    for i, row in enumerate(mat):
+        row.append(b_vec[i])
+    red, pivots = rref(mat)
+    x = [0] * m
     for i, p in enumerate(pivots):
         if p == m:
             return None
@@ -179,9 +198,9 @@ def solve_in_columns(basis_cols, target_cols):
     ValueError if some target is outside the span.
     """
     if not basis_cols:
-        if any(any(Fraction(x) != 0 for x in t) for t in target_cols):
+        if any(any(t) for t in target_cols):
             raise ValueError("target outside span of empty basis")
-        return tuple(() for _ in range(0))
+        return ()
     dim = len(basis_cols[0])
     a_rows = [[basis_cols[j][i] for j in range(len(basis_cols))] for i in range(dim)]
     cols = []
@@ -191,7 +210,3 @@ def solve_in_columns(basis_cols, target_cols):
             raise ValueError("target outside span")
         cols.append(x)
     return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(len(basis_cols)))
-
-
-def is_zero_vec(vec) -> bool:
-    return all(Fraction(x) == 0 for x in vec)

@@ -12,26 +12,27 @@ this the genuine Hom space at every vertex above the seed.  Each basis
 element remembers one representative path of arrows from the seed, so
 composition is path application through the stored arrow matrices.
 
-The window is finite: forward 4h + 2 height levels (h the Coxeter number).
-Supports die after at most 2h + 3 levels, and once two consecutive levels
-vanish everything above them vanishes too, so the top two levels are
-asserted empty; a violation means the window or the theory is wrong and
-raises MeshConsistencyError.
+Knitting stops early: the mesh at height g reads only heights g - 1 (the
+middles) and g - 2 (the translate), so once two consecutive height levels
+vanish everything above them vanishes too, and no vertex above is built.
+Supports die after at most 2h + 3 levels (h the Coxeter number); the window
+of 4h + 2 levels stays as a hard cap, and support reaching its top two
+levels means the window or the theory is wrong and raises
+MeshConsistencyError.
 
-All coordinates are exact Fractions.  Basis order is deterministic: cover
-vertices by (height, cid), mesh middles by cid, quotient bases by the free
-indices of the rational rref.
+All coordinates are exact integers.  Every mesh cokernel is taken by an
+integer row reduction that accepts only pivots +-1, so the action matrices
+stay integral (entries in {-1, 0, 1} on types A and D); any other pivot
+raises MeshConsistencyError rather than falling back to Fractions.
+HomElement still accepts rational coefficients, which compose exactly.
+Basis order is deterministic: cover vertices by (height, cid), mesh
+middles by cid, quotient bases by the free indices of the rref.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cluster import ClusterCategory, MeshConsistencyError
-from .linalg import matvec, quotient_basis
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+from .linalg import matvec, unit_quotient_basis
 
 
 class HomElement:
@@ -43,8 +44,7 @@ class HomElement:
         self.cc = cc
         self.src = src
         self.tgt = tgt
-        self.comps = {k: tuple(Fraction(a) for a in v) for k, v in comps.items()
-                      if any(v)}
+        self.comps = {k: tuple(v) for k, v in comps.items() if any(v)}
 
     def is_zero(self):
         return not self.comps
@@ -61,7 +61,6 @@ class HomElement:
         return HomElement(self.cc, self.src, self.tgt, comps)
 
     def scale(self, c):
-        c = Fraction(c)
         return HomElement(self.cc, self.src, self.tgt,
                           {k: tuple(c * a for a in v) for k, v in self.comps.items()})
 
@@ -88,7 +87,11 @@ class HomElement:
 
 
 class CoverFunctor:
-    """Hom(X, -) on the cover window, with path representatives."""
+    """Hom(X, -) on the cover window, with path representatives.
+
+    levels[y] lists the (level, dimension) pairs of the nonzero lifts of y,
+    sorted by level.
+    """
 
     def __init__(self, cc: ClusterCategory, src: int):
         self.cc = cc
@@ -110,7 +113,10 @@ class CoverFunctor:
 
         self.basis: dict[tuple[int, int], list[tuple]] = {}
         self.act: dict[tuple[int, int, int], tuple] = {}
+        last = g0  # highest height with a nonzero vertex so far
         for g, c, k in verts:
+            if g - last > 2:
+                break
             if g == g0:
                 self.basis[(c, k)] = [()] if c == src else []
                 continue
@@ -130,7 +136,7 @@ class CoverFunctor:
                         a = self.act[(w, p, kw)]
                         col.extend(a[r][j] for r in range(len(bp)))
                 span.append(tuple(col))
-            free, proj = quotient_basis(span, amb)
+            free, proj = unit_quotient_basis(span, amb)
             recs = []
             offsets = []
             off = 0
@@ -143,14 +149,22 @@ class CoverFunctor:
                         recs.append(bp[f - o] + ((p, c),))
                         break
             self.basis[(c, k)] = recs
+            if recs:
+                last = g
             for (p, kp, bp), o in zip(blocks, offsets):
                 self.act[(p, c, kp)] = tuple(
                     tuple(row[o + j] for j in range(len(bp))) for row in proj)
 
-        for g, c, k in verts:
-            if g > top - 2 and self.basis[(c, k)]:
-                raise MeshConsistencyError(
-                    f"Hom(X, -) support reached the cover window boundary at {c}")
+        if last > top - 2:
+            raise MeshConsistencyError(
+                f"Hom({src}, -) support reached the cover window boundary")
+
+        self.levels: dict[int, list[tuple[int, int]]] = {}
+        for (c, k), recs in self.basis.items():
+            if recs:
+                self.levels.setdefault(c, []).append((k, len(recs)))
+        for lv in self.levels.values():
+            lv.sort()
 
     def apply_path(self, path, start, level, vec):
         """Push vec in F(start, level) through a path of AR-quiver arrows.
@@ -190,20 +204,13 @@ class MeshHomEngine:
 
     def levels(self, x: int, y: int):
         """Sorted (level, dimension) pairs with nonzero F_x at lifts of y."""
-        fx = self.functor(x)
-        out = []
-        for (c, k), recs in fx.basis.items():
-            if c == y and recs:
-                out.append((k, len(recs)))
-        out.sort()
-        return out
+        return self.functor(x).levels.get(y, ())
 
     def hom_basis(self, x: int, y: int):
-        fx = self.functor(x)
         elems = []
         for k, dim in self.levels(x, y):
             for j in range(dim):
-                vec = tuple(_ONE if i == j else _ZERO for i in range(dim))
+                vec = tuple(int(i == j) for i in range(dim))
                 elems.append(HomElement(self.cc, x, y, {k: vec}))
         expect = self.cc.hom_dim_c(x, y)
         if len(elems) != expect:
@@ -214,27 +221,18 @@ class MeshHomEngine:
 
     def coords(self, elem: HomElement):
         """Coordinates of elem in hom_basis(src, tgt) order."""
+        levels = self.levels(elem.src, elem.tgt)
         out = []
-        for k, dim in self.levels(elem.src, elem.tgt):
+        for k, dim in levels:
             v = elem.comps.get(k)
-            out.extend(v if v is not None else (_ZERO,) * dim)
+            out.extend(v if v is not None else (0,) * dim)
         for k in elem.comps:
-            if all(k != lk for lk, _ in self.levels(elem.src, elem.tgt)):
+            if all(k != lk for lk, _ in levels):
                 raise MeshConsistencyError("component outside the Hom basis levels")
         return tuple(out)
 
-    def from_coords(self, x, y, coords):
-        comps = {}
-        pos = 0
-        for k, dim in self.levels(x, y):
-            comps[k] = tuple(coords[pos:pos + dim])
-            pos += dim
-        if pos != len(coords):
-            raise ValueError("coordinate length does not match Hom dimension")
-        return HomElement(self.cc, x, y, comps)
-
     def identity(self, x: int):
-        return HomElement(self.cc, x, x, {0: (_ONE,)})
+        return HomElement(self.cc, x, x, {0: (1,)})
 
     def zero(self, x: int, y: int):
         return HomElement(self.cc, x, y, {})
@@ -243,20 +241,11 @@ class MeshHomEngine:
         if y not in self.cc.succ[x]:
             raise ValueError(f"no arrow {x}->{y} in the AR quiver")
         fx = self.functor(x)
-        res = fx.apply_path(((x, y),), x, 0, (_ONE,))
+        res = fx.apply_path(((x, y),), x, 0, (1,))
         if res is None:
             return self.zero(x, y)
         _, lvl, v = res
         return HomElement(self.cc, x, y, {lvl: v})
-
-    def path_element(self, x: int, path):
-        fx = self.functor(x)
-        res = fx.apply_path(tuple(path), x, 0, (_ONE,))
-        if res is None:
-            tgt = path[-1][1] if path else x
-            return self.zero(x, tgt)
-        cur, lvl, v = res
-        return HomElement(self.cc, x, cur, {lvl: v})
 
     def compose(self, g: HomElement, h: HomElement) -> HomElement:
         """h after g."""

@@ -6,7 +6,10 @@ import sys
 
 import pytest
 
+from clustercat import cli
 from clustercat.cli import main
+from clustercat.cluster import MeshConsistencyError
+from clustercat.hammocks import UnclassifiableShapeError
 
 
 def run(capsys, *argv):
@@ -203,6 +206,48 @@ def test_render_highlight_flags(capsys):
                           "--highlight", "1:3:red")
     assert code == 0
     assert 'fillcolor="blue"' in out and 'fillcolor="red"' in out
+
+
+def test_highlight_label_out_of_range_exits_2(capsys):
+    code, out, err = run(capsys, "render", "--family", "A", "--rank", "3",
+                         "--tilting", "0,2,5", "--highlight", "9:9:red")
+    assert code == 2
+    assert out == ""
+    assert "out of range" in err and "Traceback" not in err
+
+
+def test_unwritable_out_exits_2_before_work(capsys, monkeypatch, tmp_path):
+    def no_work(*_args):
+        raise AssertionError("verify ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "verify_main_theorem", no_work)
+    code, _out, err = run(capsys, "verify", "--family", "D", "--rank", "5",
+                          "--all-tiltings", "--out",
+                          str(tmp_path / "missing" / "x.json"))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    code, _out, err = run(capsys, "build", "--family", "A", "--rank", "2",
+                          "--out", str(tmp_path))
+    assert code == 2
+    assert "is a directory" in err
+    with pytest.raises(cli.InputError):
+        cli._emit("text", str(tmp_path / "missing" / "x.json"))
+
+
+@pytest.mark.parametrize("verb,target,exc", [
+    ("verify", "verify_main_theorem", MeshConsistencyError),
+    ("hammocks", "hij", UnclassifiableShapeError),
+])
+def test_internal_errors_exit_3(capsys, monkeypatch, verb, target, exc):
+    def broken(*_args):
+        raise exc("planted")
+
+    monkeypatch.setattr(cli, target, broken)
+    code, out, err = run(capsys, verb, "--family", "A", "--rank", "3",
+                         "--tilting", "0,2,5")
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {exc.__name__}: planted\n"
 
 
 def test_console_entry_point():

@@ -235,3 +235,35 @@ def test_zero_and_scaling_normal_forms(category):
     assert f.scale(0).is_zero()
     assert f.scale(Fraction(1, 2)).scale(2) == f
     assert cc.zero_element(x, y) == f - f
+
+
+@pytest.mark.parametrize("family,rank",
+                         [("A", 4), ("A", 8), ("D", 4), ("D", 6), ("D", 8)])
+def test_cover_actions_are_integral_units(category, family, rank):
+    cc = category(family, rank)
+    eng = cc._get_engine()
+    for x in cc.cids():
+        for mat in eng.functor(x).act.values():
+            for row in mat:
+                assert all(type(a) is int and a in (-1, 0, 1) for a in row)
+
+
+def _full_window_size(cc, x):
+    """Cover vertices in the 4h + 2 window above x, as knitted with no early stop."""
+    top = cc.height[x] + 4 * cc.quiver.coxeter_number() + 2
+    count = 0
+    for c in cc.cids():
+        hb = cc.height[c]
+        kmin = -((hb - cc.height[x]) // cc.winding)
+        count += max(0, (top - hb) // cc.winding - kmin + 1)
+    return count
+
+
+@pytest.mark.parametrize("family,rank", [("A", 5), ("D", 5), ("D", 6)])
+def test_early_stop_keeps_hom_bases(category, family, rank):
+    cc = category(family, rank)
+    eng = cc._get_engine()
+    for x in cc.cids():
+        assert len(eng.functor(x).basis) < _full_window_size(cc, x)
+        for y in cc.cids():
+            assert len(cc.hom_basis(x, y)) == cc.hom_dim_c(x, y)

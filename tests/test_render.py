@@ -1,9 +1,12 @@
 """Diagram emitters and the JSON report document."""
 
+import hashlib
 import json
 import re
 
 import pytest
+
+from clustercat import presets
 
 from clustercat.render import (
     RenderSpec,
@@ -159,3 +162,15 @@ def test_render_dispatch(category):
         assert text.endswith("\n")
     with pytest.raises(ValueError):
         render(cc, RenderSpec("json"))
+
+
+# export_json of the D6 worked example, recorded when every coordinate was a
+# Fraction; the integer kernel must reproduce it byte for byte.
+D6_PRESET_SHA256 = (
+    "2ba0da24f04064b2cb977c49d744e46fdd75a293cd918a36b631da2d979a698e")
+
+
+def test_d6_preset_export_is_byte_stable(category):
+    cc = category("D", 6)
+    text = export_json(cc, presets.cycle_d6_tilting(cc))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == D6_PRESET_SHA256
