@@ -36,10 +36,9 @@ from .hammocks import (
     left_hammock,
     right_hammock,
     sectional_path,
-    swing,
     verify_main_theorem,
 )
-from .render import RenderSpec, ar_layout, export_json, render
+from .render import RenderSpec, ar_layout, export_json
 from .tilting import (
     MutationError,
     TiltingObject,
@@ -89,10 +88,8 @@ __all__ = [
     "mutation_walk",
     "pd_class",
     "positive_roots",
-    "render",
     "right_hammock",
     "sample_tiltings",
     "sectional_path",
-    "swing",
     "verify_main_theorem",
 ]

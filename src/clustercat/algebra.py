@@ -64,11 +64,6 @@ class ClusterTiltedAlgebra:
     def hom_dim(self, i: int, j: int) -> int:
         return len(self.hom[(i, j)])
 
-    def hom_matrix(self):
-        """dim Hom_C(T_i, T_j) as a nested tuple indexed by labels - 1."""
-        return tuple(tuple(self.hom_dim(i, j) for j in self.labels)
-                     for i in self.labels)
-
     def coords(self, elem):
         return self._engine.coords(elem)
 
@@ -319,15 +314,41 @@ def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     return AlgebraModule(alg, dims, act)
 
 
+def _syzygy_chain(module: AlgebraModule):
+    """Dimension vectors of the syzygies 1..3 of module, and its pd class.
+
+    The chain stops at the first zero syzygy; the later ones are zero as
+    well, and its zero vector stands in for them.  A zero third syzygy
+    after a nonzero second one would be projective dimension 2, which the
+    trichotomy excludes.
+    """
+    dims = []
+    cur = module
+    for pd in (PdClass.ZERO, PdClass.ONE, None):
+        cur = cur.syzygy()
+        dims.append(cur.dim_vector())
+        if cur.is_zero():
+            if pd is None:
+                raise MeshConsistencyError(
+                    "projective dimension 2 encountered; "
+                    "the trichotomy is violated")
+            return tuple(dims) + (dims[-1],) * (3 - len(dims)), pd
+    return tuple(dims), PdClass.INFINITE
+
+
 def pd_class(module: AlgebraModule) -> PdClass:
-    s1 = module.syzygy()
-    if s1.is_zero():
-        return PdClass.ZERO
-    s2 = s1.syzygy()
-    if s2.is_zero():
-        return PdClass.ONE
-    s3 = s2.syzygy()
-    if s3.is_zero():
-        raise MeshConsistencyError(
-            "projective dimension 2 encountered; the trichotomy is violated")
-    return PdClass.INFINITE
+    return _syzygy_chain(module)[1]
+
+
+def classify_modules(cc: ClusterCategory, tilting: TiltingObject):
+    """(cid, dim vector, syzygy dim vectors, pd class) per M outside add T[1].
+
+    One algebra for the tilting, then one Hom_C(T, M) and one syzygy chain
+    per module, in cid order.
+    """
+    alg = build_algebra(cc, tilting)
+    shifted = {cc.shift(s) for s in tilting.summands}
+    for m in cc.cids():
+        if m not in shifted:
+            mod = module_of(alg, m)
+            yield (m, mod.dim_vector()) + _syzygy_chain(mod)

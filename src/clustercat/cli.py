@@ -22,7 +22,7 @@ import random
 import sys
 
 from . import presets
-from .algebra import build_algebra, module_of, pd_class
+from .algebra import classify_modules
 from .cluster import ClusterCategory, MeshConsistencyError
 from .dynkin import build_quiver
 from .hammocks import (
@@ -32,7 +32,7 @@ from .hammocks import (
     right_hammock,
     verify_main_theorem,
 )
-from .render import FORMATS, RenderSpec, export_json, render
+from .render import FORMATS, RenderSpec, render
 from .tilting import (
     TiltingObject,
     enumerate_tiltings,
@@ -195,19 +195,13 @@ def _cmd_tiltings(args) -> int:
 def _cmd_classify(args) -> int:
     cc = _build_category(args)
     t = _resolve_tilting(cc, args.tilting)
-    alg = build_algebra(cc, t)
-    shifted = {cc.shift(s) for s in t.summands}
     lines = [f"tilting {_fmt_tilting(t)}",
              "cid  dim_vector  pd"]
     counts = {"0": 0, "1": 0, "inf": 0}
-    for m in cc.cids():
-        if m in shifted:
-            continue
-        mod = module_of(alg, m)
-        dv = "".join(str(mod.dims[k]) for k in sorted(mod.dims))
-        pd = pd_class(mod).value
-        counts[pd] += 1
-        lines.append(f"{m:<4} {dv:<11} {pd}")
+    for m, dims, _syzygies, pd in classify_modules(cc, t):
+        dv = "".join(str(d) for d in dims)
+        counts[pd.value] += 1
+        lines.append(f"{m:<4} {dv:<11} {pd.value}")
     lines.append(f"pd 0: {counts['0']}  pd 1: {counts['1']}  "
                  f"pd inf: {counts['inf']}")
     _emit("\n".join(lines) + "\n", args.out)

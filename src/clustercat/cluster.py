@@ -180,23 +180,6 @@ class ClusterCategory:
             raise MeshConsistencyError(f"inconsistent height along tau at {x}")
         return off // self.winding
 
-    def tau_orbits(self):
-        """Orbits of tau as lists of cids, each starting at its smallest cid."""
-        seen = set()
-        orbits = []
-        for c in self.cids():
-            if c in seen:
-                continue
-            orbit = [c]
-            seen.add(c)
-            cur = self.tau[c]
-            while cur != c:
-                orbit.append(cur)
-                seen.add(cur)
-                cur = self.tau[cur]
-            orbits.append(orbit)
-        return orbits
-
     # -- Hom dimensions (derived-category route) ----------------------------
 
     def hom_dim_c(self, x: int, y: int) -> int:

@@ -18,7 +18,7 @@ of projdim for every indecomposable.
 import enum
 from dataclasses import dataclass, field
 
-from .algebra import PdClass, build_algebra, module_of, pd_class
+from .algebra import PdClass, classify_modules
 from .cluster import ClusterCategory, MeshConsistencyError
 from .tilting import TiltingObject
 
@@ -115,18 +115,25 @@ def hij(cc, tilting, i, j) -> HammockSet:
     return HammockSet("hij", i, j, verts, shape, flags)
 
 
-def hij_membership(cc, tilting, m):
-    """Sorted list of pairs (i, j) with m in H(i,j)."""
+def _witnesses(cc, tilting, m):
+    """(i, j, g, h) for each pair (i, j) with m in H(i,j), in label order.
+
+    Lazy, so a caller that needs one witness stops the search there.
+    """
     n = len(tilting.summands)
     shifts = [shifted_summand(cc, tilting, k) for k in range(1, n + 1)]
-    out = []
-    for i in range(1, n + 1):
-        if cc.hom_dim_c(shifts[i - 1], m) == 0:
+    for i, a in enumerate(shifts, 1):
+        if cc.hom_dim_c(a, m) == 0:
             continue
-        for j in range(1, n + 1):
-            if _pairing_witness(cc, m, shifts[i - 1], shifts[j - 1]) is not None:
-                out.append((i, j))
-    return out
+        for j, b in enumerate(shifts, 1):
+            w = _pairing_witness(cc, m, a, b)
+            if w is not None:
+                yield (i, j) + w
+
+
+def hij_membership(cc, tilting, m):
+    """Sorted list of pairs (i, j) with m in H(i,j)."""
+    return [(i, j) for i, j, _g, _h in _witnesses(cc, tilting, m)]
 
 
 def factorization_ideal_nonzero(cc, tilting, m):
@@ -140,17 +147,7 @@ def factorization_ideal_nonzero(cc, tilting, m):
     shifted = {cc.shift(s) for s in tilting.summands}
     if m in shifted:
         raise ValueError("factorization ideal is only tested outside add T[1]")
-    n = len(tilting.summands)
-    shifts = [shifted_summand(cc, tilting, k) for k in range(1, n + 1)]
-    for i in range(1, n + 1):
-        a = shifts[i - 1]
-        if cc.hom_dim_c(a, m) == 0:
-            continue
-        for j in range(1, n + 1):
-            w = _pairing_witness(cc, m, a, shifts[j - 1])
-            if w is not None:
-                return (i, j, w[0], w[1])
-    return None
+    return next(_witnesses(cc, tilting, m), None)
 
 
 def _cover_tau_inv(cc, v, k):
@@ -222,27 +219,6 @@ def _swing_routes(cc, a, b):
     return hits
 
 
-def swing(cc, tilting, i, j):
-    """Vertex set of the swing from T_i[1] to T_j[1] in type D.
-
-    The swing is the union of the two sectional routes through wide-mesh
-    middle vertices; exactly two such routes must exist.
-    """
-    a = shifted_summand(cc, tilting, i)
-    b = shifted_summand(cc, tilting, j)
-    hits = _swing_routes(cc, a, b)
-    if len(hits) != 2:
-        raise UnclassifiableShapeError(
-            "swing between labels %d and %d: expected 2 middle routes, found %d"
-            % (i, j, len(hits))
-        )
-    verts = set()
-    for p, q in hits:
-        verts.update(p)
-        verts.update(q)
-    return frozenset(verts)
-
-
 def hij_closed_form(cc, tilting, i, j) -> HammockSet:
     """Closed-form prediction for H(i,j); callers compare against hij.
 
@@ -293,10 +269,6 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
     return HammockSet("hij", i, j, inter, Shape.FULL_INTERSECTION, flags)
 
 
-def classify_shape(cc, tilting, i, j) -> Shape:
-    return hij_closed_form(cc, tilting, i, j).shape
-
-
 @dataclass
 class TheoremReport:
     """Per-module comparison of the factorization and syzygy criteria."""
@@ -305,6 +277,8 @@ class TheoremReport:
     rows: tuple  # (cid, ideal_nonzero, pd_class) per indecomposable
     counts: dict  # PdClass -> number of modules
     agreement: bool
+    # cid -> (dim vector, syzygy dim vectors, pd_class), in cid order
+    modules: dict
 
     def infinite_cids(self):
         return frozenset(c for c, _w, p in self.rows if p is PdClass.INFINITE)
@@ -316,21 +290,18 @@ def verify_main_theorem(cc, tilting) -> TheoremReport:
     Runs over all indecomposables outside add T[1]; any disagreement is
     recorded in the report, never silently dropped.
     """
-    alg = build_algebra(cc, tilting)
-    shifted = {cc.shift(s) for s in tilting.summands}
     rows = []
+    modules = {}
     counts = {PdClass.ZERO: 0, PdClass.ONE: 0, PdClass.INFINITE: 0}
     agreement = True
-    for m in cc.cids():
-        if m in shifted:
-            continue
-        pd = pd_class(module_of(alg, m))
+    for m, dims, syzygies, pd in classify_modules(cc, tilting):
         witness = factorization_ideal_nonzero(cc, tilting, m)
         counts[pd] += 1
         rows.append((m, witness is not None, pd))
+        modules[m] = (dims, syzygies, pd)
         if (witness is not None) != (pd is PdClass.INFINITE):
             agreement = False
-    return TheoremReport(tilting, tuple(rows), counts, agreement)
+    return TheoremReport(tilting, tuple(rows), counts, agreement, modules)
 
 
 def infinite_pd_set(cc, tilting):

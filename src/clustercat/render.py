@@ -12,9 +12,8 @@ full verification run (modules with pd classes and hammock memberships).
 import json
 from dataclasses import dataclass
 
-from .algebra import build_algebra, module_of, pd_class
 from .cluster import ClusterCategory
-from .hammocks import hij, hij_membership, verify_main_theorem
+from .hammocks import hij, verify_main_theorem
 from .tilting import TiltingObject
 
 FORMATS = ("dot", "tikz", "json", "ascii")
@@ -188,34 +187,26 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
                 orientation: str = "default") -> str:
     """Byte-stable JSON document for a verification run over one tilting."""
     report = verify_main_theorem(cc, tilting)
-    alg = build_algebra(cc, tilting)
-    shifted = {cc.shift(s) for s in tilting.summands}
-    n = len(tilting.summands)
-    modules = []
-    for m in cc.cids():
-        if m in shifted:
-            continue
-        mod = module_of(alg, m)
-        modules.append(
-            {
-                "cid": m,
-                "dim_vector": [mod.dims[k] for k in range(1, n + 1)],
-                "pd": pd_class(mod).value,
-                "in_hij": [list(p) for p in hij_membership(cc, tilting, m)],
-            }
-        )
-    hammocks = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            h = hij(cc, tilting, i, j)
-            hammocks.append(
-                {
-                    "i": i,
-                    "j": j,
-                    "shape": str(h.shape) if h.shape is not None else None,
-                    "vertices": sorted(h.vertices),
-                }
-            )
+    labels = range(1, len(tilting.summands) + 1)
+    sets = [hij(cc, tilting, i, j) for i in labels for j in labels]
+    modules = [
+        {
+            "cid": m,
+            "dim_vector": list(dims),
+            "pd": pd.value,
+            "in_hij": [[h.i, h.j] for h in sets if m in h],
+        }
+        for m, (dims, _syzygies, pd) in report.modules.items()
+    ]
+    hammocks = [
+        {
+            "i": h.i,
+            "j": h.j,
+            "shape": str(h.shape) if h.shape is not None else None,
+            "vertices": sorted(h.vertices),
+        }
+        for h in sets
+    ]
     doc = {
         "meta": {
             "family": cc.quiver.family,

@@ -184,14 +184,3 @@ def brute_force_hom_dim(rep_x: Representation, rep_y: Representation) -> int:
                 if any(x != 0 for x in row):
                     rows.append(row)
     return total - linalg.rank(rows)
-
-
-def brute_force_ext_dim(quiver, rep_x, rep_y) -> int:
-    """dim Ext^1(X, Y) from the Euler form: ext = hom - <dim X, dim Y>.
-
-    Valid for hereditary path algebras; used only as oracle plumbing.
-    """
-    from .dynkin import euler_form
-
-    hom = brute_force_hom_dim(rep_x, rep_y)
-    return hom - euler_form(quiver, rep_x.dim_vector(), rep_y.dim_vector())

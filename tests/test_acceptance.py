@@ -10,6 +10,8 @@ for the D6 cycle-quiver example.
 
 import itertools
 
+import pytest
+
 from clustercat import presets
 from clustercat.algebra import (
     PdClass,
@@ -54,14 +56,21 @@ def _tilting_corpus(category):
     yield cc, ts[:D6_SAMPLE]
 
 
-def test_1_factorization_ideal_iff_infinite_projective_dimension(category):
+@pytest.fixture(scope="module")
+def corpus_reports(category):
+    """One verification per tilting of the corpus, shared by tests 1, 3, 7."""
+    return [(cc, [verify_main_theorem(cc, t) for t in tiltings])
+            for cc, tiltings in _tilting_corpus(category)]
+
+
+def test_1_factorization_ideal_iff_infinite_projective_dimension(
+        corpus_reports):
     """I_M != 0 exactly on the pd-infinity modules, across 493 tiltings."""
     checked = 0
-    for cc, tiltings in _tilting_corpus(category):
+    for cc, reports in corpus_reports:
         shifted_count = cc.n
-        for t in tiltings:
-            report = verify_main_theorem(cc, t)
-            assert report.agreement, (cc.quiver, t.summands)
+        for report in reports:
+            assert report.agreement, (cc.quiver, report.tilting.summands)
             assert len(report.rows) == len(cc.indecs) - shifted_count
             checked += 1
     assert checked == sum(c for _f, _r, c in EXHAUSTIVE) + D6_SAMPLE
@@ -114,25 +123,16 @@ def test_2_d6_cycle_quiver_worked_example(category):
         assert pd_class(mod) is PdClass.INFINITE
 
 
-def test_3_projective_dimension_two_never_occurs(category):
+def test_3_projective_dimension_two_never_occurs(corpus_reports):
     """No non-projective first syzygy ever has a projective second one."""
     seen = set()
-    for cc, tiltings in _tilting_corpus(category):
-        for t in tiltings:
-            alg = build_algebra(cc, t)
-            shifted = {cc.shift(s) for s in t.summands}
-            for m in cc.cids():
-                if m in shifted:
+    for cc, reports in corpus_reports:
+        for report in reports:
+            for m, (_dims, (s1, s2, s3), pd) in report.modules.items():
+                seen.add(pd)
+                if not any(s1) or not any(s2):
                     continue
-                mod = module_of(alg, m)
-                seen.add(pd_class(mod))
-                s1 = mod.syzygy()
-                if s1.is_zero():
-                    continue
-                s2 = s1.syzygy()
-                if s2.is_zero():
-                    continue
-                assert not s2.syzygy().is_zero(), (cc.quiver, t.summands, m)
+                assert any(s3), (cc.quiver, report.tilting.summands, m)
     assert seen == {PdClass.ZERO, PdClass.ONE, PdClass.INFINITE}
 
 
@@ -257,21 +257,17 @@ def test_6_structural_counts_and_symmetries(category):
         assert multisets[0] == multisets[1], (family, rank)
 
 
-def test_7_hereditary_tiltings_have_no_infinite_class(category):
+def test_7_hereditary_tiltings_have_no_infinite_class(corpus_reports):
     """Acyclic Gabriel quiver forces every pd into {0, 1}."""
     acyclic_seen = {}
-    for cc, tiltings in _tilting_corpus(category):
+    for cc, reports in corpus_reports:
         key = (cc.quiver.family, cc.quiver.rank)
         acyclic_seen[key] = 0
-        for t in tiltings:
-            alg = build_algebra(cc, t)
-            if not alg.gabriel_quiver_is_acyclic():
+        for report in reports:
+            t = report.tilting
+            if not build_algebra(cc, t).gabriel_quiver_is_acyclic():
                 continue
             acyclic_seen[key] += 1
-            shifted = {cc.shift(s) for s in t.summands}
-            for m in cc.cids():
-                if m in shifted:
-                    continue
-                assert pd_class(module_of(alg, m)) is not PdClass.INFINITE, \
-                    (cc.quiver, t.summands, m)
+            for m, (_dims, _syzygies, pd) in report.modules.items():
+                assert pd is not PdClass.INFINITE, (cc.quiver, t.summands, m)
     assert all(v >= 1 for v in acyclic_seen.values()), acyclic_seen

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, flags, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -251,9 +252,12 @@ def test_internal_errors_exit_3(capsys, monkeypatch, verb, target, exc):
 
 
 def test_console_entry_point():
+    # the child imports clustercat from where this process found it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "clustercat.cli", "verify", "--family", "A",
          "--rank", "2", "--all-tiltings"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5/5 agree"

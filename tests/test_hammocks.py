@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from clustercat.algebra import PdClass
+from clustercat.algebra import PdClass, build_algebra, module_of, pd_class
 from clustercat.hammocks import (
     HammockSet,
     Shape,
@@ -18,7 +18,6 @@ from clustercat.hammocks import (
     right_hammock,
     sectional_path,
     shifted_summand,
-    swing,
     verify_main_theorem,
 )
 from clustercat.polygon import diagonal_of
@@ -201,7 +200,9 @@ def test_swing_proper_inclusion_witness(category):
 def test_swing_equals_exact_hammock(category):
     cc = category("D", 6)
     t = TiltingObject((30, 1, 29, 3, 4, 5))
-    assert swing(cc, t, 3, 2) == hij(cc, t, 3, 2).vertices
+    pred = hij_closed_form(cc, t, 3, 2)
+    assert pred.shape is Shape.SWING
+    assert pred.vertices == hij(cc, t, 3, 2).vertices
 
 
 def test_hom_flag_up_forces_swing(category):
@@ -329,6 +330,26 @@ def test_main_theorem_d4_exhaustive_census(category):
         assert report.agreement
         census[report.counts[PdClass.INFINITE]] += 1
     assert census == {0: 32, 6: 12, 8: 6}
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
+def test_report_modules_match_direct_computation(category, family, rank):
+    """report.modules holds what module_of and its syzygies give directly."""
+    cc = category(family, rank)
+    for t in enumerate_tiltings(cc):
+        alg = build_algebra(cc, t)
+        report = verify_main_theorem(cc, t)
+        shifted = shifted_set(cc, t)
+        assert list(report.modules) == [m for m in cc.cids()
+                                        if m not in shifted]
+        for m, got in report.modules.items():
+            mod = module_of(alg, m)
+            s1 = mod.syzygy()
+            s2 = s1.syzygy()
+            s3 = s2.syzygy()
+            syzygies = (s1.dim_vector(), s2.dim_vector(), s3.dim_vector())
+            assert got == (mod.dim_vector(), syzygies, pd_class(mod)), \
+                (t.summands, m)
 
 
 def test_infinite_vertices_lie_in_hammocks_type_a(category):

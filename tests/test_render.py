@@ -7,7 +7,7 @@ import re
 import pytest
 
 from clustercat import presets
-
+from clustercat.hammocks import hij_membership
 from clustercat.render import (
     RenderSpec,
     ar_layout,
@@ -152,6 +152,15 @@ def test_json_membership_matches_hammock_lists(category):
                 if m["cid"] in verts - shifted
             )
             assert m["in_hij"] == expect
+            assert m["in_hij"] == [list(p)
+                                   for p in hij_membership(cc, t, m["cid"])]
+
+
+def test_import_render_yields_the_submodule():
+    import clustercat.render as render_module
+
+    assert render_module.__name__ == "clustercat.render"
+    assert render_module.export_json is export_json
 
 
 def test_render_dispatch(category):
