@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 
 from .cluster import ClusterCategory, MeshConsistencyError
-from .linalg import matvec, nullspace, quotient_basis, rank, solve_in_columns
+from .linalg import matvec, quotient_basis, rank
 from .tilting import TiltingObject
 
 _ONE = 1
@@ -51,7 +51,11 @@ class ClusterTiltedAlgebra:
         for i in self.labels:
             for j in self.labels:
                 self.hom[(i, j)] = cc.hom_basis(self.summand[i], self.summand[j])
-        self.dim = sum(len(b) for b in self.hom.values())
+        self.hom_dims = {key: len(b) for key, b in self.hom.items()}
+        self.dim = sum(self.hom_dims.values())
+        self._radical_keys = tuple(
+            (i, j, b) for (i, j), d in self.hom_dims.items()
+            for b in range(1 if i == j else 0, d))
         for i in self.labels:
             ident = self._engine.identity(self.summand[i])
             if not self.hom[(i, i)] or self.hom[(i, i)][0] != ident:
@@ -62,7 +66,7 @@ class ClusterTiltedAlgebra:
         self._proj: dict[int, AlgebraModule] = {}
 
     def hom_dim(self, i: int, j: int) -> int:
-        return len(self.hom[(i, j)])
+        return self.hom_dims[(i, j)]
 
     def coords(self, elem):
         return self._engine.coords(elem)
@@ -80,12 +84,7 @@ class ClusterTiltedAlgebra:
 
     def radical_keys(self):
         """(i, j, b) triples indexing a basis of the radical."""
-        keys = []
-        for i in self.labels:
-            for j in self.labels:
-                start = 1 if i == j else 0
-                keys.extend((i, j, b) for b in range(start, self.hom_dim(i, j)))
-        return keys
+        return self._radical_keys
 
     def radical_power_spans(self, m: int):
         """Spanning vectors of (rad^m)_{(i,j)} in hom coordinates, per (i,j)."""
@@ -235,55 +234,67 @@ class AlgebraModule:
         return spans
 
     def top_lifts(self):
-        """(label, unit vector) pairs lifting a basis of V / V.rad."""
+        """(label, index) pairs: the unit vectors lifting a basis of V / V.rad."""
         spans = self.radical_image()
-        lifts = []
-        for k in self.alg.labels:
-            free, _ = quotient_basis(spans[k], self.dims[k])
-            for f in free:
-                lifts.append((k, tuple(_ONE if t == f else 0
-                                       for t in range(self.dims[k]))))
-        return lifts
+        return [(k, f) for k in self.alg.labels
+                for f in quotient_basis(spans[k], self.dims[k])[0]]
 
     def syzygy(self) -> "AlgebraModule":
-        """Kernel of the minimal projective cover, with restricted action."""
+        """Kernel of the minimal projective cover, with restricted action.
+
+        The cover sends basis element b of the summand P_k at a lift e_f to
+        column f of act[(i, k, b)].  One row reduction per label gives the
+        rank of the cover and a kernel basis that is the identity on the
+        free columns, so a kernel vector's coordinates are its entries
+        there; rebuilding the vector from them checks that it lies in the
+        kernel.
+        """
         alg = self.alg
+        hom_dims = alg.hom_dims
         lifts = self.top_lifts()
         if not lifts:
             if not self.is_zero():
                 raise MeshConsistencyError("nonzero module with zero top")
             return AlgebraModule(alg, {i: 0 for i in alg.labels},
                                  {k: () for k in self.act})
-        summands = [alg.projective_module(k) for k, _ in lifts]
+        summands = [(k, alg.projective_module(k)) for k, _ in lifts]
         kernels = {}
         for i in alg.labels:
-            cols = []
-            for k, v in lifts:
-                for b in range(alg.hom_dim(i, k)):
-                    cols.append(matvec(self.act[(i, k, b)], v))
-            rows = [tuple(col[r] for col in cols) for r in range(self.dims[i])]
-            if rank(rows) != self.dims[i]:
+            rows = [tuple(self.act[(i, k, b)][r][f] for k, f in lifts
+                          for b in range(hom_dims[(i, k)]))
+                    for r in range(self.dims[i])]
+            ncols = sum(hom_dims[(i, k)] for k, _ in lifts)
+            free, basis = quotient_basis(rows, ncols)
+            if ncols - len(free) != self.dims[i]:
                 raise MeshConsistencyError("projective cover is not surjective")
-            kernels[i] = nullspace(rows, len(cols))
-        dims = {i: len(kernels[i]) for i in alg.labels}
+            kernels[i] = free, basis
+        dims = {i: len(kernels[i][0]) for i in alg.labels}
         act = {}
         for key in self.act:
             i, j, _b = key
-            images = []
-            for w in kernels[j]:
+            free, basis = kernels[i]
+            cols = []
+            for w in kernels[j][1]:
                 img = []
                 off = 0
-                for (k, _), pk in zip(lifts, summands):
-                    seg = w[off: off + alg.hom_dim(j, k)]
-                    img.extend(matvec(pk.act[key], seg))
-                    off += alg.hom_dim(j, k)
-                images.append(tuple(img))
-            try:
-                # coefficient matrix is (kernel basis of i) x (kernel basis of j),
-                # which is exactly the action matrix V_j -> V_i
-                act[key] = solve_in_columns(kernels[i], images)
-            except ValueError as exc:
-                raise MeshConsistencyError("syzygy action left the kernel") from exc
+                for k, pk in summands:
+                    d = hom_dims[(j, k)]
+                    img.extend(matvec(pk.act[key], w[off: off + d]))
+                    off += d
+                coeffs = [img[f] for f in free]
+                rebuilt = [0] * len(img)
+                for c, u in zip(coeffs, basis):
+                    if c:
+                        for t, x in enumerate(u):
+                            if x:
+                                rebuilt[t] += c * x
+                if rebuilt != img:
+                    raise MeshConsistencyError("syzygy action left the kernel")
+                cols.append(coeffs)
+            # rows follow the kernel basis of i, columns that of j: the
+            # action matrix V_j -> V_i
+            act[key] = tuple(tuple(col[r] for col in cols)
+                             for r in range(len(free)))
         return AlgebraModule(alg, dims, act)
 
     def is_projective(self) -> bool:
@@ -306,8 +317,11 @@ def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     act = {}
     for i in alg.labels:
         for j in alg.labels:
-            for b in range(alg.hom_dim(i, j)):
-                f = alg.hom[(i, j)][b]
+            for b, f in enumerate(alg.hom[(i, j)]):
+                if not dims[i]:
+                    # g . f lies in Hom(T_i, M) = 0
+                    act[(i, j, b)] = ()
+                    continue
                 cols = [eng.coords(eng.compose(f, g)) for g in bases[j]]
                 act[(i, j, b)] = tuple(tuple(col[r] for col in cols)
                                        for r in range(dims[i]))

@@ -22,7 +22,7 @@ import random
 import sys
 
 from . import presets
-from .algebra import classify_modules
+from .algebra import PdClass, classify_modules
 from .cluster import ClusterCategory, MeshConsistencyError
 from .dynkin import build_quiver
 from .hammocks import (
@@ -240,10 +240,15 @@ def _cmd_verify(args) -> int:
         if report.agreement:
             good += 1
         elif first_bad is None:
-            first_bad = t
+            first_bad = report
     lines = [f"{good}/{len(tiltings)} agree"]
     if first_bad is not None:
-        lines.append(f"first disagreement at tilting {_fmt_tilting(first_bad)}")
+        lines.append("first disagreement at tilting "
+                     + _fmt_tilting(first_bad.tilting))
+        for m, ideal, pd in first_bad.rows:
+            if ideal != (pd is PdClass.INFINITE):
+                lines.append(f"module {m}: I_M {'nonzero' if ideal else 'zero'}"
+                             f", pd {pd}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if good == len(tiltings) else 1
 

@@ -88,9 +88,10 @@ def _pairing_witness(cc, x, a, b):
     """A basis pair (g, h) with h o g != 0 for g: a -> x, h: x -> b, else None.
 
     The composite is bilinear, so it vanishes for every pair of basis
-    elements iff it vanishes identically.
+    elements iff it vanishes identically.  It lies in Hom_C(a, b), so the
+    additive count of that space rules out a witness without composing.
     """
-    if cc.hom_dim_c(a, x) == 0 or cc.hom_dim_c(x, b) == 0:
+    if not (cc.hom_dim_c(a, b) and cc.hom_dim_c(a, x) and cc.hom_dim_c(x, b)):
         return None
     for g in cc.hom_basis(a, x):
         for h in cc.hom_basis(x, b):

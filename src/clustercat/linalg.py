@@ -140,7 +140,8 @@ def quotient_basis(span_rows, ambient_dim):
     Returns (free_indices, projection), where projection is a matrix with
     len(free_indices) rows and ambient_dim columns; applying it to a vector
     yields its class in the quotient, coordinates dual to the images of the
-    unit vectors e_f for f in free_indices.
+    unit vectors e_f for f in free_indices.  Its rows are also a basis of
+    the right kernel of span_rows, the identity on the free columns.
     """
     red, pivots = rref(span_rows) if span_rows else ((), ())
     return _complement_rows(red, pivots, ambient_dim)
@@ -188,25 +189,3 @@ def solve(a_rows, b_vec):
         x[p] = red[i][m]
     return tuple(x)
 
-
-def solve_in_columns(basis_cols, target_cols):
-    """Express target column vectors in terms of basis column vectors.
-
-    basis_cols: list of vectors spanning a subspace (assumed independent);
-    target_cols: vectors known to lie in that span.  Returns the coefficient
-    matrix X (len(basis_cols) x len(target_cols)) with B X = T, or raises
-    ValueError if some target is outside the span.
-    """
-    if not basis_cols:
-        if any(any(t) for t in target_cols):
-            raise ValueError("target outside span of empty basis")
-        return ()
-    dim = len(basis_cols[0])
-    a_rows = [[basis_cols[j][i] for j in range(len(basis_cols))] for i in range(dim)]
-    cols = []
-    for t in target_cols:
-        x = solve(a_rows, t)
-        if x is None:
-            raise ValueError("target outside span")
-        cols.append(x)
-    return tuple(tuple(cols[j][i] for j in range(len(cols))) for i in range(len(basis_cols)))

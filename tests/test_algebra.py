@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from clustercat.algebra import (PdClass, build_algebra, module_of, pd_class)
+from clustercat.algebra import (AlgebraModule, PdClass, build_algebra,
+                                module_of, pd_class)
+from clustercat.cluster import MeshConsistencyError
 from clustercat.tilting import enumerate_tiltings, initial_tilting
 
 
@@ -190,3 +192,32 @@ def test_pd_classes_stable_under_seeded_resampling(category):
         again = {c: pd_class(module_of(alg, c))
                  for c in cc.cids() if c not in shifted}
         assert first == again
+
+
+def corrupted_a4_module(category, key, mat):
+    """Hom(T, M) with dim vector (1, 1, 1, 0) over hereditary A4, one action replaced."""
+    cc, alg = hereditary_algebra(category, "A", 4)
+    shifted = {cc.shift(c) for c in alg.tilting.summands}
+    mod = next(m for m in (module_of(alg, c) for c in cc.cids()
+                           if c not in shifted)
+               if m.dim_vector() == (1, 1, 1, 0))
+    assert mod.syzygy().dim_vector() == (0, 0, 0, 1)
+    act = dict(mod.act)
+    act[key] = mat
+    return AlgebraModule(alg, mod.dims, act)
+
+
+def test_syzygy_rejects_a_kernel_that_is_not_a_submodule(category):
+    # the arrow 1 -> 2 acting by zero breaks (3,1) = (3,2)(2,1): the cover
+    # is still onto, but its kernel is not closed under the action
+    bad = corrupted_a4_module(category, (2, 1, 0), ((0,),))
+    with pytest.raises(MeshConsistencyError, match="left the kernel"):
+        bad.syzygy()
+
+
+def test_syzygy_rejects_a_cover_that_misses_a_direction(category):
+    # the unit of label 1 acting by zero: the top lifts at 1, but no element
+    # of the projective cover reaches it
+    bad = corrupted_a4_module(category, (1, 1, 0), ((0,),))
+    with pytest.raises(MeshConsistencyError, match="not surjective"):
+        bad.syzygy()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from clustercat import cli
+from clustercat import cli, hammocks
 from clustercat.cli import main
 from clustercat.cluster import MeshConsistencyError
 from clustercat.hammocks import UnclassifiableShapeError
@@ -250,6 +250,22 @@ def test_internal_errors_exit_3(capsys, monkeypatch, verb, target, exc):
     assert out == ""
     assert err == f"internal error: {exc.__name__}: planted\n"
 
+
+
+def test_verify_names_each_disagreeing_module(capsys, monkeypatch):
+    argv = ("verify", "--family", "A", "--rank", "3", "--tilting", "0,2,5")
+    monkeypatch.setattr(hammocks, "factorization_ideal_nonzero",
+                        lambda *_args: None)
+    code, out, _err = run(capsys, *argv)
+    assert code == 1
+    assert out == ("0/1 agree\n"
+                   "first disagreement at tilting 0,2,5\n"
+                   "module 1: I_M zero, pd inf\n"
+                   "module 4: I_M zero, pd inf\n"
+                   "module 7: I_M zero, pd inf\n")
+    monkeypatch.undo()
+    code, out, _err = run(capsys, *argv)
+    assert (code, out) == (0, "1/1 agree\n")
 
 def test_console_entry_point():
     # the child imports clustercat from where this process found it

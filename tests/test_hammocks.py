@@ -372,3 +372,49 @@ def test_hereditary_tiltings_have_no_infinite(category):
         assert report.agreement
         assert report.counts[PdClass.INFINITE] == 0
         assert infinite_pd_set(cc, t) == frozenset()
+
+
+def brute_force_membership(cc, t, m):
+    """(i, j) with some nonzero T_i[1] -> m -> T_j[1], over every basis pair."""
+    shifts = [shifted_summand(cc, t, k) for k in range(1, len(t) + 1)]
+    pairs = []
+    for i, a in enumerate(shifts, 1):
+        for j, b in enumerate(shifts, 1):
+            if any(not cc.compose(g, h).is_zero()
+                   for g in cc.hom_basis(a, m) for h in cc.hom_basis(m, b)):
+                pairs.append((i, j))
+    return pairs
+
+
+@pytest.mark.parametrize("family,rank", [("A", 4), ("D", 4), ("D", 5)])
+def test_membership_equals_unpruned_search(category, family, rank):
+    """Pruned witness search = composing every basis pair of every (i, j)."""
+    cc = category(family, rank)
+    for t in enumerate_tiltings(cc):
+        shifted = shifted_set(cc, t)
+        for m in cc.cids():
+            if m not in shifted:
+                assert hij_membership(cc, t, m) == \
+                    brute_force_membership(cc, t, m), (t.summands, m)
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
+def test_module_actions_equal_direct_composition(category, family, rank):
+    """Every action matrix of module_of, zero Hom(T_i, M) included."""
+    cc = category(family, rank)
+    for t in enumerate_tiltings(cc):
+        alg = build_algebra(cc, t)
+        shifted = shifted_set(cc, t)
+        for m in cc.cids():
+            if m in shifted:
+                continue
+            bases = {i: cc.hom_basis(alg.summand[i], m) for i in alg.labels}
+            got = module_of(alg, m).act
+            assert set(got) == {(i, j, b) for (i, j), hs in alg.hom.items()
+                                for b in range(len(hs))}
+            for (i, j, b), mat in got.items():
+                f = alg.hom[(i, j)][b]
+                cols = [alg.coords(cc.compose(f, g)) for g in bases[j]]
+                direct = tuple(tuple(col[r] for col in cols)
+                               for r in range(len(bases[i])))
+                assert mat == direct, (t.summands, m, (i, j, b))
