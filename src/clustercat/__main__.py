@@ -1,0 +1,8 @@
+"""python -m clustercat: the command line of clustercat.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

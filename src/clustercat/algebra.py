@@ -22,9 +22,10 @@ on the third syzygy.
 from __future__ import annotations
 
 import enum
+from operator import mul
 
 from .cluster import ClusterCategory, MeshConsistencyError
-from .linalg import matvec, quotient_basis, rank
+from .linalg import quotient_basis, rank
 from .tilting import TiltingObject
 
 _ONE = 1
@@ -53,17 +54,20 @@ class ClusterTiltedAlgebra:
                 self.hom[(i, j)] = cc.hom_basis(self.summand[i], self.summand[j])
         self.hom_dims = {key: len(b) for key, b in self.hom.items()}
         self.dim = sum(self.hom_dims.values())
+        # the (i, j, b) keys of the basis elements of each Hom(T_i, T_j) != 0
+        self.basis_keys = {(i, j): tuple((i, j, b) for b in range(d))
+                           for (i, j), d in self.hom_dims.items() if d}
         self._radical_keys = tuple(
-            (i, j, b) for (i, j), d in self.hom_dims.items()
-            for b in range(1 if i == j else 0, d))
+            key for (i, j), keys in self.basis_keys.items()
+            for key in keys[1 if i == j else 0:])
         for i in self.labels:
             ident = self._engine.identity(self.summand[i])
             if not self.hom[(i, i)] or self.hom[(i, i)][0] != ident:
                 raise MeshConsistencyError(
                     "identity is not the first End basis element")
-        self._mult: dict[tuple[int, int, int], list[list[tuple]]] = {}
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
         self._proj: dict[int, AlgebraModule] = {}
+        self._covers: dict[tuple[int, ...], dict] = {}
 
     def hom_dim(self, i: int, j: int) -> int:
         return self.hom_dims[(i, j)]
@@ -71,16 +75,11 @@ class ClusterTiltedAlgebra:
     def coords(self, elem):
         return self._engine.coords(elem)
 
-    def mult_table(self, i: int, j: int, k: int):
-        """coords of hom[i,j][a] . hom[j,k][b] in the (i,k) basis."""
-        key = (i, j, k)
-        got = self._mult.get(key)
-        if got is None:
-            eng = self._engine
-            got = [[eng.coords(eng.compose(f, g)) for g in self.hom[(j, k)]]
-                   for f in self.hom[(i, j)]]
-            self._mult[key] = got
-        return got
+    def products(self, i: int, j: int, k: int):
+        """Per basis element f of Hom(T_i, T_j), the matrix of g -> g . f
+        from Hom(T_j, T_k) to Hom(T_i, T_k); a read of the category's table."""
+        s = self.summand
+        return self._engine.products(s[i], s[j], s[k])
 
     def radical_keys(self):
         """(i, j, b) triples indexing a basis of the radical."""
@@ -107,25 +106,19 @@ class ClusterTiltedAlgebra:
                     for vec in prev[(i, j)]:
                         for k in self.labels:
                             start = 1 if j == k else 0
+                            if self.hom_dim(j, k) <= start:
+                                continue
+                            mats = self.products(i, j, k)
                             for b in range(start, self.hom_dim(j, k)):
-                                table = self.mult_table(i, j, k)
-                                out = None
-                                for a, ca in enumerate(vec):
-                                    if not ca:
-                                        continue
-                                    row = table[a][b]
-                                    if out is None:
-                                        out = [ca * x for x in row]
-                                    else:
-                                        for t, x in enumerate(row):
-                                            out[t] += ca * x
-                                if out and any(out):
-                                    spans[(i, k)].append(tuple(out))
+                                # (sum_a vec[a] f_a) then g_b, in (i,k) coords
+                                out = tuple(
+                                    sum(ca * mat[r][b]
+                                        for ca, mat in zip(vec, mats))
+                                    for r in range(self.hom_dim(i, k)))
+                                if any(out):
+                                    spans[(i, k)].append(out)
         self._rad_pow[m] = spans
         return spans
-
-    def radical_power_dim(self, m: int) -> int:
-        return sum(rank(vs) for vs in self.radical_power_spans(m).values())
 
     def gabriel_arrows(self):
         """(i, j, multiplicity) per Gabriel arrow i -> j, multiplicity >= 1."""
@@ -179,22 +172,26 @@ class ClusterTiltedAlgebra:
 
         return not any(state[v] == 0 and dfs(v) for v in self.labels)
 
+    def _cover_layout(self, tops):
+        """Per label i, the dimension of the projective sum of P_k, k in
+        tops, at i and the (offset, width) of each summand's block there."""
+        got = self._covers.get(tops)
+        if got is None:
+            got = self._covers[tops] = {}
+            for i in self.labels:
+                blocks, off = [], 0
+                for k in tops:
+                    d = self.hom_dims[(i, k)]
+                    blocks.append((off, d))
+                    off += d
+                got[i] = off, blocks
+        return got
+
     def projective_module(self, k: int) -> "AlgebraModule":
+        """Hom_C(T, T_k), the indecomposable projective at label k."""
         got = self._proj.get(k)
         if got is None:
-            dims = {i: self.hom_dim(i, k) for i in self.labels}
-            act = {}
-            for i in self.labels:
-                for j in self.labels:
-                    table = self.mult_table(i, j, k)
-                    for b in range(self.hom_dim(i, j)):
-                        # f = hom[i,j][b] sends g in Hom(T_j,T_k) to g.f
-                        cols = [table[b][g] for g in range(self.hom_dim(j, k))]
-                        act[(i, j, b)] = tuple(
-                            tuple(col[r] for col in cols)
-                            for r in range(self.hom_dim(i, k)))
-            got = AlgebraModule(self, dims, act)
-            self._proj[k] = got
+            got = self._proj[k] = module_of(self, self.summand[k])
         return got
 
 
@@ -223,20 +220,22 @@ class AlgebraModule:
 
     def radical_image(self):
         """Spanning vectors of (V . rad)_i per label i."""
+        dims = self.dims
         spans = {i: [] for i in self.alg.labels}
         for key in self.alg.radical_keys():
-            i, j, b = key
-            mat = self.act[key]
-            for c in range(self.dims[j]):
-                col = tuple(mat[r][c] for r in range(self.dims[i]))
-                if any(col):
-                    spans[i].append(col)
+            i, j, _b = key
+            if dims[i] and dims[j]:
+                mat = self.act[key]
+                for c in range(dims[j]):
+                    col = tuple(row[c] for row in mat)
+                    if any(col):
+                        spans[i].append(col)
         return spans
 
     def top_lifts(self):
         """(label, index) pairs: the unit vectors lifting a basis of V / V.rad."""
         spans = self.radical_image()
-        return [(k, f) for k in self.alg.labels
+        return [(k, f) for k in self.alg.labels if self.dims[k]
                 for f in quotient_basis(spans[k], self.dims[k])[0]]
 
     def syzygy(self) -> "AlgebraModule":
@@ -247,7 +246,8 @@ class AlgebraModule:
         rank of the cover and a kernel basis that is the identity on the
         free columns, so a kernel vector's coordinates are its entries
         there; rebuilding the vector from them checks that it lies in the
-        kernel.
+        kernel.  A key whose source label has a zero kernel acts by the
+        empty matrix, with no image to build or check.
         """
         alg = self.alg
         hom_dims = alg.hom_dims
@@ -257,48 +257,53 @@ class AlgebraModule:
                 raise MeshConsistencyError("nonzero module with zero top")
             return AlgebraModule(alg, {i: 0 for i in alg.labels},
                                  {k: () for k in self.act})
-        summands = [(k, alg.projective_module(k)) for k, _ in lifts]
+        tops = tuple(k for k, _ in lifts)
+        summands = [alg.projective_module(k) for k in tops]
         kernels = {}
-        for i in alg.labels:
+        for i, (ncols, layout) in alg._cover_layout(tops).items():
             rows = [tuple(self.act[(i, k, b)][r][f] for k, f in lifts
                           for b in range(hom_dims[(i, k)]))
                     for r in range(self.dims[i])]
-            ncols = sum(hom_dims[(i, k)] for k, _ in lifts)
             free, basis = quotient_basis(rows, ncols)
             if ncols - len(free) != self.dims[i]:
                 raise MeshConsistencyError("projective cover is not surjective")
-            kernels[i] = free, basis
-        dims = {i: len(kernels[i][0]) for i in alg.labels}
+            kernels[i] = ncols, free, basis, layout
+        dims = {i: len(kernels[i][1]) for i in alg.labels}
         act = {}
-        for key in self.act:
-            i, j, _b = key
-            free, basis = kernels[i]
-            cols = []
-            for w in kernels[j][1]:
-                img = []
-                off = 0
-                for k, pk in summands:
-                    d = hom_dims[(j, k)]
-                    img.extend(matvec(pk.act[key], w[off: off + d]))
-                    off += d
-                coeffs = [img[f] for f in free]
-                rebuilt = [0] * len(img)
-                for c, u in zip(coeffs, basis):
-                    if c:
-                        for t, x in enumerate(u):
-                            if x:
-                                rebuilt[t] += c * x
-                if rebuilt != img:
-                    raise MeshConsistencyError("syzygy action left the kernel")
-                cols.append(coeffs)
-            # rows follow the kernel basis of i, columns that of j: the
-            # action matrix V_j -> V_i
-            act[key] = tuple(tuple(col[r] for col in cols)
-                             for r in range(len(free)))
+        for (i, j), keys in alg.basis_keys.items():
+            ncols, free, basis, layout_i = kernels[i]
+            if not dims[j]:
+                empty = ((),) * len(free)
+                for key in keys:
+                    act[key] = empty
+                continue
+            _n, _free, kernel_j, layout_j = kernels[j]
+            # summands with a block in both P_i and P_j
+            shared = [(pk, oi, oj, dj) for pk, (oi, di), (oj, dj)
+                      in zip(summands, layout_i, layout_j) if di and dj]
+            for key in keys:
+                cols = []
+                for w in kernel_j:
+                    img = [0] * ncols
+                    for pk, oi, oj, dj in shared:
+                        seg = w[oj: oj + dj]
+                        for r, row in enumerate(pk.act[key], oi):
+                            img[r] = sum(map(mul, row, seg))
+                    coeffs = [img[f] for f in free]
+                    rebuilt = [0] * ncols
+                    for c, u in zip(coeffs, basis):
+                        if c:
+                            for t, x in enumerate(u):
+                                if x:
+                                    rebuilt[t] += c * x
+                    if rebuilt != img:
+                        raise MeshConsistencyError(
+                            "syzygy action left the kernel")
+                    cols.append(coeffs)
+                # rows follow the kernel basis of i, columns that of j: the
+                # action matrix V_j -> V_i
+                act[key] = tuple(zip(*cols))
         return AlgebraModule(alg, dims, act)
-
-    def is_projective(self) -> bool:
-        return self.syzygy().is_zero()
 
 
 def build_algebra(cc: ClusterCategory, tilting: TiltingObject) -> ClusterTiltedAlgebra:
@@ -307,24 +312,19 @@ def build_algebra(cc: ClusterCategory, tilting: TiltingObject) -> ClusterTiltedA
 
 def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     """Hom_C(T, M) as a module over the algebra; M outside add T[1]."""
-    cc = alg.cc
     eng = alg._engine
-    bases = {i: cc.hom_basis(alg.summand[i], m_cid) for i in alg.labels}
-    dims = {i: len(bases[i]) for i in alg.labels}
+    dims = {i: eng.dim(alg.summand[i], m_cid) for i in alg.labels}
     if not any(dims.values()):
         raise ValueError(
             "Hom_C(T, M) = 0: M lies in the shift of the tilting object")
     act = {}
-    for i in alg.labels:
-        for j in alg.labels:
-            for b, f in enumerate(alg.hom[(i, j)]):
-                if not dims[i]:
-                    # g . f lies in Hom(T_i, M) = 0
-                    act[(i, j, b)] = ()
-                    continue
-                cols = [eng.coords(eng.compose(f, g)) for g in bases[j]]
-                act[(i, j, b)] = tuple(tuple(col[r] for col in cols)
-                                       for r in range(dims[i]))
+    for (i, j), keys in alg.basis_keys.items():
+        # act[(i, j, b)] sends g in Hom(T_j, M) to g . hom[i,j][b]
+        if dims[i] and dims[j]:
+            mats = eng.products(alg.summand[i], alg.summand[j], m_cid)
+        else:  # zero matrices, of the shape the dimensions give
+            mats = (((),) * dims[i],) * len(keys)
+        act.update(zip(keys, mats))
     return AlgebraModule(alg, dims, act)
 
 

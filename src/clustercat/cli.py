@@ -309,8 +309,9 @@ def _parser():
     sub.add_parser("classify", parents=[common, tilt])
     sub.add_parser("hammocks", parents=[common, tilt])
     p = sub.add_parser("verify", parents=[common])
-    p.add_argument("--tilting", default=None)
-    p.add_argument("--all-tiltings", action="store_true")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--tilting", default=None)
+    which.add_argument("--all-tiltings", action="store_true")
     p = sub.add_parser("render", parents=[common])
     p.add_argument("--tilting", default=None)
     p.add_argument("--format", choices=FORMATS, default="dot")

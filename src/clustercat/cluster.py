@@ -84,9 +84,6 @@ class ClusterCategory:
     def module_cid(self, mid):
         return self._mod_cid[mid]
 
-    def shifted_cid(self, vertex):
-        return self._shift_cid[vertex]
-
     def cids(self):
         return range(len(self.indecs))
 
@@ -167,6 +164,10 @@ class ClusterCategory:
             winding = math.gcd(winding, g)
         self.winding = winding
         self.height = {c: raw[c] % winding for c in self.cids()}
+        # level offsets of every arrow and every translate, for the cover
+        self.arrow_offsets = {(x, y): self.arrow_level_offset(x, y)
+                              for x, y in self.arrows()}
+        self.tau_offsets = {x: self.tau_level_offset(x) for x in self.cids()}
 
     def arrow_level_offset(self, x, y):
         off = self.height[x] + 1 - self.height[y]
@@ -222,8 +223,8 @@ class ClusterCategory:
     def hom_basis(self, x: int, y: int):
         """Basis of Hom_C(X, Y) in the mesh category of the AR quiver.
 
-        Cardinality is checked against hom_dim_c on every call; disagreement
-        raises MeshConsistencyError.
+        Cardinality is checked against hom_dim_c (once per pair, since the
+        mesh levels never change); disagreement raises MeshConsistencyError.
         """
         return self._get_engine().hom_basis(x, y)
 
@@ -236,9 +237,6 @@ class ClusterCategory:
 
     def arrow_element(self, x: int, y: int):
         return self._get_engine().arrow_element(x, y)
-
-    def zero_element(self, x: int, y: int):
-        return self._get_engine().zero(x, y)
 
 
 def build_cluster(quiver: QuiverDescriptor) -> ClusterCategory:

@@ -172,12 +172,6 @@ class ModARQuiver:
     def dim(self, mid):
         return self.indecs[mid].dim
 
-    def mesh_middles(self, mid):
-        """Middle terms of the almost split sequence starting at mid."""
-        if mid not in self.tau_inv:
-            raise ValueError(f"M{mid} is injective, no mesh starts there")
-        return tuple(self.succ[mid])
-
     # -- Hom/Ext dimensions -------------------------------------------------
 
     def _rows(self):

@@ -79,24 +79,21 @@ def right_hammock(cc, tilting, j) -> HammockSet:
     return HammockSet("right", None, j, verts)
 
 
-def ext_support(cc, a):
-    """supp Ext^1_C(a, -), the translate H[-1] of the left hammock at a."""
-    return frozenset(x for x in cc.cids() if cc.ext1_c(a, x) > 0)
-
-
 def _pairing_witness(cc, x, a, b):
     """A basis pair (g, h) with h o g != 0 for g: a -> x, h: x -> b, else None.
 
     The composite is bilinear, so it vanishes for every pair of basis
     elements iff it vanishes identically.  It lies in Hom_C(a, b), so the
     additive count of that space rules out a witness without composing.
+    The composites are read off the category's product table: column h of
+    the matrix of g is the composite of basis elements g and h.
     """
     if not (cc.hom_dim_c(a, b) and cc.hom_dim_c(a, x) and cc.hom_dim_c(x, b)):
         return None
-    for g in cc.hom_basis(a, x):
-        for h in cc.hom_basis(x, b):
-            if not cc.compose(g, h).is_zero():
-                return (g, h)
+    for g, mat in enumerate(cc._get_engine().products(a, x, b)):
+        for h, col in enumerate(zip(*mat)):
+            if any(col):
+                return cc.hom_basis(a, x)[g], cc.hom_basis(x, b)[h]
     return None
 
 

@@ -11,6 +11,7 @@ mutate their arguments and return fresh tuples.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .cluster import MeshConsistencyError
@@ -29,6 +30,22 @@ def rref(rows) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
 
 def _rref(rows, unit_pivots):
     """rref; with unit_pivots, a pivot other than +-1 raises instead."""
+    if len(rows) == 1:  # the common case: scale one row by its first entry
+        row = tuple(rows[0])
+        for c, piv in enumerate(row):
+            if piv:
+                break
+        else:
+            return (), ()
+        if piv == -1:
+            row = tuple([-x for x in row])
+        elif piv != 1:
+            if unit_pivots:
+                raise MeshConsistencyError(
+                    f"pivot {piv} in an integer quotient; expected +-1")
+            inv = Fraction(1) / piv
+            row = tuple([x * inv for x in row])
+        return (row,), (c,)
     mat = [list(row) for row in rows]
     if not mat:
         return (), ()
@@ -159,7 +176,7 @@ def unit_quotient_basis(span_rows, ambient_dim):
 
 
 def matvec(mat, vec):
-    return tuple(sum(a * b for a, b in zip(row, vec)) for row in mat)
+    return tuple([sum(map(mul, row, vec)) for row in mat])
 
 
 def matmul(a, b):
@@ -168,24 +185,4 @@ def matmul(a, b):
     bt = list(zip(*b))
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
                  for row in a)
-
-
-def solve(a_rows, b_vec):
-    """One solution x of A x = b, or None if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    mat = [list(row) for row in a_rows]
-    if not mat:
-        return () if not any(b_vec) else None
-    m = len(mat[0])
-    for i, row in enumerate(mat):
-        row.append(b_vec[i])
-    red, pivots = rref(mat)
-    x = [0] * m
-    for i, p in enumerate(pivots):
-        if p == m:
-            return None
-        x[p] = red[i][m]
-    return tuple(x)
 

@@ -11,6 +11,8 @@ the cokernel of the mesh map.  Exactness of the mesh (AR triangle) makes
 this the genuine Hom space at every vertex above the seed.  Each basis
 element remembers one representative path of arrows from the seed, so
 composition is path application through the stored arrow matrices.
+MeshHomEngine.products tabulates the composites of basis elements once per
+category, and the algebra and hammock code read them from there.
 
 Knitting stops early: the mesh at height g reads only heights g - 1 (the
 middles) and g - 2 (the translate), so once two consecutive height levels
@@ -100,60 +102,60 @@ class CoverFunctor:
         H = cc.winding
         g0 = cc.height[src]
         top = g0 + 4 * h + 2
-        verts = []
+        # the cover vertices at global height g are (c, k) with c at height
+        # g mod H and k = (g - height(c)) / H; cids ascend within a height
+        tau_offsets, arrow_offsets = cc.tau_offsets, cc.arrow_offsets
+        at_height: dict[int, list[int]] = {}
         for c in cc.cids():
-            hb = cc.height[c]
-            kmin = -((hb - g0) // H) if hb >= g0 else (g0 - hb + H - 1) // H
-            k = kmin
-            while hb + k * H <= top:
-                if hb + k * H >= g0:
-                    verts.append((hb + k * H, c, k))
-                k += 1
-        verts.sort()
+            at_height.setdefault(cc.height[c], []).append(c)
 
         self.basis: dict[tuple[int, int], list[tuple]] = {}
         self.act: dict[tuple[int, int, int], tuple] = {}
+        basis, act, height, tau = self.basis, self.act, cc.height, cc.tau
         last = g0  # highest height with a nonzero vertex so far
-        for g, c, k in verts:
+        for g, c, k in (
+                (g, c, (g - height[c]) // H)
+                for g in range(g0, top + 1)
+                for c in at_height.get(g % H, ())):
             if g - last > 2:
                 break
             if g == g0:
-                self.basis[(c, k)] = [()] if c == src else []
+                basis[(c, k)] = [()] if c == src else []
                 continue
-            w = cc.tau[c]
-            kw = k + cc.tau_level_offset(c)
-            ubasis = self.basis.get((w, kw), ())
+            w = tau[c]
+            kw = k + tau_offsets[c]
+            # (middle p, its level, its basis, its first ambient coordinate)
             blocks = []
+            amb = 0
             for p in cc.pred[c]:
-                kp = k - cc.arrow_level_offset(p, c)
-                blocks.append((p, kp, self.basis.get((p, kp), ())))
-            amb = sum(len(bp) for _, _, bp in blocks)
+                kp = k - arrow_offsets[(p, c)]
+                bp = basis.get((p, kp), ())
+                blocks.append((p, kp, bp, amb))
+                amb += len(bp)
+            if not amb:  # every middle term vanishes, so F(c, k) does too
+                basis[(c, k)] = []
+                for p, kp, _bp, _o in blocks:
+                    act[(p, c, kp)] = ()
+                continue
             span = []
-            for j in range(len(ubasis)):
+            for j in range(len(basis.get((w, kw), ()))):
                 col = []
-                for p, kp, bp in blocks:
+                for p, kp, bp, _o in blocks:
                     if bp:
-                        a = self.act[(w, p, kw)]
-                        col.extend(a[r][j] for r in range(len(bp)))
+                        col.extend([row[j] for row in act[(w, p, kw)]])
                 span.append(tuple(col))
             free, proj = unit_quotient_basis(span, amb)
             recs = []
-            offsets = []
-            off = 0
-            for p, kp, bp in blocks:
-                offsets.append(off)
-                off += len(bp)
             for f in free:
-                for (p, kp, bp), o in zip(blocks, offsets):
+                for p, kp, bp, o in blocks:
                     if o <= f < o + len(bp):
                         recs.append(bp[f - o] + ((p, c),))
                         break
-            self.basis[(c, k)] = recs
+            basis[(c, k)] = recs
             if recs:
                 last = g
-            for (p, kp, bp), o in zip(blocks, offsets):
-                self.act[(p, c, kp)] = tuple(
-                    tuple(row[o + j] for j in range(len(bp))) for row in proj)
+            for p, kp, bp, o in blocks:
+                act[(p, c, kp)] = tuple([row[o:o + len(bp)] for row in proj])
 
         if last > top - 2:
             raise MeshConsistencyError(
@@ -171,19 +173,19 @@ class CoverFunctor:
 
         Returns (end_vertex, end_level, vec) or None when the result is zero.
         """
-        cc = self.cc
+        act, offsets = self.act, self.cc.arrow_offsets
         cur, lvl, v = start, level, tuple(vec)
         for a, b in path:
             if a != cur:
                 raise ValueError("path does not start where the previous arrow ended")
-            mat = self.act.get((a, b, lvl))
+            mat = act.get((a, b, lvl))
             if mat is None:
                 if any(v):
                     raise MeshConsistencyError(
                         "nonzero morphism escaped the cover window")
                 return None
             v = matvec(mat, v)
-            lvl += cc.arrow_level_offset(a, b)
+            lvl += offsets[(a, b)]
             cur = b
         if not any(v):
             return None
@@ -191,9 +193,21 @@ class CoverFunctor:
 
 
 class MeshHomEngine:
+    """Hom spaces of one category, and its table of basis products.
+
+    products(x, y, z) is filled once per triple and read by every tilting of
+    the category; identical matrices are shared through one intern map.
+    The memo tables are keyed by one int per pair or triple of cids, which
+    takes less memory than a tuple key.
+    """
+
     def __init__(self, cc: ClusterCategory):
         self.cc = cc
+        self._n = len(cc.indecs)
         self._functors: dict[int, CoverFunctor] = {}
+        self._dims: dict[int, int] = {}  # x * n + y -> dim Hom(x, y)
+        self._products: dict[int, tuple] = {}  # (x * n + y) * n + z -> entry
+        self._interned: dict[tuple, tuple] = {}
 
     def functor(self, x: int) -> CoverFunctor:
         got = self._functors.get(x)
@@ -206,17 +220,27 @@ class MeshHomEngine:
         """Sorted (level, dimension) pairs with nonzero F_x at lifts of y."""
         return self.functor(x).levels.get(y, ())
 
+    def dim(self, x: int, y: int) -> int:
+        """dim Hom(x, y) from the mesh levels, checked against the additive count."""
+        key = x * self._n + y
+        got = self._dims.get(key)
+        if got is None:
+            got = sum(d for _k, d in self.levels(x, y))
+            expect = self.cc.hom_dim_c(x, y)
+            if got != expect:
+                raise MeshConsistencyError(
+                    f"mesh basis of Hom({x},{y}) has {got} elements, "
+                    f"additive count gives {expect}")
+            self._dims[key] = got
+        return got
+
     def hom_basis(self, x: int, y: int):
+        self.dim(x, y)
         elems = []
         for k, dim in self.levels(x, y):
             for j in range(dim):
                 vec = tuple(int(i == j) for i in range(dim))
                 elems.append(HomElement(self.cc, x, y, {k: vec}))
-        expect = self.cc.hom_dim_c(x, y)
-        if len(elems) != expect:
-            raise MeshConsistencyError(
-                f"mesh basis of Hom({x},{y}) has {len(elems)} elements, "
-                f"additive count gives {expect}")
         return elems
 
     def coords(self, elem: HomElement):
@@ -273,3 +297,54 @@ class MeshHomEngine:
                         for i, a in enumerate(v):
                             slot[i] += coeff * a
         return HomElement(self.cc, g.src, h.tgt, {k: tuple(v) for k, v in acc.items()})
+
+    def products(self, x: int, y: int, z: int):
+        """One matrix per basis element f of Hom(x, y): g -> g . f.
+
+        The matrix maps Hom(y, z) to Hom(x, z) in hom_basis coordinates
+        (rows Hom(x, z), columns Hom(y, z)), the layout of a module action.
+        Each triple is filled once, by pushing the unit vectors of F_x at
+        the lifts of y along the path representatives of Hom(y, z).  A
+        triple with a zero Hom space is not stored: its matrices are zero,
+        of the shape the dimensions give.
+        """
+        key = (x * self._n + y) * self._n + z
+        got = self._products.get(key)
+        if got is not None:
+            return got
+        dxy, dyz, dxz = self.dim(x, y), self.dim(y, z), self.dim(x, z)
+        if not (dxy and dyz and dxz):
+            return (((0,) * dyz,) * dxz,) * dxy
+        fx, fy = self.functor(x), self.functor(y)
+        at = {}  # level of Hom(x, z) -> its first coordinate
+        off = 0
+        for k, d in fx.levels[z]:
+            at[k] = off
+            off += d
+        mats = [[[0] * dyz for _ in range(dxz)] for _ in range(dxy)]
+        row = 0
+        for k, dk in fx.levels[y]:
+            units = [tuple(int(i == a) for i in range(dk)) for a in range(dk)]
+            col = 0
+            for l, _dl in fy.levels[z]:
+                for path in fy.basis[(z, l)]:
+                    for a, unit in enumerate(units):
+                        res = fx.apply_path(path, y, k, unit)
+                        if res is None:
+                            continue
+                        cur, lvl, v = res
+                        if cur != z or lvl != k + l or lvl not in at:
+                            raise MeshConsistencyError(
+                                "path application lost track")
+                        mat = mats[row + a]
+                        for r, e in enumerate(v, at[lvl]):
+                            mat[r][col] = e
+                    col += 1
+            row += dk
+        got = self._intern(tuple(
+            self._intern(tuple(map(tuple, m))) for m in mats))
+        self._products[key] = got
+        return got
+
+    def _intern(self, value):
+        return self._interned.setdefault(value, value)

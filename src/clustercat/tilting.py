@@ -25,7 +25,7 @@ class TiltingObject:
     __slots__ = ("summands",)
 
     def __init__(self, summands):
-        self.summands = tuple(int(c) for c in summands)
+        self.summands = tuple(map(int, summands))
         if len(set(self.summands)) != len(self.summands):
             raise ValueError("tilting summands must be distinct")
 
@@ -104,18 +104,20 @@ def enumerate_tiltings(cc: ClusterCategory):
         adj.append(bits)
 
     out = []
+    n = cc.n
 
     def extend(cand, chosen):
-        if len(chosen) == cc.n:
-            out.append(TiltingObject(chosen))
-            return
+        need = n - len(chosen)
         # candidates stay above the last pick, so each clique appears once
-        while cand and cand.bit_count() + len(chosen) >= cc.n:
+        while cand and cand.bit_count() >= need:
             low = cand & -cand
             y = low.bit_length() - 1
             cand ^= low
             chosen.append(y)
-            extend(cand & adj[y], chosen)
+            if need == 1:
+                out.append(TiltingObject(chosen))
+            else:
+                extend(cand & adj[y], chosen)
             chosen.pop()
 
     extend((1 << m) - 1, [])

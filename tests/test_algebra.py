@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from clustercat import linalg
 from clustercat.algebra import (AlgebraModule, PdClass, build_algebra,
                                 module_of, pd_class)
 from clustercat.cluster import MeshConsistencyError
@@ -12,6 +13,16 @@ from clustercat.tilting import enumerate_tiltings, initial_tilting
 def hereditary_algebra(category, family, rank):
     cc = category(family, rank)
     return cc, build_algebra(cc, initial_tilting(cc))
+
+
+def radical_power_dim(alg, m):
+    return sum(linalg.rank(vs) for vs in alg.radical_power_spans(m).values())
+
+
+def mult_table(alg, i, j, k):
+    """coords of hom[i,j][a] . hom[j,k][b] in the (i,k) basis, as [a][b]."""
+    return [[tuple(row[b] for row in mat) for b in range(alg.hom_dim(j, k))]
+            for mat in alg.products(i, j, k)]
 
 
 def cyclic_a3_algebra(category):
@@ -43,8 +54,8 @@ def test_cyclic_a3_quiver_and_radical(category):
     # one oriented 3-cycle, in one of its two labellings
     assert arrows in ({(1, 2), (2, 3), (3, 1)}, {(1, 3), (3, 2), (2, 1)})
     assert alg.dim == 6
-    assert alg.radical_power_dim(1) == 3
-    assert alg.radical_power_dim(2) == 0
+    assert radical_power_dim(alg, 1) == 3
+    assert radical_power_dim(alg, 2) == 0
 
 
 @pytest.mark.parametrize("maker", ["hereditary_d4", "cyclic_a3"])
@@ -62,10 +73,10 @@ def test_multiplication_is_associative(category, maker):
                                   alg.hom_dim(k, l))
                     if not (na and nb and nc):
                         continue
-                    tab_ij_k = alg.mult_table(i, j, k)
-                    tab_ik_l = alg.mult_table(i, k, l)
-                    tab_jk_l = alg.mult_table(j, k, l)
-                    tab_ij_l = alg.mult_table(i, j, l)
+                    tab_ij_k = mult_table(alg, i, j, k)
+                    tab_ik_l = mult_table(alg, i, k, l)
+                    tab_jk_l = mult_table(alg, j, k, l)
+                    tab_ij_l = mult_table(alg, i, j, l)
                     for a in range(na):
                         for b in range(nb):
                             ab = tab_ij_k[a][b]
@@ -85,7 +96,7 @@ def test_radical_powers_descend_to_zero(category, family, rank):
     cc = category(family, rank)
     for t in enumerate_tiltings(cc)[:6]:
         alg = build_algebra(cc, t)
-        dims = [alg.radical_power_dim(m) for m in range(1, 8)]
+        dims = [radical_power_dim(alg, m) for m in range(1, 8)]
         assert all(a >= b for a, b in zip(dims, dims[1:]))
         assert dims[-1] == 0  # nilpotent
 
@@ -111,7 +122,7 @@ def test_summands_become_the_projective_modules(category):
         m = module_of(alg, alg.summand[label])
         p = alg.projective_module(label)
         assert m.dim_vector() == p.dim_vector()
-        assert m.is_projective()
+        assert m.syzygy().is_zero()
         assert pd_class(m) is PdClass.ZERO
         assert p.syzygy().is_zero()
 
@@ -155,12 +166,12 @@ def test_identity_multiplication(category):
     _, alg = hereditary_algebra(category, "A", 3)
     for i in alg.labels:
         for j in alg.labels:
-            tab = alg.mult_table(i, i, j)
+            tab = mult_table(alg, i, i, j)
             for b in range(alg.hom_dim(i, j)):
                 unit = tuple(Fraction(int(t == b))
                              for t in range(alg.hom_dim(i, j)))
                 assert tab[0][b] == unit  # e_i . f = f
-            tab2 = alg.mult_table(i, j, j)
+            tab2 = mult_table(alg, i, j, j)
             for a in range(alg.hom_dim(i, j)):
                 unit = tuple(Fraction(int(t == a))
                              for t in range(alg.hom_dim(i, j)))

@@ -277,3 +277,29 @@ def test_console_entry_point():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5/5 agree"
+
+
+@pytest.mark.parametrize("spec", ["0,2,5", "not-a-tilting"])
+def test_verify_all_tiltings_excludes_tilting(capsys, spec):
+    code, out, err = run(capsys, "verify", "--family", "A", "--rank", "3",
+                         "--all-tiltings", "--tilting", spec)
+    assert code == 2
+    assert out == ""
+    assert "not allowed with" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustercat", "verify", "--family", "A",
+         "--rank", "3", "--all-tiltings", "--tilting", "0,2,5"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 2
+    assert "not allowed with" in proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-m", "clustercat", "verify", "--family", "A",
+         "--rank", "2", "--all-tiltings"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "5/5 agree"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from clustercat.cluster import MeshConsistencyError
+from clustercat.meshhom import HomElement
 from clustercat.polygon import diagonal_of, ext_dim_by_crossing
 
 ALL_RANKS = [("A", 2), ("A", 3), ("A", 4), ("A", 5),
@@ -52,8 +53,10 @@ def test_shift_sends_projectives_to_shifted_copies(category, family, rank):
     cc = category(family, rank)
     for v in cc.quiver.vertices:
         p = cc.module_cid(cc.mod.proj_mid[v])
-        assert cc.shift(p) == cc.shifted_cid(v)
-        assert cc.tau[cc.shifted_cid(v)] == cc.module_cid(cc.mod.inj_mid[v])
+        [shifted] = [x.cid for x in cc.indecs
+                     if x.kind == "shift" and x.vertex == v]
+        assert cc.shift(p) == shifted
+        assert cc.tau[shifted] == cc.module_cid(cc.mod.inj_mid[v])
 
 
 @pytest.mark.parametrize("family,rank", ALL_RANKS)
@@ -142,7 +145,7 @@ def test_mesh_relations_hold(category, family, rank):
     cc = category(family, rank)
     for z in cc.cids():
         w = cc.tau[z]
-        total = cc.zero_element(w, z)
+        total = HomElement(cc, w, z, {})
         for e in cc.succ[w]:
             total = total + cc.compose(cc.arrow_element(w, e),
                                        cc.arrow_element(e, z))
@@ -234,7 +237,7 @@ def test_zero_and_scaling_normal_forms(category):
     assert (f - f).is_zero()
     assert f.scale(0).is_zero()
     assert f.scale(Fraction(1, 2)).scale(2) == f
-    assert cc.zero_element(x, y) == f - f
+    assert HomElement(cc, x, y, {}) == f - f
 
 
 @pytest.mark.parametrize("family,rank",

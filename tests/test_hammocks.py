@@ -8,7 +8,6 @@ from clustercat.algebra import PdClass, build_algebra, module_of, pd_class
 from clustercat.hammocks import (
     HammockSet,
     Shape,
-    ext_support,
     factorization_ideal_nonzero,
     hij,
     hij_closed_form,
@@ -247,7 +246,7 @@ def test_rim_property(category):
         for i in range(1, 5):
             a = shifted_summand(cc, t, i)
             li = left_hammock(cc, t, i).vertices
-            rim_excluded = ext_support(cc, a)
+            rim_excluded = {x for x in cc.cids() if cc.ext1_c(a, x) > 0}
             for j in range(1, 5):
                 if hij(cc, t, i, j).vertices:
                     b = shifted_summand(cc, t, j)
@@ -418,3 +417,27 @@ def test_module_actions_equal_direct_composition(category, family, rank):
                 direct = tuple(tuple(col[r] for col in cols)
                                for r in range(len(bases[i])))
                 assert mat == direct, (t.summands, m, (i, j, b))
+
+
+def first_composing_pair(cc, t, m):
+    """(i, j, g, h): the first nonzero T_i[1] -> m -> T_j[1] in basis order."""
+    shifts = [shifted_summand(cc, t, k) for k in range(1, len(t) + 1)]
+    for i, a in enumerate(shifts, 1):
+        for j, b in enumerate(shifts, 1):
+            for g in cc.hom_basis(a, m):
+                for h in cc.hom_basis(m, b):
+                    if not cc.compose(g, h).is_zero():
+                        return (i, j, g, h)
+    return None
+
+
+@pytest.mark.parametrize("family,rank", [("D", 5), ("D", 6)])
+def test_witness_is_the_first_composing_pair(category, family, rank):
+    """The table-read witness is the pair a composing search finds first."""
+    cc = category(family, rank)
+    for t in enumerate_tiltings(cc)[::5]:
+        shifted = shifted_set(cc, t)
+        for m in cc.cids():
+            if m not in shifted:
+                assert factorization_ideal_nonzero(cc, t, m) == \
+                    first_composing_pair(cc, t, m), (t.summands, m)
