@@ -26,6 +26,7 @@ from operator import mul
 
 from .cluster import ClusterCategory, MeshConsistencyError
 from .linalg import quotient_basis, rank
+from .meshhom import zero_products
 from .tilting import TiltingObject
 
 _ONE = 1
@@ -235,6 +236,7 @@ class AlgebraModule:
     def top_lifts(self):
         """(label, index) pairs: the unit vectors lifting a basis of V / V.rad."""
         spans = self.radical_image()
+        # a zero label has no top; skipping it saves a quotient per label
         return [(k, f) for k in self.alg.labels if self.dims[k]
                 for f in quotient_basis(spans[k], self.dims[k])[0]]
 
@@ -319,11 +321,12 @@ def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
             "Hom_C(T, M) = 0: M lies in the shift of the tilting object")
     act = {}
     for (i, j), keys in alg.basis_keys.items():
-        # act[(i, j, b)] sends g in Hom(T_j, M) to g . hom[i,j][b]
+        # act[(i, j, b)] sends g in Hom(T_j, M) to g . hom[i,j][b]; a zero
+        # dimension gives the shape without the table's lookups
         if dims[i] and dims[j]:
             mats = eng.products(alg.summand[i], alg.summand[j], m_cid)
-        else:  # zero matrices, of the shape the dimensions give
-            mats = (((),) * dims[i],) * len(keys)
+        else:
+            mats = zero_products(len(keys), dims[j], dims[i])
         act.update(zip(keys, mats))
     return AlgebraModule(alg, dims, act)
 

@@ -165,21 +165,18 @@ class ClusterCategory:
         self.winding = winding
         self.height = {c: raw[c] % winding for c in self.cids()}
         # level offsets of every arrow and every translate, for the cover
-        self.arrow_offsets = {(x, y): self.arrow_level_offset(x, y)
-                              for x, y in self.arrows()}
-        self.tau_offsets = {x: self.tau_level_offset(x) for x in self.cids()}
-
-    def arrow_level_offset(self, x, y):
-        off = self.height[x] + 1 - self.height[y]
-        if off % self.winding:
-            raise MeshConsistencyError(f"inconsistent height along arrow {x}->{y}")
-        return off // self.winding
-
-    def tau_level_offset(self, x):
-        off = self.height[x] - 2 - self.height[self.tau[x]]
-        if off % self.winding:
-            raise MeshConsistencyError(f"inconsistent height along tau at {x}")
-        return off // self.winding
+        self.arrow_offsets = {}
+        for x, y in self.arrows():
+            off, rem = divmod(self.height[x] + 1 - self.height[y], winding)
+            if rem:
+                raise MeshConsistencyError(f"inconsistent height along arrow {x}->{y}")
+            self.arrow_offsets[(x, y)] = off
+        self.tau_offsets = {}
+        for x in self.cids():
+            off, rem = divmod(self.height[x] - 2 - self.height[self.tau[x]], winding)
+            if rem:
+                raise MeshConsistencyError(f"inconsistent height along tau at {x}")
+            self.tau_offsets[x] = off
 
     # -- Hom dimensions (derived-category route) ----------------------------
 

@@ -151,7 +151,7 @@ def factorization_ideal_nonzero(cc, tilting, m):
 def _cover_tau_inv(cc, v, k):
     # lift of tau^{-1} to the covering: tau(w, k') = (tau w, k' + offset(w))
     w = cc.tau_inv[v]
-    return (w, k - cc.tau_level_offset(w))
+    return (w, k - cc.tau_offsets[w])
 
 
 def sectional_path(cc, x, y):
@@ -169,7 +169,7 @@ def sectional_path(cc, x, y):
 
     def walk(v, k, prev, verts):
         for w in cc.succ[v]:
-            kw = k + cc.arrow_level_offset(v, w)
+            kw = k + cc.arrow_offsets[(v, w)]
             if cc.height[w] + kw * cc.winding > cap:
                 continue
             if prev is not None and (w, kw) == _cover_tau_inv(cc, *prev):

@@ -30,57 +30,37 @@ def rref(rows) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
 
 def _rref(rows, unit_pivots):
     """rref; with unit_pivots, a pivot other than +-1 raises instead."""
-    if len(rows) == 1:  # the common case: scale one row by its first entry
-        row = tuple(rows[0])
-        for c, piv in enumerate(row):
-            if piv:
-                break
-        else:
-            return (), ()
-        if piv == -1:
-            row = tuple([-x for x in row])
-        elif piv != 1:
-            if unit_pivots:
-                raise MeshConsistencyError(
-                    f"pivot {piv} in an integer quotient; expected +-1")
-            inv = Fraction(1) / piv
-            row = tuple([x * inv for x in row])
-        return (row,), (c,)
     mat = [list(row) for row in rows]
-    if not mat:
-        return (), ()
-    ncols = len(mat[0])
+    nrows = len(mat)
     pivots = []
     r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                sel = i
+    for c in range(len(mat[0]) if mat else 0):
+        for sel in range(r, nrows):
+            if mat[sel][c]:
                 break
-        if sel is None:
+        else:
             continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        piv = mat[r][c]
+        row_r = mat[sel]
+        mat[sel] = mat[r]
+        piv = row_r[c]
         if piv == -1:
-            mat[r] = [-x for x in mat[r]]
+            row_r = [-x for x in row_r]
         elif piv != 1:
             if unit_pivots:
                 raise MeshConsistencyError(
                     f"pivot {piv} in an integer quotient; expected +-1")
             inv = Fraction(1) / piv
-            mat[r] = [x * inv for x in mat[r]]
-        row_r = mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
+            row_r = [x * inv for x in row_r]
+        mat[r] = row_r
+        for i in range(nrows):
+            f = mat[i][c]
+            if f and i != r:
                 mat[i] = [a - f * b for a, b in zip(mat[i], row_r)]
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == nrows:
             break
-    reduced = tuple(tuple(row) for row in mat[:r])
-    return reduced, tuple(pivots)
+    return tuple([tuple(row) for row in mat[:r]]), tuple(pivots)
 
 
 def rank(rows) -> int:

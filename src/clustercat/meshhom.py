@@ -132,11 +132,6 @@ class CoverFunctor:
                 bp = basis.get((p, kp), ())
                 blocks.append((p, kp, bp, amb))
                 amb += len(bp)
-            if not amb:  # every middle term vanishes, so F(c, k) does too
-                basis[(c, k)] = []
-                for p, kp, _bp, _o in blocks:
-                    act[(p, c, kp)] = ()
-                continue
             span = []
             for j in range(len(basis.get((w, kw), ()))):
                 col = []
@@ -190,6 +185,11 @@ class CoverFunctor:
         if not any(v):
             return None
         return cur, lvl, v
+
+
+def zero_products(dxy: int, dyz: int, dxz: int):
+    """products of a triple with a zero Hom space: dxy zero dxz x dyz matrices."""
+    return (((0,) * dyz,) * dxz,) * dxy
 
 
 class MeshHomEngine:
@@ -314,7 +314,7 @@ class MeshHomEngine:
             return got
         dxy, dyz, dxz = self.dim(x, y), self.dim(y, z), self.dim(x, z)
         if not (dxy and dyz and dxz):
-            return (((0,) * dyz,) * dxz,) * dxy
+            return zero_products(dxy, dyz, dxz)
         fx, fy = self.functor(x), self.functor(y)
         at = {}  # level of Hom(x, z) -> its first coordinate
         off = 0

@@ -76,11 +76,15 @@ def test_winding_constant(category, family, rank):
 
 @pytest.mark.parametrize("family,rank", ALL_RANKS)
 def test_height_offsets_are_integral(category, family, rank):
+    # the category raises on an inconsistent offset while it is built
     cc = category(family, rank)
+    H = cc.winding
     for x, y in cc.arrows():
-        cc.arrow_level_offset(x, y)  # raises on inconsistency
+        assert (cc.height[y] + cc.arrow_offsets[(x, y)] * H
+                == cc.height[x] + 1)
     for x in cc.cids():
-        cc.tau_level_offset(x)
+        assert (cc.height[x] - cc.tau_offsets[x] * H
+                == cc.height[cc.tau[x]] + 2)
 
 
 def test_a2_hom_table(category):

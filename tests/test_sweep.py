@@ -1,8 +1,8 @@
 """Exhaustive sweeps: the main theorem on every tilting of D6, D7 and A8.
 
 Deselected from the default run by the `sweep` marker (see pyproject.toml);
-run them with `pytest -m sweep`.  D7 (2508 tiltings) and A8 (4862) take
-about 15-25 s and 20-30 s of CPU on a 2-core VM with Python 3.11.
+run them with `pytest -m sweep`.  CHANGES.md gives the measured CPU time
+of the D7 (2508 tiltings) and A8 (4862) sweeps.
 """
 
 import pytest
