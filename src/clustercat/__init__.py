@@ -31,8 +31,6 @@ from .hammocks import (
     factorization_ideal_nonzero,
     hij,
     hij_closed_form,
-    hij_membership,
-    infinite_pd_set,
     left_hammock,
     right_hammock,
     sectional_path,
@@ -77,8 +75,6 @@ __all__ = [
     "first_ext_violation",
     "hij",
     "hij_closed_form",
-    "hij_membership",
-    "infinite_pd_set",
     "initial_tilting",
     "is_cluster_tilting",
     "knit",

@@ -28,6 +28,7 @@ from .dynkin import build_quiver
 from .hammocks import (
     UnclassifiableShapeError,
     hij,
+    hij_closed_form,
     left_hammock,
     right_hammock,
     verify_main_theorem,
@@ -90,20 +91,25 @@ def _preset_tilting(cc, name) -> TiltingObject:
     return min(hits, key=lambda t: t.summands)
 
 
+def _mutate_along(cc, t, word):
+    """t and each tilting after it along the comma-separated label word."""
+    walk = [t]
+    for chunk in word.split(",") if word else []:
+        try:
+            k = int(chunk)
+        except ValueError:
+            raise InputError(f"bad mutation label {chunk!r}") from None
+        try:
+            walk.append(mutate(cc, walk[-1], k))
+        except ValueError as e:
+            raise InputError(str(e)) from None
+    return walk
+
+
 def _resolve_tilting(cc, text) -> TiltingObject:
     if text.startswith("@mutations:"):
-        t = initial_tilting(cc)
-        word = text[len("@mutations:"):]
-        for chunk in word.split(",") if word else []:
-            try:
-                k = int(chunk)
-            except ValueError:
-                raise InputError(f"bad mutation label {chunk!r}") from None
-            try:
-                t = mutate(cc, t, k)
-            except ValueError as e:
-                raise InputError(str(e)) from None
-        return t
+        return _mutate_along(cc, initial_tilting(cc),
+                              text[len("@mutations:"):])[-1]
     if text.startswith("@find-quiver:"):
         return _preset_tilting(cc, text[len("@find-quiver:"):])
     try:
@@ -177,14 +183,9 @@ def _cmd_tiltings(args) -> int:
     if args.word and not args.mutate_from:
         raise InputError("--word needs --mutate-from")
     if args.mutate_from:
-        t = _resolve_tilting(cc, args.mutate_from)
-        lines = [_fmt_tilting(t)]
-        for chunk in args.word.split(",") if args.word else []:
-            try:
-                t = mutate(cc, t, int(chunk))
-            except ValueError as e:
-                raise InputError(str(e)) from None
-            lines.append(_fmt_tilting(t))
+        walk = _mutate_along(cc, _resolve_tilting(cc, args.mutate_from),
+                              args.word)
+        lines = [_fmt_tilting(t) for t in walk]
     else:
         lines = [_fmt_tilting(t)
                  for t in _ordered(enumerate_tiltings(cc), args.seed)]
@@ -213,14 +214,13 @@ def _cmd_hammocks(args) -> int:
     t = _resolve_tilting(cc, args.tilting)
     lines = [f"tilting {_fmt_tilting(t)}"]
     for i in range(1, cc.n + 1):
-        lines.append(f"H_{i} = {sorted(left_hammock(cc, t, i).vertices)}")
+        lines.append(f"H_{i} = {sorted(left_hammock(cc, t, i))}")
     for j in range(1, cc.n + 1):
-        lines.append(f"_{j}H = {sorted(right_hammock(cc, t, j).vertices)}")
+        lines.append(f"_{j}H = {sorted(right_hammock(cc, t, j))}")
     for i in range(1, cc.n + 1):
         for j in range(1, cc.n + 1):
-            h = hij(cc, t, i, j)
-            shape = str(h.shape) if h.shape is not None else "unclassified"
-            lines.append(f"H({i},{j}) {shape} {sorted(h.vertices)}")
+            shape = hij_closed_form(cc, t, i, j).shape
+            lines.append(f"H({i},{j}) {shape} {sorted(hij(cc, t, i, j))}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

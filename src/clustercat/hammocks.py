@@ -11,12 +11,13 @@ T_i[1] -> T_j[1] factors through M.  This module computes the supports
 
 by exact composition in the mesh category, classifies each nonempty H(i,j)
 into one of three closed forms (sectional path, swing, full intersection),
-and cross-checks the factorization criterion against the syzygy computation
-of projdim for every indecomposable.
+and cross-checks the factorization criterion, membership in the union of
+the H(i,j), against the syzygy computation of projdim for every
+indecomposable.
 """
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import PdClass, classify_modules
 from .cluster import ClusterCategory, MeshConsistencyError
@@ -39,25 +40,12 @@ class Shape(enum.Enum):
 
 @dataclass(frozen=True)
 class HammockSet:
-    """A hammock support set.
+    """The closed-form answer for H(i,j): its vertices (cids) and its shape."""
 
-    kind is "left", "right" or "hij"; vertices holds cids.  shape is set
-    only for kind "hij" (and only for families A and D); flags carries the
-    boundary data used by the classifier.
-    """
-
-    kind: str
     i: int
     j: int
     vertices: frozenset
-    shape: Shape = None
-    flags: dict = field(default_factory=dict, compare=False)
-
-    def __contains__(self, cid):
-        return cid in self.vertices
-
-    def __len__(self):
-        return len(self.vertices)
+    shape: Shape
 
 
 def shifted_summand(cc: ClusterCategory, tilting: TiltingObject, k: int) -> int:
@@ -67,25 +55,23 @@ def shifted_summand(cc: ClusterCategory, tilting: TiltingObject, k: int) -> int:
     return cc.shift(tilting.summands[k - 1])
 
 
-def left_hammock(cc, tilting, i) -> HammockSet:
+def left_hammock(cc, tilting, i) -> frozenset:
+    """H_i: the cids X with Hom_C(T_i[1], X) != 0."""
     a = shifted_summand(cc, tilting, i)
-    verts = frozenset(x for x in cc.cids() if cc.hom_dim_c(a, x) > 0)
-    return HammockSet("left", i, None, verts)
+    return frozenset(x for x in cc.cids() if cc.hom_dim_c(a, x) > 0)
 
 
-def right_hammock(cc, tilting, j) -> HammockSet:
+def right_hammock(cc, tilting, j) -> frozenset:
+    """_jH: the cids X with Hom_C(X, T_j[1]) != 0."""
     b = shifted_summand(cc, tilting, j)
-    verts = frozenset(x for x in cc.cids() if cc.hom_dim_c(x, b) > 0)
-    return HammockSet("right", None, j, verts)
+    return frozenset(x for x in cc.cids() if cc.hom_dim_c(x, b) > 0)
 
 
 def _pairing_witness(cc, x, a, b):
     """A basis pair (g, h) with h o g != 0 for g: a -> x, h: x -> b, else None.
 
-    The composite is bilinear, so it vanishes for every pair of basis
-    elements iff it vanishes identically.  It lies in Hom_C(a, b), so the
-    additive count of that space rules out a witness without composing.
-    The composites are read off the category's product table: column h of
+    The additive counts rule a witness out as they do in hij.  The
+    composites are read off the category's product table: column h of
     the matrix of g is the composite of basis elements g and h.
     """
     if not (cc.hom_dim_c(a, b) and cc.hom_dim_c(a, x) and cc.hom_dim_c(x, b)):
@@ -97,41 +83,26 @@ def _pairing_witness(cc, x, a, b):
     return None
 
 
-def hij(cc, tilting, i, j) -> HammockSet:
-    """Exact H(i,j), decided per vertex by the composition pairing."""
+def hij(cc, tilting, i, j) -> frozenset:
+    """Exact H(i,j): the cids x with some nonzero T_i[1] -> x -> T_j[1].
+
+    The composite is bilinear, so x belongs exactly when some basis
+    composite is nonzero, that is, when products(a, x, b) has a nonzero
+    entry.  Every composite lies in Hom_C(a, b), and one through x needs
+    Hom_C(a, x) and Hom_C(x, b), so the additive counts rule out a vertex
+    without reading the table.
+    """
     a = shifted_summand(cc, tilting, i)
     b = shifted_summand(cc, tilting, j)
-    verts = frozenset(
-        x for x in cc.cids() if _pairing_witness(cc, x, a, b) is not None
+    if not cc.hom_dim_c(a, b):
+        return frozenset()
+    dim = cc.hom_dim_c
+    products = cc._get_engine().products
+    return frozenset(
+        x for x in cc.cids()
+        if dim(a, x) and dim(x, b)
+        and any(any(row) for mat in products(a, x, b) for row in mat)
     )
-    shape = None
-    flags = {}
-    if cc.quiver.family in ("A", "D"):
-        predicted = hij_closed_form(cc, tilting, i, j)
-        shape = predicted.shape
-        flags = dict(predicted.flags)
-    return HammockSet("hij", i, j, verts, shape, flags)
-
-
-def _witnesses(cc, tilting, m):
-    """(i, j, g, h) for each pair (i, j) with m in H(i,j), in label order.
-
-    Lazy, so a caller that needs one witness stops the search there.
-    """
-    n = len(tilting.summands)
-    shifts = [shifted_summand(cc, tilting, k) for k in range(1, n + 1)]
-    for i, a in enumerate(shifts, 1):
-        if cc.hom_dim_c(a, m) == 0:
-            continue
-        for j, b in enumerate(shifts, 1):
-            w = _pairing_witness(cc, m, a, b)
-            if w is not None:
-                yield (i, j) + w
-
-
-def hij_membership(cc, tilting, m):
-    """Sorted list of pairs (i, j) with m in H(i,j)."""
-    return [(i, j) for i, j, _g, _h in _witnesses(cc, tilting, m)]
 
 
 def factorization_ideal_nonzero(cc, tilting, m):
@@ -139,13 +110,19 @@ def factorization_ideal_nonzero(cc, tilting, m):
 
     I_M is the ideal of End_C(T[1]) of endomorphisms factoring through M;
     it is nonzero iff some nonzero composite T_i[1] -> M -> T_j[1] exists.
+    The witness is the first such basis pair, pairs (i, j) in label order.
     Only meaningful for M outside add T[1]: a shifted summand always admits
     the identity factorization, so it is rejected here.
     """
-    shifted = {cc.shift(s) for s in tilting.summands}
-    if m in shifted:
+    shifts = [cc.shift(s) for s in tilting.summands]
+    if m in shifts:
         raise ValueError("factorization ideal is only tested outside add T[1]")
-    return next(_witnesses(cc, tilting, m), None)
+    for i, a in enumerate(shifts, 1):
+        for j, b in enumerate(shifts, 1):
+            w = _pairing_witness(cc, m, a, b)
+            if w is not None:
+                return (i, j) + w
+    return None
 
 
 def _cover_tau_inv(cc, v, k):
@@ -233,17 +210,11 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
         raise ValueError("closed forms are defined for families A and D only")
     a = shifted_summand(cc, tilting, i)
     b = shifted_summand(cc, tilting, j)
-    flags = {
-        "hom_ii_nonzero": cc.hom_dim_c(a, tilting.summands[i - 1]) > 0,
-        "hom_jj_nonzero": cc.hom_dim_c(b, tilting.summands[j - 1]) > 0,
-    }
     if cc.hom_dim_c(a, b) == 0:
-        return HammockSet("hij", i, j, frozenset(), Shape.EMPTY, flags)
+        return HammockSet(i, j, frozenset(), Shape.EMPTY)
     path = sectional_path(cc, a, b)
     if path is not None:
-        return HammockSet(
-            "hij", i, j, frozenset(path), Shape.SECTIONAL_PATH, flags
-        )
+        return HammockSet(i, j, frozenset(path), Shape.SECTIONAL_PATH)
     if family == "A":
         raise UnclassifiableShapeError(
             "type A hammock (%d,%d) is nonempty but has no sectional path"
@@ -255,16 +226,14 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
         for p, q in routes:
             verts.update(p)
             verts.update(q)
-        return HammockSet("hij", i, j, frozenset(verts), Shape.SWING, flags)
+        return HammockSet(i, j, frozenset(verts), Shape.SWING)
     if routes:
         raise UnclassifiableShapeError(
             "hammock (%d,%d): %d wide-middle routes, expected 0 or 2"
             % (i, j, len(routes))
         )
-    inter = left_hammock(cc, tilting, i).vertices & right_hammock(
-        cc, tilting, j
-    ).vertices
-    return HammockSet("hij", i, j, inter, Shape.FULL_INTERSECTION, flags)
+    inter = left_hammock(cc, tilting, i) & right_hammock(cc, tilting, j)
+    return HammockSet(i, j, inter, Shape.FULL_INTERSECTION)
 
 
 @dataclass
@@ -277,6 +246,8 @@ class TheoremReport:
     agreement: bool
     # cid -> (dim vector, syzygy dim vectors, pd_class), in cid order
     modules: dict
+    # (i, j) -> exact H(i,j), pairs in label order
+    hij: dict
 
     def infinite_cids(self):
         return frozenset(c for c, _w, p in self.rows if p is PdClass.INFINITE)
@@ -285,35 +256,23 @@ class TheoremReport:
 def verify_main_theorem(cc, tilting) -> TheoremReport:
     """Check (I_M != 0) <=> (projdim M infinite) for every module M.
 
-    Runs over all indecomposables outside add T[1]; any disagreement is
-    recorded in the report, never silently dropped.
+    I_M != 0 exactly when M lies in some H(i,j), so the n^2 exact sets are
+    computed once and kept on the report.  Runs over all indecomposables
+    outside add T[1]; any disagreement is recorded in the report, never
+    silently dropped.
     """
+    labels = range(1, len(tilting.summands) + 1)
+    sets = {(i, j): hij(cc, tilting, i, j) for i in labels for j in labels}
+    union = frozenset().union(*sets.values())
     rows = []
     modules = {}
     counts = {PdClass.ZERO: 0, PdClass.ONE: 0, PdClass.INFINITE: 0}
     agreement = True
     for m, dims, syzygies, pd in classify_modules(cc, tilting):
-        witness = factorization_ideal_nonzero(cc, tilting, m)
+        ideal = m in union
         counts[pd] += 1
-        rows.append((m, witness is not None, pd))
+        rows.append((m, ideal, pd))
         modules[m] = (dims, syzygies, pd)
-        if (witness is not None) != (pd is PdClass.INFINITE):
+        if ideal != (pd is PdClass.INFINITE):
             agreement = False
-    return TheoremReport(tilting, tuple(rows), counts, agreement, modules)
-
-
-def infinite_pd_set(cc, tilting):
-    """Union of H(i,j) minus add T[1]; asserted equal to the syzygy answer."""
-    n = len(tilting.summands)
-    shifted = {cc.shift(s) for s in tilting.summands}
-    union = set()
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            union |= hij(cc, tilting, i, j).vertices
-    union -= shifted
-    report = verify_main_theorem(cc, tilting)
-    if frozenset(union) != report.infinite_cids():
-        raise MeshConsistencyError(
-            "hammock union disagrees with the syzygy classification"
-        )
-    return frozenset(union)
+    return TheoremReport(tilting, tuple(rows), counts, agreement, modules, sets)

@@ -64,57 +64,8 @@ def _rref(rows, unit_pivots):
 
 
 def rank(rows) -> int:
-    """Rank of a rational matrix.
-
-    Integer matrices take a fraction-free (Bareiss) path; anything else is
-    eliminated over Fraction.  Both are exact.
-    """
-    mat = [list(row) for row in rows]
-    if not mat or not mat[0]:
-        return 0
-    if all(isinstance(x, int) for row in mat for x in row):
-        return _rank_bareiss(mat)
-    return len(rref(mat)[0])
-
-
-def _rank_bareiss(mat) -> int:
-    n, m = len(mat), len(mat[0])
-    prev = 1
-    r = 0
-    for c in range(m):
-        sel = None
-        for i in range(r, n):
-            if mat[i][c] != 0:
-                sel = i
-                break
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        piv = mat[r][c]
-        for i in range(r + 1, n):
-            fi = mat[i][c]
-            row_i, row_r = mat[i], mat[r]
-            for j in range(c, m):
-                row_i[j] = (piv * row_i[j] - fi * row_r[j]) // prev
-        prev = piv
-        r += 1
-        if r == n:
-            break
-    return r
-
-
-def nullspace(rows, ncols=None):
-    """Basis of the right kernel {x : A x = 0}.
-
-    ncols is required when rows is empty (the kernel is then everything).
-    """
-    mat = list(rows)
-    if not mat:
-        if ncols is None:
-            raise ValueError("nullspace of empty matrix needs ncols")
-        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
-    red, pivots = rref(mat)
-    return list(_complement_rows(red, pivots, len(mat[0]))[1])
+    """Rank of a rational matrix: the pivot count of its rref."""
+    return len(rref(rows)[1])
 
 
 def _complement_rows(red, pivots, ncols):

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .cluster import ClusterCategory
-from .hammocks import hij, verify_main_theorem
+from .hammocks import hij, hij_closed_form, verify_main_theorem
 from .tilting import TiltingObject
 
 FORMATS = ("dot", "tikz", "json", "ascii")
@@ -93,7 +93,7 @@ def _highlight_map(cc, spec: RenderSpec):
         raise ValueError("highlighting hammocks requires a tilting")
     shifted = {cc.shift(s) for s in spec.tilting.summands}
     for i, j, color in spec.highlight:
-        for c in sorted(hij(cc, spec.tilting, i, j).vertices - shifted):
+        for c in sorted(hij(cc, spec.tilting, i, j) - shifted):
             colors.setdefault(c, color)
     return colors
 
@@ -185,27 +185,29 @@ def render_ascii(cc: ClusterCategory, spec: RenderSpec = None) -> str:
 
 def export_json(cc: ClusterCategory, tilting: TiltingObject,
                 orientation: str = "default") -> str:
-    """Byte-stable JSON document for a verification run over one tilting."""
+    """Byte-stable JSON document for a verification run over one tilting.
+
+    A view of the verify report: the memberships and vertex sets are its
+    H(i,j) table, and only the shapes are computed here, in closed form.
+    """
     report = verify_main_theorem(cc, tilting)
-    labels = range(1, len(tilting.summands) + 1)
-    sets = [hij(cc, tilting, i, j) for i in labels for j in labels]
     modules = [
         {
             "cid": m,
             "dim_vector": list(dims),
             "pd": pd.value,
-            "in_hij": [[h.i, h.j] for h in sets if m in h],
+            "in_hij": [[i, j] for (i, j), h in report.hij.items() if m in h],
         }
         for m, (dims, _syzygies, pd) in report.modules.items()
     ]
     hammocks = [
         {
-            "i": h.i,
-            "j": h.j,
-            "shape": str(h.shape) if h.shape is not None else None,
-            "vertices": sorted(h.vertices),
+            "i": i,
+            "j": j,
+            "shape": str(hij_closed_form(cc, tilting, i, j).shape),
+            "vertices": sorted(h),
         }
-        for h in sets
+        for (i, j), h in report.hij.items()
     ]
     doc = {
         "meta": {

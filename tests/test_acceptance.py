@@ -24,7 +24,6 @@ from clustercat.hammocks import (
     Shape,
     hij,
     hij_closed_form,
-    infinite_pd_set,
     left_hammock,
     right_hammock,
     verify_main_theorem,
@@ -99,9 +98,9 @@ def test_2_d6_cycle_quiver_worked_example(category):
     interiors = {}
     for i, j in itertools.product(range(1, 7), repeat=2):
         h = hij(cc, t, i, j)
-        extra = h.vertices - shifted
+        extra = h - shifted
         if extra:
-            interiors[(i, j)] = (extra, h.vertices & shifted)
+            interiors[(i, j)] = (extra, h & shifted)
     a_of = {k: cc.shift(t.summands[k - 1]) for k in range(1, 7)}
     primitive = {
         p for p, (_extra, ends) in interiors.items()
@@ -116,7 +115,9 @@ def test_2_d6_cycle_quiver_worked_example(category):
     full_union = frozenset().union(*(e for e, _ends in interiors.values()))
     assert primitive_union == full_union == \
         frozenset(presets.CYCLE_D6_INFINITE)
-    assert infinite_pd_set(cc, t) == full_union
+    report = verify_main_theorem(cc, t)
+    assert frozenset().union(*report.hij.values()) - shifted == \
+        report.infinite_cids() == full_union
     for cid, dims in presets.CYCLE_D6_INFINITE.items():
         mod = module_of(alg, cid)
         assert tuple(mod.dims[k] for k in range(1, 7)) == dims
@@ -144,14 +145,13 @@ def test_4_hammock_shapes_match_closed_forms(category):
         for t in enumerate_tiltings(cc):
             for i, j in itertools.product(range(1, rank + 1), repeat=2):
                 h = hij(cc, t, i, j)
-                assert h.vertices == hij_closed_form(cc, t, i, j).vertices
-                if not h.vertices:
-                    assert h.shape is Shape.EMPTY
+                pred = hij_closed_form(cc, t, i, j)
+                assert h == pred.vertices
+                if not h:
+                    assert pred.shape is Shape.EMPTY
                     continue
-                assert h.shape is Shape.SECTIONAL_PATH
-                inter = (left_hammock(cc, t, i).vertices
-                         & right_hammock(cc, t, j).vertices)
-                assert h.vertices == inter
+                assert pred.shape is Shape.SECTIONAL_PATH
+                assert h == left_hammock(cc, t, i) & right_hammock(cc, t, j)
 
     # type D: sectional, swing, or boundary intersection; swings can be
     # strictly smaller than the hammock intersection
@@ -171,20 +171,20 @@ def test_4_hammock_shapes_match_closed_forms(category):
         for t in tiltings:
             for i, j in itertools.product(range(1, rank + 1), repeat=2):
                 h = hij(cc, t, i, j)
-                assert h.vertices == hij_closed_form(cc, t, i, j).vertices
+                pred = hij_closed_form(cc, t, i, j)
+                assert h == pred.vertices
                 if rank == 4:
-                    d4_census[h.shape] += 1
-                if not h.vertices:
+                    d4_census[pred.shape] += 1
+                if not h:
                     continue
-                inter = (left_hammock(cc, t, i).vertices
-                         & right_hammock(cc, t, j).vertices)
+                inter = left_hammock(cc, t, i) & right_hammock(cc, t, j)
                 # the pairing set always sits inside the hammock overlap;
                 # only the boundary configuration fills it completely
-                assert h.vertices <= inter
-                if h.shape is Shape.SWING:
-                    strict_swings += h.vertices < inter
-                elif h.shape is Shape.FULL_INTERSECTION:
-                    assert h.vertices == inter
+                assert h <= inter
+                if pred.shape is Shape.SWING:
+                    strict_swings += h < inter
+                elif pred.shape is Shape.FULL_INTERSECTION:
+                    assert h == inter
     assert d4_census == {Shape.SECTIONAL_PATH: 416, Shape.EMPTY: 336,
                          Shape.SWING: 48, Shape.FULL_INTERSECTION: 0}
 
@@ -192,9 +192,9 @@ def test_4_hammock_shapes_match_closed_forms(category):
     cc = category("D", 6)
     t = TiltingObject((30, 1, 29, 3, 4, 5))
     h = hij(cc, t, 3, 2)
-    inter = left_hammock(cc, t, 3).vertices & right_hammock(cc, t, 2).vertices
-    assert h.shape is Shape.SWING
-    assert inter - h.vertices == {13}
+    inter = left_hammock(cc, t, 3) & right_hammock(cc, t, 2)
+    assert hij_closed_form(cc, t, 3, 2).shape is Shape.SWING
+    assert inter - h == {13}
     assert strict_swings >= 1
 
 

@@ -114,6 +114,18 @@ def test_tiltings_word_requires_start(capsys):
     assert "--mutate-from" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("tiltings", "--mutate-from", "0,1,2", "--word", "1,x"),
+    ("classify", "--tilting", "@mutations:1,x"),
+], ids=["word", "mutations-spec"])
+def test_bad_mutation_label_reads_the_same_everywhere(capsys, argv):
+    code, out, err = run(capsys, argv[0], "--family", "A", "--rank", "3",
+                         *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad mutation label 'x'\n"
+
+
 def test_tilting_from_mutation_spec(capsys):
     code, out, _err = run(capsys, "classify", "--family", "A", "--rank", "3",
                           "--tilting", "@mutations:1,2")
@@ -254,8 +266,7 @@ def test_internal_errors_exit_3(capsys, monkeypatch, verb, target, exc):
 
 def test_verify_names_each_disagreeing_module(capsys, monkeypatch):
     argv = ("verify", "--family", "A", "--rank", "3", "--tilting", "0,2,5")
-    monkeypatch.setattr(hammocks, "factorization_ideal_nonzero",
-                        lambda *_args: None)
+    monkeypatch.setattr(hammocks, "hij", lambda *_args: frozenset())
     code, out, _err = run(capsys, *argv)
     assert code == 1
     assert out == ("0/1 agree\n"

@@ -1,6 +1,7 @@
 """Hammock sets, shape closed forms, and the factorization criterion."""
 
 from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -11,8 +12,6 @@ from clustercat.hammocks import (
     factorization_ideal_nonzero,
     hij,
     hij_closed_form,
-    hij_membership,
-    infinite_pd_set,
     left_hammock,
     right_hammock,
     sectional_path,
@@ -36,6 +35,18 @@ def shifted_set(cc, t):
     return {cc.shift(s) for s in t.summands}
 
 
+@cache
+def every_report(cc):
+    """verify_main_theorem on every tilting of cc, shared between tests."""
+    return [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
+
+
+def hammock_union(cc, report):
+    """The union of the report's H(i,j), minus add T[1]."""
+    union = frozenset().union(*report.hij.values())
+    return union - shifted_set(cc, report.tilting)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
 def test_shifted_summand_in_left_hammock(category, family, rank):
     cc = category(family, rank)
@@ -51,21 +62,20 @@ def test_hij_inside_intersection(category, family, rank):
     cc = category(family, rank)
     for t in enumerate_tiltings(cc)[:10]:
         for i in range(1, rank + 1):
-            li = left_hammock(cc, t, i).vertices
+            li = left_hammock(cc, t, i)
             for j in range(1, rank + 1):
-                rj = right_hammock(cc, t, j).vertices
-                assert hij(cc, t, i, j).vertices <= li & rj
+                rj = right_hammock(cc, t, j)
+                assert hij(cc, t, i, j) <= li & rj
 
 
-def test_hammock_kind_fields(category):
+def test_hammock_set_fields(category):
+    """The exact hammocks are cid sets; the closed form adds its shape."""
     cc = category("D", 4)
     t = initial_tilting(cc)
-    assert left_hammock(cc, t, 2).kind == "left"
-    assert right_hammock(cc, t, 2).kind == "right"
-    h = hij(cc, t, 1, 2)
-    assert h.kind == "hij" and (h.i, h.j) == (1, 2)
-    assert set(h.flags) == {"hom_ii_nonzero", "hom_jj_nonzero"}
-    assert len(h) == len(h.vertices)
+    for h in (left_hammock(cc, t, 2), right_hammock(cc, t, 2), hij(cc, t, 1, 2)):
+        assert isinstance(h, frozenset)
+    pred = hij_closed_form(cc, t, 1, 2)
+    assert pred == HammockSet(1, 2, hij(cc, t, 1, 2), pred.shape)
 
 
 def test_sectional_trivial_path(category):
@@ -117,7 +127,7 @@ def test_type_a_left_hammock_rectangle(category):
         m = rank + 3
         for t in enumerate_tiltings(cc)[:8]:
             for i in range(1, rank + 1):
-                verts = left_hammock(cc, t, i).vertices
+                verts = left_hammock(cc, t, i)
                 a = shifted_summand(cc, t, i)
                 # supp Hom(a, -) = diagonals crossing the shift of a's diagonal
                 p, q = diagonal_of(cc, cc.shift(a))
@@ -141,15 +151,12 @@ def test_closed_form_exact_type_a(category, rank):
             for j in range(1, rank + 1):
                 exact = hij(cc, t, i, j)
                 pred = hij_closed_form(cc, t, i, j)
-                assert exact.vertices == pred.vertices
+                assert exact == pred.vertices
                 assert pred.shape in (Shape.EMPTY, Shape.SECTIONAL_PATH)
                 if pred.shape is Shape.SECTIONAL_PATH:
                     # sectional hammocks fill the whole support intersection
-                    inter = (
-                        left_hammock(cc, t, i).vertices
-                        & right_hammock(cc, t, j).vertices
-                    )
-                    assert exact.vertices == inter
+                    inter = left_hammock(cc, t, i) & right_hammock(cc, t, j)
+                    assert exact == inter
 
 
 def test_closed_form_exact_d4_exhaustive(category):
@@ -160,7 +167,7 @@ def test_closed_form_exact_d4_exhaustive(category):
             for j in range(1, 5):
                 exact = hij(cc, t, i, j)
                 pred = hij_closed_form(cc, t, i, j)
-                assert exact.vertices == pred.vertices, (t.summands, i, j)
+                assert exact == pred.vertices, (t.summands, i, j)
                 census[pred.shape] += 1
     assert census == {
         Shape.SECTIONAL_PATH: 416,
@@ -178,7 +185,7 @@ def test_closed_form_exact_d5_d6_sampled(category):
                 for j in range(1, rank + 1):
                     exact = hij(cc, t, i, j)
                     pred = hij_closed_form(cc, t, i, j)
-                    assert exact.vertices == pred.vertices, (t.summands, i, j)
+                    assert exact == pred.vertices, (t.summands, i, j)
                     seen[pred.shape] += 1
     assert seen[Shape.SWING] > 0
     assert seen[Shape.FULL_INTERSECTION] > 0
@@ -189,11 +196,11 @@ def test_swing_proper_inclusion_witness(category):
     cc = category("D", 6)
     t = TiltingObject((30, 1, 29, 3, 4, 5))
     h = hij(cc, t, 3, 2)
-    assert h.shape is Shape.SWING
-    assert sorted(h.vertices) == [25, 27, 28, 31, 32, 33]
-    inter = left_hammock(cc, t, 3).vertices & right_hammock(cc, t, 2).vertices
-    assert h.vertices < inter
-    assert sorted(inter - h.vertices) == [13]
+    assert hij_closed_form(cc, t, 3, 2).shape is Shape.SWING
+    assert sorted(h) == [25, 27, 28, 31, 32, 33]
+    inter = left_hammock(cc, t, 3) & right_hammock(cc, t, 2)
+    assert h < inter
+    assert sorted(inter - h) == [13]
 
 
 def test_swing_equals_exact_hammock(category):
@@ -201,7 +208,12 @@ def test_swing_equals_exact_hammock(category):
     t = TiltingObject((30, 1, 29, 3, 4, 5))
     pred = hij_closed_form(cc, t, 3, 2)
     assert pred.shape is Shape.SWING
-    assert pred.vertices == hij(cc, t, 3, 2).vertices
+    assert pred.vertices == hij(cc, t, 3, 2)
+
+
+def hom_ii_nonzero(cc, t, i):
+    """Hom(T_i[1], T_i) != 0."""
+    return cc.hom_dim_c(shifted_summand(cc, t, i), t.summands[i - 1]) > 0
 
 
 def test_hom_flag_up_forces_swing(category):
@@ -213,7 +225,7 @@ def test_hom_flag_up_forces_swing(category):
             for j in range(1, 6):
                 pred = hij_closed_form(cc, t, i, j)
                 if (
-                    pred.flags["hom_ii_nonzero"]
+                    hom_ii_nonzero(cc, t, i)
                     and pred.shape is not Shape.EMPTY
                     and pred.shape is not Shape.SECTIONAL_PATH
                 ):
@@ -222,10 +234,10 @@ def test_hom_flag_up_forces_swing(category):
     # deterministic witness: this configuration has the flag up
     t = TiltingObject((13, 1, 18, 3, 4))
     pred = hij_closed_form(cc, t, 4, 1)
-    assert pred.flags["hom_ii_nonzero"]
+    assert hom_ii_nonzero(cc, t, 4)
     assert pred.shape is Shape.SWING
     assert sorted(pred.vertices) == [2, 6, 8, 20, 21, 22, 23]
-    assert pred.vertices == hij(cc, t, 4, 1).vertices
+    assert pred.vertices == hij(cc, t, 4, 1)
 
 
 def test_diagonal_hammocks_are_points(category):
@@ -234,9 +246,9 @@ def test_diagonal_hammocks_are_points(category):
         cc = category(family, rank)
         for t in enumerate_tiltings(cc)[:12]:
             for i in range(1, rank + 1):
-                h = hij(cc, t, i, i)
-                assert h.vertices == {shifted_summand(cc, t, i)}
-                assert h.shape is Shape.SECTIONAL_PATH
+                assert hij(cc, t, i, i) == {shifted_summand(cc, t, i)}
+                assert hij_closed_form(cc, t, i, i).shape is \
+                    Shape.SECTIONAL_PATH
 
 
 def test_rim_property(category):
@@ -245,10 +257,10 @@ def test_rim_property(category):
     for t in enumerate_tiltings(cc)[:15]:
         for i in range(1, 5):
             a = shifted_summand(cc, t, i)
-            li = left_hammock(cc, t, i).vertices
+            li = left_hammock(cc, t, i)
             rim_excluded = {x for x in cc.cids() if cc.ext1_c(a, x) > 0}
             for j in range(1, 5):
-                if hij(cc, t, i, j).vertices:
+                if hij(cc, t, i, j):
                     b = shifted_summand(cc, t, j)
                     assert b in li
                     assert b not in rim_excluded
@@ -282,11 +294,12 @@ def test_factorization_rejects_shifted_summands(category):
 def test_hij_membership_lists_pairs(category):
     cc = category("A", 3)
     t = TiltingObject(A3_CYCLIC[0])
+    report = verify_main_theorem(cc, t)
     for m in sorted(A3_CYCLIC_INFINITE):
-        pairs = hij_membership(cc, t, m)
+        pairs = [p for p, h in report.hij.items() if m in h]
         assert pairs
         for i, j in pairs:
-            assert m in hij(cc, t, i, j).vertices
+            assert m in hij(cc, t, i, j)
 
 
 def test_a3_cyclic_hammocks(category):
@@ -296,17 +309,18 @@ def test_a3_cyclic_hammocks(category):
         report = verify_main_theorem(cc, t)
         assert report.agreement
         assert report.infinite_cids() == A3_CYCLIC_INFINITE
-        assert infinite_pd_set(cc, t) == A3_CYCLIC_INFINITE
+        assert hammock_union(cc, report) == report.infinite_cids()
         shifted = shifted_set(cc, t)
         off_diag = {}
         for i in range(1, 4):
             for j in range(1, 4):
                 h = hij(cc, t, i, j)
-                if i != j and h.vertices:
-                    assert h.shape is Shape.SECTIONAL_PATH
-                    assert len(h.vertices) == 3
-                    assert len(h.vertices - shifted) == 1
-                    off_diag[(i, j)] = h.vertices
+                if i != j and h:
+                    assert hij_closed_form(cc, t, i, j).shape is \
+                        Shape.SECTIONAL_PATH
+                    assert len(h) == 3
+                    assert len(h - shifted) == 1
+                    off_diag[(i, j)] = h
         assert len(off_diag) == 3
 
 
@@ -360,7 +374,7 @@ def test_infinite_vertices_lie_in_hammocks_type_a(category):
         shifted = shifted_set(cc, t)
         for i in range(1, 5):
             for j in range(1, 5):
-                assert hij(cc, t, i, j).vertices - shifted <= infinite
+                assert hij(cc, t, i, j) - shifted <= infinite
 
 
 def test_hereditary_tiltings_have_no_infinite(category):
@@ -370,7 +384,8 @@ def test_hereditary_tiltings_have_no_infinite(category):
         report = verify_main_theorem(cc, t)
         assert report.agreement
         assert report.counts[PdClass.INFINITE] == 0
-        assert infinite_pd_set(cc, t) == frozenset()
+        assert hammock_union(cc, report) == report.infinite_cids() == \
+            frozenset()
 
 
 def brute_force_membership(cc, t, m):
@@ -389,11 +404,12 @@ def brute_force_membership(cc, t, m):
 def test_membership_equals_unpruned_search(category, family, rank):
     """Pruned witness search = composing every basis pair of every (i, j)."""
     cc = category(family, rank)
-    for t in enumerate_tiltings(cc):
+    for report in every_report(cc):
+        t = report.tilting
         shifted = shifted_set(cc, t)
         for m in cc.cids():
             if m not in shifted:
-                assert hij_membership(cc, t, m) == \
+                assert [p for p, h in report.hij.items() if m in h] == \
                     brute_force_membership(cc, t, m), (t.summands, m)
 
 
@@ -441,3 +457,39 @@ def test_witness_is_the_first_composing_pair(category, family, rank):
             if m not in shifted:
                 assert factorization_ideal_nonzero(cc, t, m) == \
                     first_composing_pair(cc, t, m), (t.summands, m)
+
+
+# the default orientation and one custom orientation per type
+ORIENTED = [
+    ("A", 4, "default"),
+    ("A", 4, ((2, 1), (2, 3), (4, 3))),
+    ("D", 4, "default"),
+    ("D", 4, ((3, 1), (2, 3), (4, 3))),
+    ("D", 5, "default"),
+    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5))),
+]
+
+
+@pytest.mark.parametrize("family,rank,orientation", ORIENTED, ids=[
+    f"{f}{r}-" + (o if isinstance(o, str) else ",".join(f"{s}{t}" for s, t in o))
+    for f, r, o in ORIENTED])
+def test_report_table_equals_hij_and_witnesses(category, family, rank,
+                                               orientation):
+    """report.hij is the n^2 hij calls; a witness exists exactly on its union.
+
+    The witness pair is the first pair in label order whose H(i,j) holds m.
+    """
+    cc = category(family, rank, orientation)
+    labels = range(1, rank + 1)
+    for report in every_report(cc):
+        t = report.tilting
+        assert report.hij == {(i, j): hij(cc, t, i, j)
+                              for i in labels for j in labels}
+        assert list(report.hij) == sorted(report.hij)
+        union = hammock_union(cc, report)
+        for m in report.modules:
+            w = factorization_ideal_nonzero(cc, t, m)
+            assert (w is not None) == (m in union), (t.summands, m)
+            if w is not None:
+                first = next(p for p, h in report.hij.items() if m in h)
+                assert w[:2] == first, (t.summands, m)

@@ -4,7 +4,7 @@ from clustercat.algebra import PdClass, build_algebra, module_of
 from clustercat.hammocks import (
     Shape,
     hij,
-    infinite_pd_set,
+    hij_closed_form,
     left_hammock,
     right_hammock,
     verify_main_theorem,
@@ -51,6 +51,9 @@ def test_frozen_infinite_modules(category):
     report = verify_main_theorem(cc, t)
     assert report.agreement
     assert report.infinite_cids() == frozenset(CYCLE_D6_INFINITE)
+    shifted = {cc.shift(s) for s in t.summands}
+    assert frozenset().union(*report.hij.values()) - shifted == \
+        report.infinite_cids()
     counts = {str(k.value): v for k, v in report.counts.items()}
     assert counts == CYCLE_D6_PD_COUNTS
     alg = build_algebra(cc, t)
@@ -68,11 +71,11 @@ def test_primitive_pairs_and_extras(category):
     for i in range(1, 7):
         for j in range(1, 7):
             h = hij(cc, t, i, j)
-            extras = h.vertices - shifted
+            extras = h - shifted
             if not extras:
                 continue
             endpoints = {cc.shift(t.summands[i - 1]), cc.shift(t.summands[j - 1])}
-            if h.vertices & shifted == endpoints:
+            if h & shifted == endpoints:
                 primitive[(i, j)] = extras
             else:
                 extended.add((i, j))
@@ -84,19 +87,17 @@ def test_primitive_pairs_and_extras(category):
     for extras in primitive.values():
         union |= extras
     assert union == set(CYCLE_D6_INFINITE)
-    assert infinite_pd_set(cc, t) == frozenset(CYCLE_D6_INFINITE)
 
 
 def test_pair_shapes(category):
     cc = category("D", 6)
     t = cycle_d6_tilting(cc)
-    assert hij(cc, t, 2, 1).shape is Shape.SECTIONAL_PATH
-    assert hij(cc, t, 1, 3).shape is Shape.SECTIONAL_PATH
-    big = hij(cc, t, 3, 2)
-    assert big.shape is Shape.SWING
+    assert hij_closed_form(cc, t, 2, 1).shape is Shape.SECTIONAL_PATH
+    assert hij_closed_form(cc, t, 1, 3).shape is Shape.SECTIONAL_PATH
+    assert hij_closed_form(cc, t, 3, 2).shape is Shape.SWING
     # the coincidence case: this swing fills the whole support intersection
-    inter = left_hammock(cc, t, 3).vertices & right_hammock(cc, t, 2).vertices
-    assert big.vertices == inter
+    inter = left_hammock(cc, t, 3) & right_hammock(cc, t, 2)
+    assert hij(cc, t, 3, 2) == inter
 
 
 def test_extended_pairs_absorbed(category):
@@ -108,6 +109,6 @@ def test_extended_pairs_absorbed(category):
     for extras in CYCLE_D6_PAIR_EXTRAS.values():
         covered |= extras
     for i, j in CYCLE_D6_EXTENDED_PAIRS:
-        extras = hij(cc, t, i, j).vertices - shifted
+        extras = hij(cc, t, i, j) - shifted
         assert extras
         assert extras <= covered

@@ -7,7 +7,7 @@ import re
 import pytest
 
 from clustercat import presets
-from clustercat.hammocks import hij_membership
+from clustercat.hammocks import hij
 from clustercat.render import (
     RenderSpec,
     ar_layout,
@@ -152,8 +152,9 @@ def test_json_membership_matches_hammock_lists(category):
                 if m["cid"] in verts - shifted
             )
             assert m["in_hij"] == expect
-            assert m["in_hij"] == [list(p)
-                                   for p in hij_membership(cc, t, m["cid"])]
+            assert m["in_hij"] == [[i, j] for i in range(1, 5)
+                                   for j in range(1, 5)
+                                   if m["cid"] in hij(cc, t, i, j)]
 
 
 def test_import_render_yields_the_submodule():
