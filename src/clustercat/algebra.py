@@ -14,9 +14,12 @@ Modules are plain coordinate data: a dimension per label and one matrix per
 algebra basis element f in Hom(T_i, T_j), acting V_j -> V_i by
 precomposition.  Hom_C(T, M) is such a module, projectives are Hom_C(T, T_k),
 and syzygies are kernels of minimal projective covers with the restricted
-action.  Syzygies decide the projective dimension class: 0, 1, or infinite;
-a finite dimension of 2 or more cannot occur and is guarded by an assertion
-on the third syzygy.
+action.  Syzygies are memoized per algebra by content (dimension vector and
+action matrices): the cover, its row reductions and every guard run once
+per distinct module, and a module equal entry for entry to one seen before
+gets the stored syzygy back.  Syzygies decide the projective dimension
+class: 0, 1, or infinite; a finite dimension of 2 or more cannot occur and
+is guarded by an assertion on the third syzygy.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ class ClusterTiltedAlgebra:
         # the (i, j, b) keys of the basis elements of each Hom(T_i, T_j) != 0
         self.basis_keys = {(i, j): tuple((i, j, b) for b in range(d))
                            for (i, j), d in self.hom_dims.items() if d}
+        # every basis key, in the fixed order that content keys read them in
+        self._keys = tuple(key for keys in self.basis_keys.values()
+                           for key in keys)
         self._radical_keys = tuple(
             key for (i, j), keys in self.basis_keys.items()
             for key in keys[1 if i == j else 0:])
@@ -69,6 +75,8 @@ class ClusterTiltedAlgebra:
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
         self._proj: dict[int, AlgebraModule] = {}
         self._covers: dict[tuple[int, ...], dict] = {}
+        # (dim vector, action matrices in _keys order) -> its syzygy
+        self._syzygies: dict[tuple, AlgebraModule] = {}
 
     def hom_dim(self, i: int, j: int) -> int:
         return self.hom_dims[(i, j)]
@@ -200,7 +208,8 @@ class AlgebraModule:
     """Coordinate module: dims per label, one matrix per algebra basis element.
 
     act[(i, j, b)] is the matrix of precomposition with hom[i,j][b], mapping
-    the label-j component to the label-i component.
+    the label-j component to the label-i component, as a tuple of row
+    tuples: syzygy hashes the matrices to find a module it has seen.
     """
 
     __slots__ = ("alg", "dims", "act")
@@ -226,11 +235,7 @@ class AlgebraModule:
         for key in self.alg.radical_keys():
             i, j, _b = key
             if dims[i] and dims[j]:
-                mat = self.act[key]
-                for c in range(dims[j]):
-                    col = tuple(row[c] for row in mat)
-                    if any(col):
-                        spans[i].append(col)
+                spans[i].extend(col for col in zip(*self.act[key]) if any(col))
         return spans
 
     def top_lifts(self):
@@ -242,6 +247,20 @@ class AlgebraModule:
 
     def syzygy(self) -> "AlgebraModule":
         """Kernel of the minimal projective cover, with restricted action.
+
+        The result depends only on the algebra, the dimensions and the
+        action, so it is computed once per distinct content and kept on the
+        algebra; a call that raises keeps nothing.
+        """
+        alg = self.alg
+        key = (self.dim_vector(), tuple(map(self.act.__getitem__, alg._keys)))
+        got = alg._syzygies.get(key)
+        if got is None:
+            got = alg._syzygies[key] = self._syzygy()
+        return got
+
+    def _syzygy(self) -> "AlgebraModule":
+        """The syzygy of this content: one cover, its kernel and its guards.
 
         The cover sends basis element b of the summand P_k at a lift e_f to
         column f of act[(i, k, b)].  One row reduction per label gives the

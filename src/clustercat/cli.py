@@ -40,6 +40,7 @@ from .tilting import (
     first_ext_violation,
     initial_tilting,
     mutate,
+    tilting_count,
 )
 
 # both names resolve to the same frozen D6 representative
@@ -172,7 +173,8 @@ def _cmd_build(args) -> int:
         f"({len(cc.indecs) - cc.n} modules + {cc.n} shifted projectives)",
         f"winding {cc.winding}",
         f"mesh arrows {len(cc.arrows())}",
-        f"cluster-tilting objects {len(enumerate_tiltings(cc))}",
+        f"cluster-tilting objects "
+        f"{tilting_count(cc.quiver.family, cc.quiver.rank)}",
     ]
     _emit("\n".join(lines) + "\n", args.out)
     return 0

@@ -5,7 +5,7 @@ Fraction.  Integer input stays integer wherever the arithmetic allows: row
 reduction keeps ints across pivots of +-1, and only another pivot makes it
 divide, which turns the rows it touches into exact Fractions.
 Everything is immutable from the caller's point of view: functions never
-mutate their arguments and return fresh tuples.
+mutate their arguments and return tuples, which may be shared.
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ def _complement_rows(red, pivots, ncols):
     return free, tuple(out)
 
 
+_IDENTITIES = {}  # ambient_dim -> quotient_basis of the empty span
+
+
 def quotient_basis(span_rows, ambient_dim):
     """Data for the quotient of Q^ambient_dim by the row span of span_rows.
 
@@ -89,10 +92,15 @@ def quotient_basis(span_rows, ambient_dim):
     len(free_indices) rows and ambient_dim columns; applying it to a vector
     yields its class in the quotient, coordinates dual to the images of the
     unit vectors e_f for f in free_indices.  Its rows are also a basis of
-    the right kernel of span_rows, the identity on the free columns.
+    the right kernel of span_rows, the identity on the free columns.  An
+    empty span gets one shared identity per ambient_dim.
     """
-    red, pivots = rref(span_rows) if span_rows else ((), ())
-    return _complement_rows(red, pivots, ambient_dim)
+    if span_rows:
+        return _complement_rows(*rref(span_rows), ambient_dim)
+    got = _IDENTITIES.get(ambient_dim)
+    if got is None:
+        got = _IDENTITIES[ambient_dim] = _complement_rows((), (), ambient_dim)
+    return got
 
 
 def unit_quotient_basis(span_rows, ambient_dim):

@@ -13,6 +13,7 @@ labels stay attached to their positions along a mutation walk.
 from __future__ import annotations
 
 import random
+from math import comb
 
 from .cluster import ClusterCategory
 
@@ -122,6 +123,20 @@ def enumerate_tiltings(cc: ClusterCategory):
 
     extend((1 << m) - 1, [])
     return out
+
+
+def tilting_count(family: str, rank: int) -> int:
+    """The number of cluster-tilting objects of type family + rank.
+
+    Catalan(n + 1) for A_n and (3n - 2) / n * C(2n - 2, n - 1) for D_n, the
+    cluster counts of Fomin and Zelevinsky; neither depends on the
+    orientation, and neither needs the objects enumerated.
+    """
+    if family == "A":
+        return comb(2 * rank + 2, rank + 1) // (rank + 2)
+    if family == "D":
+        return (3 * rank - 2) * comb(2 * rank - 2, rank - 1) // rank
+    raise ValueError(f"no tilting count for family {family!r}")
 
 
 def completions(cc: ClusterCategory, rest):

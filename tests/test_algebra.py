@@ -7,6 +7,7 @@ from clustercat import linalg
 from clustercat.algebra import (AlgebraModule, PdClass, build_algebra,
                                 module_of, pd_class)
 from clustercat.cluster import MeshConsistencyError
+from clustercat.hammocks import verify_main_theorem
 from clustercat.tilting import enumerate_tiltings, initial_tilting
 
 
@@ -200,7 +201,9 @@ def test_pd_classes_stable_under_seeded_resampling(category):
         shifted = {cc.shift(c) for c in t.summands}
         first = {c: pd_class(module_of(alg, c))
                  for c in cc.cids() if c not in shifted}
-        again = {c: pd_class(module_of(alg, c))
+        # a fresh algebra, so the second pass recomputes every syzygy
+        again_alg = build_algebra(cc, t)
+        again = {c: pd_class(module_of(again_alg, c))
                  for c in cc.cids() if c not in shifted}
         assert first == again
 
@@ -224,6 +227,9 @@ def test_syzygy_rejects_a_kernel_that_is_not_a_submodule(category):
     bad = corrupted_a4_module(category, (2, 1, 0), ((0,),))
     with pytest.raises(MeshConsistencyError, match="left the kernel"):
         bad.syzygy()
+    # a failure is not memoized: the second call runs the guard again
+    with pytest.raises(MeshConsistencyError, match="left the kernel"):
+        bad.syzygy()
 
 
 def test_syzygy_rejects_a_cover_that_misses_a_direction(category):
@@ -232,3 +238,65 @@ def test_syzygy_rejects_a_cover_that_misses_a_direction(category):
     bad = corrupted_a4_module(category, (1, 1, 0), ((0,),))
     with pytest.raises(MeshConsistencyError, match="not surjective"):
         bad.syzygy()
+
+
+# the default orientation and one custom orientation per type
+ORIENTED = [
+    ("A", 4, "default"),
+    ("A", 4, ((2, 1), (2, 3), (4, 3))),
+    ("D", 4, "default"),
+    ("D", 4, ((3, 1), (2, 3), (4, 3))),
+    ("D", 5, "default"),
+    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5))),
+]
+
+
+def syzygy_chain(mod):
+    """The module and its syzygies 1..3."""
+    chain = [mod]
+    for _ in range(3):
+        chain.append(chain[-1].syzygy())
+    return chain
+
+
+def chain_summary(chain):
+    """(dim vector, syzygy dim vectors, pd), the layout of report.modules."""
+    dims = [m.dim_vector() for m in chain]
+    zero = [not any(d) for d in dims[1:]]
+    assert zero[1] or not zero[2], "projective dimension 2"
+    pd = (PdClass.ZERO if zero[0] else PdClass.ONE if zero[1]
+          else PdClass.INFINITE)
+    return dims[0], tuple(dims[1:]), pd
+
+
+@pytest.mark.parametrize("family,rank,orientation", ORIENTED, ids=[
+    f"{f}{r}-" + (o if isinstance(o, str) else ",".join(f"{s}{t}" for s, t in o))
+    for f, r, o in ORIENTED])
+def test_syzygy_memo_is_exact(category, family, rank, orientation):
+    """Chains that share one memo equal chains over an algebra per module.
+
+    The report's modules agree in dims and pd; an algebra shared in the
+    report's order gives the same action matrices at every step as well.
+    """
+    cc = category(family, rank, orientation)
+    for t in enumerate_tiltings(cc):
+        report = verify_main_theorem(cc, t)
+        shared = build_algebra(cc, t)
+        for m in report.modules:
+            alone = syzygy_chain(module_of(build_algebra(cc, t), m))
+            assert report.modules[m] == chain_summary(alone), (t.summands, m)
+            assert [(s.dims, s.act) for s in
+                    syzygy_chain(module_of(shared, m))] == \
+                [(s.dims, s.act) for s in alone], (t.summands, m)
+
+
+def test_content_equal_module_gets_the_same_syzygy(category):
+    cc = category("D", 4)
+    for t in enumerate_tiltings(cc)[:10]:
+        alg = build_algebra(cc, t)
+        shifted = {cc.shift(c) for c in t.summands}
+        for c in cc.cids():
+            if c not in shifted:
+                m = module_of(alg, c)
+                copy = AlgebraModule(alg, m.dims, dict(m.act))
+                assert copy.syzygy() is m.syzygy()

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, flags, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +71,13 @@ def test_build_stats(capsys):
     assert code == 0
     assert "indecomposables 5" in out
     assert "cluster-tilting objects 5" in out
+
+
+def test_build_counts_tiltings_without_enumerating_them(capsys):
+    # A40 has Catalan(41) ~ 1e22 tiltings, far too many to list
+    code, out, _err = run(capsys, "build", "--family", "A", "--rank", "40")
+    assert code == 0
+    assert f"cluster-tilting objects {math.comb(82, 41) // 42}\n" in out
 
 
 def test_build_custom_orientation(capsys):

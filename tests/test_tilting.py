@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+from clustercat.dynkin import build_quiver
 from clustercat.tilting import (MutationError, TiltingObject, completions,
                                 enumerate_tiltings, first_ext_violation,
                                 initial_tilting, is_cluster_tilting,
-                                mutate, mutation_walk, sample_tiltings)
+                                mutate, mutation_walk, sample_tiltings,
+                                tilting_count)
 
 
 def catalan(m):
@@ -29,6 +31,22 @@ def test_tilting_counts(category, family, rank, expected):
     ts = enumerate_tiltings(cc)
     assert len(ts) == expected
     assert len({t.key() for t in ts}) == expected
+
+
+COUNTED = [("A", r) for r in range(1, 9)] + [("D", r) for r in range(4, 8)]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["default", "reversed"])
+@pytest.mark.parametrize("family,rank", COUNTED,
+                         ids=[f"{f}{r}" for f, r in COUNTED])
+def test_tilting_count_closed_form(category, family, rank, reverse):
+    """The closed form equals the enumeration, on two orientations."""
+    orientation = "default"
+    if reverse:
+        orientation = tuple(
+            (t, s) for s, t in build_quiver(family, rank).arrows)
+    cc = category(family, rank, orientation)
+    assert tilting_count(family, rank) == len(enumerate_tiltings(cc))
 
 
 @pytest.mark.parametrize("family,rank", [("A", 2), ("A", 3), ("D", 4)])
