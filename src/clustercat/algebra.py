@@ -11,15 +11,17 @@ T_j -> T_i; with that convention the hereditary case T = kQ gives back Q
 itself.  Multiplicities are dim rad/rad^2 in the matching Hom component.
 
 Modules are plain coordinate data: a dimension per label and one matrix per
-algebra basis element f in Hom(T_i, T_j), acting V_j -> V_i by
-precomposition.  Hom_C(T, M) is such a module, projectives are Hom_C(T, T_k),
-and syzygies are kernels of minimal projective covers with the restricted
-action.  Syzygies are memoized per algebra by content (dimension vector and
-action matrices): the cover, its row reductions and every guard run once
-per distinct module, and a module equal entry for entry to one seen before
-gets the stored syzygy back.  Syzygies decide the projective dimension
-class: 0, 1, or infinite; a finite dimension of 2 or more cannot occur and
-is guarded by an assertion on the third syzygy.
+live algebra basis element f in Hom(T_i, T_j), acting V_j -> V_i by
+precomposition.  A basis element is live when V_i and V_j are both nonzero;
+any other acts by the empty matrix that the dimension vector already fixes,
+so no matrix is stored for it.  Hom_C(T, M) is such a module, projectives
+are Hom_C(T, T_k), and syzygies are kernels of minimal projective covers
+with the restricted action.  Syzygies are memoized per algebra by content
+(dimension vector and live action matrices): the cover, its row reductions
+and every guard run once per distinct module, and a module equal entry for
+entry to one seen before gets the stored syzygy back.  Syzygies decide the
+projective dimension class: 0, 1, or infinite; a finite dimension of 2 or
+more cannot occur and is guarded by an assertion on the third syzygy.
 """
 
 from __future__ import annotations
@@ -29,10 +31,18 @@ from operator import mul
 
 from .cluster import ClusterCategory, MeshConsistencyError
 from .linalg import quotient_basis, rank
-from .meshhom import zero_products
 from .tilting import TiltingObject
 
 _ONE = 1
+_IDENTITY: dict[int, tuple] = {}  # n -> the n x n identity matrix
+
+
+def _identity(n: int):
+    got = _IDENTITY.get(n)
+    if got is None:
+        got = _IDENTITY[n] = tuple(tuple(int(r == c) for c in range(n))
+                                   for r in range(n))
+    return got
 
 
 class PdClass(enum.Enum):
@@ -61,9 +71,6 @@ class ClusterTiltedAlgebra:
         # the (i, j, b) keys of the basis elements of each Hom(T_i, T_j) != 0
         self.basis_keys = {(i, j): tuple((i, j, b) for b in range(d))
                            for (i, j), d in self.hom_dims.items() if d}
-        # every basis key, in the fixed order that content keys read them in
-        self._keys = tuple(key for keys in self.basis_keys.values()
-                           for key in keys)
         self._radical_keys = tuple(
             key for (i, j), keys in self.basis_keys.items()
             for key in keys[1 if i == j else 0:])
@@ -74,8 +81,10 @@ class ClusterTiltedAlgebra:
                     "identity is not the first End basis element")
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
         self._proj: dict[int, AlgebraModule] = {}
-        self._covers: dict[tuple[int, ...], dict] = {}
-        # (dim vector, action matrices in _keys order) -> its syzygy
+        self._moving: dict[int, tuple] = {}  # k -> P_k's nonzero radical blocks
+        self._covers: dict[tuple[int, ...], tuple] = {}
+        # dim vector -> its live keys; (dim vector, live matrices) -> syzygy
+        self._live: dict[tuple, tuple] = {}
         self._syzygies: dict[tuple, AlgebraModule] = {}
 
     def hom_dim(self, i: int, j: int) -> int:
@@ -93,6 +102,16 @@ class ClusterTiltedAlgebra:
     def radical_keys(self):
         """(i, j, b) triples indexing a basis of the radical."""
         return self._radical_keys
+
+    def _live_keys(self, dv):
+        """The keys (i, j, b) with dv[i - 1] and dv[j - 1] nonzero, in basis
+        key order: the blocks a module of dimension vector dv stores."""
+        got = self._live.get(dv)
+        if got is None:
+            got = self._live[dv] = tuple(
+                key for (i, j), keys in self.basis_keys.items()
+                if dv[i - 1] and dv[j - 1] for key in keys)
+        return got
 
     def radical_power_spans(self, m: int):
         """Spanning vectors of (rad^m)_{(i,j)} in hom coordinates, per (i,j)."""
@@ -181,42 +200,77 @@ class ClusterTiltedAlgebra:
 
         return not any(state[v] == 0 and dfs(v) for v in self.labels)
 
-    def _cover_layout(self, tops):
-        """Per label i, the dimension of the projective sum of P_k, k in
-        tops, at i and the (offset, width) of each summand's block there."""
+    def _cover(self, tops):
+        """The projective sum of P_k, k in tops: its dimensions and moving keys.
+
+        ncols gives the dimension of the sum at each label.  moving maps
+        each radical key to the (matrix, row offset, column offset, width)
+        of every summand it acts on by a nonzero matrix; a radical key that
+        moving lacks acts on the sum by zero.
+        """
         got = self._covers.get(tops)
         if got is None:
-            got = self._covers[tops] = {}
+            # per label, the first coordinate of each summand's block
+            starts, ncols = {}, {}
             for i in self.labels:
-                blocks, off = [], 0
+                off, starts[i] = 0, []
                 for k in tops:
-                    d = self.hom_dims[(i, k)]
-                    blocks.append((off, d))
-                    off += d
-                got[i] = off, blocks
+                    starts[i].append(off)
+                    off += self.hom_dims[(i, k)]
+                ncols[i] = off
+            moving = {}
+            for n, k in enumerate(tops):
+                for key, mat in self._moving_blocks(k):
+                    i, j, _b = key
+                    moving.setdefault(key, []).append(
+                        (mat, starts[i][n], starts[j][n],
+                         self.hom_dims[(j, k)]))
+            got = self._covers[tops] = ncols, moving
         return got
 
     def projective_module(self, k: int) -> "AlgebraModule":
-        """Hom_C(T, T_k), the indecomposable projective at label k."""
+        """Hom_C(T, T_k), the indecomposable projective at label k.
+
+        The identity of each End(T_i) must act on it as the identity:
+        syzygies write their identity blocks and rest on this check.
+        """
         got = self._proj.get(k)
         if got is None:
-            got = self._proj[k] = module_of(self, self.summand[k])
+            got = module_of(self, self.summand[k])
+            for i, d in got.dims.items():
+                if d and got.act[(i, i, 0)] != _identity(d):
+                    raise MeshConsistencyError(
+                        f"the identity of End(T_{i}) does not act as the "
+                        f"identity on P_{k}")
+            self._proj[k] = got
+        return got
+
+    def _moving_blocks(self, k: int):
+        """(key, matrix) per radical key acting on P_k by a nonzero matrix."""
+        got = self._moving.get(k)
+        if got is None:
+            got = self._moving[k] = tuple(
+                (key, mat) for key, mat in self.projective_module(k).act.items()
+                if (key[2] or key[0] != key[1]) and any(map(any, mat)))
         return got
 
 
 class AlgebraModule:
-    """Coordinate module: dims per label, one matrix per algebra basis element.
+    """Coordinate module: dims per label, one matrix per live basis element.
 
     act[(i, j, b)] is the matrix of precomposition with hom[i,j][b], mapping
     the label-j component to the label-i component, as a tuple of row
-    tuples: syzygy hashes the matrices to find a module it has seen.
+    tuples: syzygy hashes the matrices to find a module it has seen.  act
+    holds exactly the live keys, those with dims[i] and dims[j] nonzero;
+    every other key acts by the empty matrix its dimensions fix.
     """
 
     __slots__ = ("alg", "dims", "act")
 
     def __init__(self, alg: ClusterTiltedAlgebra, dims, act):
         self.alg = alg
-        self.dims = dict(dims)
+        # in label order, which dim_vector reads
+        self.dims = {i: dims[i] for i in alg.labels}
         self.act = act
 
     def total_dim(self) -> int:
@@ -226,16 +280,16 @@ class AlgebraModule:
         return self.total_dim() == 0
 
     def dim_vector(self):
-        return tuple(self.dims[i] for i in self.alg.labels)
+        return tuple(self.dims.values())
 
     def radical_image(self):
-        """Spanning vectors of (V . rad)_i per label i."""
-        dims = self.dims
+        """Spanning vectors of (V . rad)_i per label i, from the live blocks."""
+        act = self.act
         spans = {i: [] for i in self.alg.labels}
-        for key in self.alg.radical_keys():
-            i, j, _b = key
-            if dims[i] and dims[j]:
-                spans[i].extend(col for col in zip(*self.act[key]) if any(col))
+        for key in self.alg._live_keys(self.dim_vector()):
+            i, j, b = key
+            if b or i != j:
+                spans[i].extend(col for col in zip(*act[key]) if any(col))
         return spans
 
     def top_lifts(self):
@@ -253,7 +307,8 @@ class AlgebraModule:
         algebra; a call that raises keeps nothing.
         """
         alg = self.alg
-        key = (self.dim_vector(), tuple(map(self.act.__getitem__, alg._keys)))
+        dv = self.dim_vector()
+        key = (dv, tuple(map(self.act.__getitem__, alg._live_keys(dv))))
         got = alg._syzygies.get(key)
         if got is None:
             got = alg._syzygies[key] = self._syzygy()
@@ -266,52 +321,58 @@ class AlgebraModule:
         column f of act[(i, k, b)].  One row reduction per label gives the
         rank of the cover and a kernel basis that is the identity on the
         free columns, so a kernel vector's coordinates are its entries
-        there; rebuilding the vector from them checks that it lies in the
-        kernel.  A key whose source label has a zero kernel acts by the
-        empty matrix, with no image to build or check.
+        there.  Two kinds of block are written, not computed: the identity
+        of End(T_i) acts as the identity (projective_module checks it on
+        every summand), and a key that acts by zero on every summand acts
+        by zero, an image that lies in every kernel.  Any other key builds
+        the image of each kernel vector and rebuilds it from its
+        coordinates, which checks that it lies in the kernel; where the
+        kernel at label i is zero, that check asks for a zero image and the
+        empty matrix is not stored.
         """
         alg = self.alg
-        hom_dims = alg.hom_dims
+        basis_keys, act = alg.basis_keys, self.act
         lifts = self.top_lifts()
         if not lifts:
             if not self.is_zero():
                 raise MeshConsistencyError("nonzero module with zero top")
-            return AlgebraModule(alg, {i: 0 for i in alg.labels},
-                                 {k: () for k in self.act})
-        tops = tuple(k for k, _ in lifts)
-        summands = [alg.projective_module(k) for k in tops]
+            return AlgebraModule(alg, {i: 0 for i in alg.labels}, {})
+        ncols, moving = alg._cover(tuple(k for k, _ in lifts))
         kernels = {}
-        for i, (ncols, layout) in alg._cover_layout(tops).items():
-            rows = [tuple(self.act[(i, k, b)][r][f] for k, f in lifts
-                          for b in range(hom_dims[(i, k)]))
-                    for r in range(self.dims[i])]
-            free, basis = quotient_basis(rows, ncols)
-            if ncols - len(free) != self.dims[i]:
+        for i, n in ncols.items():
+            # one column per lift (k, f) and basis element b of Hom(T_i, T_k)
+            rows = list(zip(*[[row[f] for row in act[key]] for k, f in lifts
+                              for key in basis_keys.get((i, k), ())])
+                        ) if self.dims[i] else []
+            free, basis = quotient_basis(rows, n)
+            if n - len(free) != self.dims[i]:
                 raise MeshConsistencyError("projective cover is not surjective")
-            kernels[i] = ncols, free, basis, layout
-        dims = {i: len(kernels[i][1]) for i in alg.labels}
-        act = {}
-        for (i, j), keys in alg.basis_keys.items():
-            ncols, free, basis, layout_i = kernels[i]
-            if not dims[j]:
-                empty = ((),) * len(free)
-                for key in keys:
-                    act[key] = empty
+            kernels[i] = free, basis
+        dims = {i: len(kernels[i][0]) for i in alg.labels}
+        out = {}
+        for (i, j), keys in basis_keys.items():
+            dj = dims[j]
+            if not dj:
                 continue
-            _n, _free, kernel_j, layout_j = kernels[j]
-            # summands with a block in both P_i and P_j
-            shared = [(pk, oi, oj, dj) for pk, (oi, di), (oj, dj)
-                      in zip(summands, layout_i, layout_j) if di and dj]
+            di = dims[i]
+            free, basis = kernels[i]
+            n = ncols[i]
             for key in keys:
+                terms = moving.get(key)
+                if terms is None:
+                    if di:
+                        out[key] = (_identity(di) if i == j and not key[2]
+                                    else ((0,) * dj,) * di)
+                    continue
                 cols = []
-                for w in kernel_j:
-                    img = [0] * ncols
-                    for pk, oi, oj, dj in shared:
-                        seg = w[oj: oj + dj]
-                        for r, row in enumerate(pk.act[key], oi):
+                for w in kernels[j][1]:
+                    img = [0] * n
+                    for mat, oi, oj, dk in terms:
+                        seg = w[oj: oj + dk]
+                        for r, row in enumerate(mat, oi):
                             img[r] = sum(map(mul, row, seg))
                     coeffs = [img[f] for f in free]
-                    rebuilt = [0] * ncols
+                    rebuilt = [0] * n
                     for c, u in zip(coeffs, basis):
                         if c:
                             for t, x in enumerate(u):
@@ -321,10 +382,11 @@ class AlgebraModule:
                         raise MeshConsistencyError(
                             "syzygy action left the kernel")
                     cols.append(coeffs)
-                # rows follow the kernel basis of i, columns that of j: the
-                # action matrix V_j -> V_i
-                act[key] = tuple(zip(*cols))
-        return AlgebraModule(alg, dims, act)
+                if di:
+                    # rows follow the kernel basis of i, columns that of j:
+                    # the action matrix V_j -> V_i
+                    out[key] = tuple(zip(*cols))
+        return AlgebraModule(alg, dims, out)
 
 
 def build_algebra(cc: ClusterCategory, tilting: TiltingObject) -> ClusterTiltedAlgebra:
@@ -332,21 +394,20 @@ def build_algebra(cc: ClusterCategory, tilting: TiltingObject) -> ClusterTiltedA
 
 
 def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
-    """Hom_C(T, M) as a module over the algebra; M outside add T[1]."""
-    eng = alg._engine
-    dims = {i: eng.dim(alg.summand[i], m_cid) for i in alg.labels}
+    """Hom_C(T, M) as a module over the algebra; M outside add T[1].
+
+    Each live block is a read of the category's product table.
+    """
+    eng, s = alg._engine, alg.summand
+    dims = {i: eng.dim(s[i], m_cid) for i in alg.labels}
     if not any(dims.values()):
         raise ValueError(
             "Hom_C(T, M) = 0: M lies in the shift of the tilting object")
     act = {}
     for (i, j), keys in alg.basis_keys.items():
-        # act[(i, j, b)] sends g in Hom(T_j, M) to g . hom[i,j][b]; a zero
-        # dimension gives the shape without the table's lookups
+        # act[(i, j, b)] sends g in Hom(T_j, M) to g . hom[i,j][b]
         if dims[i] and dims[j]:
-            mats = eng.products(alg.summand[i], alg.summand[j], m_cid)
-        else:
-            mats = zero_products(len(keys), dims[j], dims[i])
-        act.update(zip(keys, mats))
+            act.update(zip(keys, eng.products(s[i], s[j], m_cid)))
     return AlgebraModule(alg, dims, act)
 
 

@@ -12,8 +12,8 @@ The tilting argument accepts comma-separated cids, "@mutations:k1,k2,..."
 (a mutation word applied to the initial tilting), or "@find-quiver:<name>"
 for a named preset.  Exit codes: 0 success, 1 verification disagreement,
 2 invalid input (including an unwritable --out), 3 internal error (an
-engine consistency check failed).  --seed affects listing order only; all
-math is exact.
+engine consistency check failed, memory ran out, or any other unexpected
+exception).  --seed affects listing order only; all math is exact.
 """
 
 import argparse
@@ -23,10 +23,9 @@ import sys
 
 from . import presets
 from .algebra import PdClass, classify_modules
-from .cluster import ClusterCategory, MeshConsistencyError
+from .cluster import ClusterCategory
 from .dynkin import build_quiver
 from .hammocks import (
-    UnclassifiableShapeError,
     hij,
     hij_closed_form,
     left_hammock,
@@ -345,8 +344,11 @@ def main(argv=None) -> int:
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (MeshConsistencyError, UnclassifiableShapeError) as e:
-        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+    except Exception as e:
+        # a failed consistency check, an exhausted resource or a bug: never
+        # a traceback, and never the exit code of a disagreement
+        what = f"{type(e).__name__}: {e}" if str(e) else type(e).__name__
+        print(f"internal error: {what}", file=sys.stderr)
         return 3
 
 

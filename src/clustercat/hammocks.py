@@ -86,23 +86,12 @@ def _pairing_witness(cc, x, a, b):
 def hij(cc, tilting, i, j) -> frozenset:
     """Exact H(i,j): the cids x with some nonzero T_i[1] -> x -> T_j[1].
 
-    The composite is bilinear, so x belongs exactly when some basis
-    composite is nonzero, that is, when products(a, x, b) has a nonzero
-    entry.  Every composite lies in Hom_C(a, b), and one through x needs
-    Hom_C(a, x) and Hom_C(x, b), so the additive counts rule out a vertex
-    without reading the table.
+    H(i,j) depends only on the pair (T_i[1], T_j[1]), not on the rest of
+    the tilting, so it is a read of the category's hammock table, filled
+    from the product table on first use.
     """
-    a = shifted_summand(cc, tilting, i)
-    b = shifted_summand(cc, tilting, j)
-    if not cc.hom_dim_c(a, b):
-        return frozenset()
-    dim = cc.hom_dim_c
-    products = cc._get_engine().products
-    return frozenset(
-        x for x in cc.cids()
-        if dim(a, x) and dim(x, b)
-        and any(any(row) for mat in products(a, x, b) for row in mat)
-    )
+    return cc._get_engine().hammock(shifted_summand(cc, tilting, i),
+                                    shifted_summand(cc, tilting, j))
 
 
 def factorization_ideal_nonzero(cc, tilting, m):

@@ -12,7 +12,9 @@ this the genuine Hom space at every vertex above the seed.  Each basis
 element remembers one representative path of arrows from the seed, so
 composition is path application through the stored arrow matrices.
 MeshHomEngine.products tabulates the composites of basis elements once per
-category, and the algebra and hammock code read them from there.
+category, and the algebra and hammock code read them from there; next to it,
+MeshHomEngine.hammock keeps H(a, b), the objects that a nonzero a -> b
+factors through, once per pair.
 
 Knitting stops early: the mesh at height g reads only heights g - 1 (the
 middles) and g - 2 (the translate), so once two consecutive height levels
@@ -193,12 +195,14 @@ def zero_products(dxy: int, dyz: int, dxz: int):
 
 
 class MeshHomEngine:
-    """Hom spaces of one category, and its table of basis products.
+    """Hom spaces of one category, and its tables of basis products and
+    hammocks.
 
-    products(x, y, z) is filled once per triple and read by every tilting of
-    the category; identical matrices are shared through one intern map.
-    The memo tables are keyed by one int per pair or triple of cids, which
-    takes less memory than a tuple key.
+    products(x, y, z) is filled once per triple and hammock(a, b) once per
+    pair, and both are read by every tilting of the category; identical
+    matrices are shared through one intern map.  The memo tables are keyed
+    by one int per pair or triple of cids, which takes less memory than a
+    tuple key.
     """
 
     def __init__(self, cc: ClusterCategory):
@@ -208,6 +212,7 @@ class MeshHomEngine:
         self._dims: dict[int, int] = {}  # x * n + y -> dim Hom(x, y)
         self._products: dict[int, tuple] = {}  # (x * n + y) * n + z -> entry
         self._interned: dict[tuple, tuple] = {}
+        self._hammocks: dict[int, frozenset] = {}  # a * n + b -> H(a, b)
 
     def functor(self, x: int) -> CoverFunctor:
         got = self._functors.get(x)
@@ -344,6 +349,27 @@ class MeshHomEngine:
         got = self._intern(tuple(
             self._intern(tuple(map(tuple, m))) for m in mats))
         self._products[key] = got
+        return got
+
+    def hammock(self, a: int, b: int) -> frozenset:
+        """H(a, b): the cids x with some nonzero composite a -> x -> b.
+
+        The composite is bilinear, so x belongs exactly when products(a, x,
+        b) has a nonzero entry.  Every composite lies in Hom(a, b), and one
+        through x needs Hom(a, x) and Hom(x, b), so the additive counts rule
+        out a vertex without reading the table.
+        """
+        key = a * self._n + b
+        got = self._hammocks.get(key)
+        if got is None:
+            dim = self.cc.hom_dim_c
+            got = frozenset(
+                x for x in self.cc.cids()
+                if dim(a, x) and dim(x, b)
+                and any(any(row) for mat in self.products(a, x, b)
+                        for row in mat)
+            ) if dim(a, b) else frozenset()
+            self._hammocks[key] = got
         return got
 
     def _intern(self, value):

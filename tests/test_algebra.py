@@ -6,9 +6,10 @@ import pytest
 from clustercat import linalg
 from clustercat.algebra import (AlgebraModule, PdClass, build_algebra,
                                 module_of, pd_class)
-from clustercat.cluster import MeshConsistencyError
+from clustercat.cluster import MeshConsistencyError, build_cluster
+from clustercat.dynkin import build_quiver
 from clustercat.hammocks import verify_main_theorem
-from clustercat.tilting import enumerate_tiltings, initial_tilting
+from clustercat.tilting import TiltingObject, enumerate_tiltings, initial_tilting
 
 
 def hereditary_algebra(category, family, rank):
@@ -232,6 +233,89 @@ def test_syzygy_rejects_a_kernel_that_is_not_a_submodule(category):
         bad.syzygy()
 
 
+def corrupt_table(monkeypatch, cc, triple, corrupt):
+    """Make cc's product table answer corrupt(entry) for one triple.
+
+    cc must be built for the test: the patch sits on its engine.
+    """
+    eng = cc._get_engine()
+    table = eng.products
+
+    def products(x, y, z):
+        got = table(x, y, z)
+        return corrupt(got) if (x, y, z) == triple else got
+
+    monkeypatch.setattr(eng, "products", products)
+
+
+def test_projective_with_a_corrupted_identity_block_is_rejected(monkeypatch):
+    """Syzygies write identity blocks; projective_module checks them."""
+    cc = build_cluster(build_quiver("D", 4))
+    alg = build_algebra(cc, TiltingObject((0, 1, 3, 8)))
+    s = alg.summand
+    pairs = [(i, k) for i in alg.labels for k in alg.labels
+             if alg.hom_dim(i, k)]
+    for i, k in pairs:
+        corrupt_table(monkeypatch, cc, (s[i], s[i], s[k]), lambda got: (
+            tuple(tuple(0 for _ in row) for row in got[0]),) + got[1:])
+        with pytest.raises(MeshConsistencyError,
+                           match=f"identity of End\\(T_{i}\\)"):
+            alg.projective_module(k)
+        monkeypatch.undo()
+    # a failure is not memoized, and the clean table passes the check
+    assert [alg.projective_module(k).dims[i] for i, k in pairs] == \
+        [alg.hom_dim(i, k) for i, k in pairs]
+
+
+def test_syzygy_checks_the_image_where_the_kernel_is_zero(monkeypatch):
+    """A key with a zero kernel at its source label stores no matrix, yet
+    its image must still vanish.
+
+    Over this D4 tilting, M = cid 2 has top P_3 and Omega(M) is zero at
+    label 3 and one-dimensional at label 4, so key (3, 4, 0) acts by zero
+    on P_3.  A table entry that makes it act by 1 sends the kernel at 4
+    out of the zero kernel at 3.
+    """
+    cc = build_cluster(build_quiver("D", 4))
+    t = TiltingObject((0, 1, 3, 8))
+    clean = module_of(build_algebra(cc, t), 2).syzygy()
+    assert clean.dim_vector() == (0, 0, 0, 1)
+    assert clean.act == {(4, 4, 0): ((1,),)}
+    alg = build_algebra(cc, t)
+    mod = module_of(alg, 2)
+    assert [k for k, _f in mod.top_lifts()] == [3]
+    s = alg.summand
+    assert alg.products(3, 4, 3) == (((0,),),)
+    corrupt_table(monkeypatch, cc, (s[3], s[4], s[3]),
+                  lambda _got: (((1,),),))
+    with pytest.raises(MeshConsistencyError, match="left the kernel"):
+        mod.syzygy()
+
+
+def test_syzygy_rejects_a_nonzero_module_with_zero_top():
+    # labels 3 and 4 of this D4 tilting carry arrows both ways; acting by
+    # 1 on both puts all of V in V.rad, which no module can do
+    cc = build_cluster(build_quiver("D", 4))
+    alg = build_algebra(cc, TiltingObject((0, 1, 3, 8)))
+    one = ((1,),)
+    bad = AlgebraModule(alg, {1: 0, 2: 0, 3: 1, 4: 1},
+                        {key: one for key in ((3, 3, 0), (3, 4, 0),
+                                              (4, 3, 0), (4, 4, 0))})
+    with pytest.raises(MeshConsistencyError, match="zero top"):
+        bad.syzygy()
+
+
+def test_chain_rejects_projective_dimension_two(category, monkeypatch):
+    """A zero third syzygy after a nonzero second one is pd 2."""
+    cc, alg = hereditary_algebra(category, "A", 3)
+    zero = AlgebraModule(alg, {i: 0 for i in alg.labels}, {})
+    mod = alg.projective_module(1)
+    depth = iter((mod, mod, zero))
+    monkeypatch.setattr(AlgebraModule, "syzygy", lambda _self: next(depth))
+    with pytest.raises(MeshConsistencyError, match="trichotomy"):
+        pd_class(mod)
+
+
 def test_syzygy_rejects_a_cover_that_misses_a_direction(category):
     # the unit of label 1 acting by zero: the top lifts at 1, but no element
     # of the projective cover reaches it
@@ -300,3 +384,59 @@ def test_content_equal_module_gets_the_same_syzygy(category):
                 m = module_of(alg, c)
                 copy = AlgebraModule(alg, m.dims, dict(m.act))
                 assert copy.syzygy() is m.syzygy()
+                # the memo reads the blocks in basis key order, whatever
+                # order the dict was filled in
+                turned = AlgebraModule(alg, m.dims,
+                                       dict(reversed(m.act.items())))
+                assert turned.syzygy() is m.syzygy()
+
+
+def block(mod, key):
+    """The action matrix of key; the zero matrix of its shape if not live."""
+    i, j, _b = key
+    return mod.act.get(key, ((0,) * mod.dims[j],) * mod.dims[i])
+
+
+@pytest.mark.parametrize("family,rank,orientation", ORIENTED, ids=[
+    f"{f}{r}-" + (o if isinstance(o, str) else ",".join(f"{s}{t}" for s, t in o))
+    for f, r, o in ORIENTED])
+def test_syzygies_are_modules(category, family, rank, orientation):
+    """Every module of a syzygy chain satisfies the module axioms.
+
+    The identity of each End(T_i) acts as the identity, and f then g acts
+    as g . f: act(f) act(g) = sum_c (g . f)_c act(h_c), with the
+    coordinates of g . f read off the product table.  The written blocks
+    of a syzygy (identities and zeros) are held to this as well.
+    """
+    cc = category(family, rank, orientation)
+    for t in enumerate_tiltings(cc)[::5]:
+        alg = build_algebra(cc, t)
+        shifted = {cc.shift(c) for c in t.summands}
+        keys = alg.basis_keys
+        for c in cc.cids():
+            if c in shifted:
+                continue
+            for mod in syzygy_chain(module_of(alg, c)):
+                for i in alg.labels:
+                    assert block(mod, (i, i, 0)) == tuple(
+                        tuple(int(r == q) for q in range(mod.dims[i]))
+                        for r in range(mod.dims[i]))
+                for (i, j), fs in keys.items():
+                    for k in alg.labels:
+                        if (j, k) not in keys:
+                            continue
+                        prods = alg.products(i, j, k)
+                        hs = keys.get((i, k), ())
+                        for f in fs:
+                            for g in keys[(j, k)]:
+                                af, ag = block(mod, f), block(mod, g)
+                                lhs = [[sum(af[r][p] * ag[p][q]
+                                            for p in range(mod.dims[j]))
+                                        for q in range(mod.dims[k])]
+                                       for r in range(mod.dims[i])]
+                                rhs = [[sum(prods[f[2]][h[2]][g[2]]
+                                            * block(mod, h)[r][q]
+                                            for h in hs)
+                                        for q in range(mod.dims[k])]
+                                       for r in range(mod.dims[i])]
+                                assert lhs == rhs, (t.summands, c, f, g)

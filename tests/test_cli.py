@@ -271,6 +271,22 @@ def test_internal_errors_exit_3(capsys, monkeypatch, verb, target, exc):
     assert err == f"internal error: {exc.__name__}: planted\n"
 
 
+@pytest.mark.parametrize("verb,extra", [
+    ("tiltings", ()),
+    ("verify", ("--all-tiltings",)),
+])
+def test_exhausted_memory_exits_3_without_traceback(capsys, monkeypatch,
+                                                   verb, extra):
+    """A MemoryError is an internal error, not a disagreement (exit 1)."""
+    def out_of_memory(*_args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "enumerate_tiltings", out_of_memory)
+    code, out, err = run(capsys, verb, "--family", "A", "--rank", "3", *extra)
+    assert code == 3
+    assert out == ""
+    assert err == "internal error: MemoryError\n"
+
 
 def test_verify_names_each_disagreeing_module(capsys, monkeypatch):
     argv = ("verify", "--family", "A", "--rank", "3", "--tilting", "0,2,5")

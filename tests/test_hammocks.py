@@ -415,7 +415,11 @@ def test_membership_equals_unpruned_search(category, family, rank):
 
 @pytest.mark.parametrize("family,rank", [("A", 3), ("D", 4)])
 def test_module_actions_equal_direct_composition(category, family, rank):
-    """Every action matrix of module_of, zero Hom(T_i, M) included."""
+    """module_of stores exactly the live blocks, each the direct composite.
+
+    A key is live when Hom(T_i, M) and Hom(T_j, M) are both nonzero; every
+    other key's direct matrix is empty, the shape its dimensions fix.
+    """
     cc = category(family, rank)
     for t in enumerate_tiltings(cc):
         alg = build_algebra(cc, t)
@@ -425,14 +429,19 @@ def test_module_actions_equal_direct_composition(category, family, rank):
                 continue
             bases = {i: cc.hom_basis(alg.summand[i], m) for i in alg.labels}
             got = module_of(alg, m).act
-            assert set(got) == {(i, j, b) for (i, j), hs in alg.hom.items()
-                                for b in range(len(hs))}
-            for (i, j, b), mat in got.items():
+            keys = {(i, j, b) for (i, j), hs in alg.hom.items()
+                    for b in range(len(hs))}
+            assert set(got) == {(i, j, b) for i, j, b in keys
+                                if bases[i] and bases[j]}
+            for i, j, b in keys:
                 f = alg.hom[(i, j)][b]
                 cols = [alg.coords(cc.compose(f, g)) for g in bases[j]]
                 direct = tuple(tuple(col[r] for col in cols)
                                for r in range(len(bases[i])))
-                assert mat == direct, (t.summands, m, (i, j, b))
+                if (i, j, b) in got:
+                    assert got[(i, j, b)] == direct, (t.summands, m, (i, j, b))
+                else:  # no rows, or rows without entries
+                    assert not any(direct), (t.summands, m, (i, j, b))
 
 
 def first_composing_pair(cc, t, m):
@@ -493,3 +502,24 @@ def test_report_table_equals_hij_and_witnesses(category, family, rank,
             if w is not None:
                 first = next(p for p, h in report.hij.items() if m in h)
                 assert w[:2] == first, (t.summands, m)
+
+
+def composing_hammock(cc, a, b):
+    """H(a, b) by composing every basis pair a -> x -> b, without a table."""
+    return frozenset(
+        x for x in cc.cids()
+        if any(not cc.compose(g, h).is_zero()
+               for g in cc.hom_basis(a, x) for h in cc.hom_basis(x, b)))
+
+
+@pytest.mark.parametrize("family,rank,orientation", ORIENTED, ids=[
+    f"{f}{r}-" + (o if isinstance(o, str) else ",".join(f"{s}{t}" for s, t in o))
+    for f, r, o in ORIENTED])
+def test_hammock_table_equals_composing_every_pair(category, family, rank,
+                                                   orientation):
+    """Every entry of the category's H(a, b) table, over all pairs of cids."""
+    cc = category(family, rank, orientation)
+    eng = cc._get_engine()
+    for a in cc.cids():
+        for b in cc.cids():
+            assert eng.hammock(a, b) == composing_hammock(cc, a, b), (a, b)

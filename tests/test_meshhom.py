@@ -3,6 +3,8 @@
 import pytest
 
 from clustercat.algebra import build_algebra
+from clustercat.cluster import MeshConsistencyError, build_cluster
+from clustercat.dynkin import build_quiver
 from clustercat.tilting import enumerate_tiltings
 
 # the default orientation and one custom orientation per type
@@ -68,3 +70,11 @@ def test_projective_actions_equal_direct_composition(
                 assert mat == tuple(tuple(col[r] for col in cols)
                                     for r in range(alg.hom_dim(i, k))), \
                     (t.summands, k, (i, j, b))
+
+
+def test_mesh_dimension_is_checked_against_the_additive_count(monkeypatch):
+    cc = build_cluster(build_quiver("A", 3))
+    count = cc.hom_dim_c
+    monkeypatch.setattr(cc, "hom_dim_c", lambda x, y: count(x, y) + 1)
+    with pytest.raises(MeshConsistencyError, match="additive count"):
+        cc._get_engine().dim(0, 0)
