@@ -55,18 +55,20 @@ class PdClass(enum.Enum):
 
 
 class ClusterTiltedAlgebra:
+    """End_C(T) as integers only: Hom dimensions, basis keys and reads of
+    the category's product table.  The Hom engine checks, once per object,
+    that the identity of each End(T_i) is its first basis element."""
+
     def __init__(self, cc: ClusterCategory, tilting: TiltingObject):
         self.cc = cc
         self.tilting = tilting
         self.n = len(tilting)
         self.labels = tuple(range(1, self.n + 1))
         self.summand = {i: tilting[i - 1] for i in self.labels}
-        self._engine = cc._get_engine()
-        self.hom = {}
-        for i in self.labels:
-            for j in self.labels:
-                self.hom[(i, j)] = cc.hom_basis(self.summand[i], self.summand[j])
-        self.hom_dims = {key: len(b) for key, b in self.hom.items()}
+        self._engine = eng = cc._get_engine()
+        s = self.summand
+        self.hom_dims = {(i, j): eng.dim(s[i], s[j])
+                         for i in self.labels for j in self.labels}
         self.dim = sum(self.hom_dims.values())
         # the (i, j, b) keys of the basis elements of each Hom(T_i, T_j) != 0
         self.basis_keys = {(i, j): tuple((i, j, b) for b in range(d))
@@ -74,14 +76,8 @@ class ClusterTiltedAlgebra:
         self._radical_keys = tuple(
             key for (i, j), keys in self.basis_keys.items()
             for key in keys[1 if i == j else 0:])
-        for i in self.labels:
-            ident = self._engine.identity(self.summand[i])
-            if not self.hom[(i, i)] or self.hom[(i, i)][0] != ident:
-                raise MeshConsistencyError(
-                    "identity is not the first End basis element")
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
-        self._proj: dict[int, AlgebraModule] = {}
-        self._moving: dict[int, tuple] = {}  # k -> P_k's nonzero radical blocks
+        self._proj: dict[int, tuple] = {}  # k -> (P_k, its moving blocks)
         self._covers: dict[tuple[int, ...], tuple] = {}
         # dim vector -> its live keys; (dim vector, live matrices) -> syzygy
         self._live: dict[tuple, tuple] = {}
@@ -89,9 +85,6 @@ class ClusterTiltedAlgebra:
 
     def hom_dim(self, i: int, j: int) -> int:
         return self.hom_dims[(i, j)]
-
-    def coords(self, elem):
-        return self._engine.coords(elem)
 
     def products(self, i: int, j: int, k: int):
         """Per basis element f of Hom(T_i, T_j), the matrix of g -> g . f
@@ -170,6 +163,7 @@ class ClusterTiltedAlgebra:
         """One Hom element per Gabriel arrow (i, j), modulo rad^2."""
         rad2 = self.radical_power_spans(2)
         reps: dict[tuple[int, int], list] = {}
+        s = self.summand
         for i, j, mult in self.gabriel_arrows():
             span = list(rad2[(j, i)])
             d = self.hom_dim(j, i)
@@ -178,7 +172,8 @@ class ClusterTiltedAlgebra:
             free, _ = quotient_basis(span, d)
             if len(free) != mult:
                 raise MeshConsistencyError("arrow count and complement disagree")
-            reps[(i, j)] = [self.hom[(j, i)][f] for f in free]
+            basis = self.cc.hom_basis(s[j], s[i])
+            reps[(i, j)] = [basis[f] for f in free]
         return reps
 
     def gabriel_quiver_is_acyclic(self) -> bool:
@@ -220,7 +215,7 @@ class ClusterTiltedAlgebra:
                 ncols[i] = off
             moving = {}
             for n, k in enumerate(tops):
-                for key, mat in self._moving_blocks(k):
+                for key, mat in self._projective(k)[1]:
                     i, j, _b = key
                     moving.setdefault(key, []).append(
                         (mat, starts[i][n], starts[j][n],
@@ -234,23 +229,21 @@ class ClusterTiltedAlgebra:
         The identity of each End(T_i) must act on it as the identity:
         syzygies write their identity blocks and rest on this check.
         """
+        return self._projective(k)[0]
+
+    def _projective(self, k: int):
+        """(P_k, its moving blocks): the (key, matrix) of every radical key
+        acting on P_k by a nonzero matrix, which the covers read."""
         got = self._proj.get(k)
         if got is None:
-            got = module_of(self, self.summand[k])
-            for i, d in got.dims.items():
-                if d and got.act[(i, i, 0)] != _identity(d):
+            mod = module_of(self, self.summand[k])
+            for i, d in mod.dims.items():
+                if d and mod.act[(i, i, 0)] != _identity(d):
                     raise MeshConsistencyError(
                         f"the identity of End(T_{i}) does not act as the "
                         f"identity on P_{k}")
-            self._proj[k] = got
-        return got
-
-    def _moving_blocks(self, k: int):
-        """(key, matrix) per radical key acting on P_k by a nonzero matrix."""
-        got = self._moving.get(k)
-        if got is None:
-            got = self._moving[k] = tuple(
-                (key, mat) for key, mat in self.projective_module(k).act.items()
+            got = self._proj[k] = mod, tuple(
+                (key, mat) for key, mat in mod.act.items()
                 if (key[2] or key[0] != key[1]) and any(map(any, mat)))
         return got
 
@@ -258,11 +251,12 @@ class ClusterTiltedAlgebra:
 class AlgebraModule:
     """Coordinate module: dims per label, one matrix per live basis element.
 
-    act[(i, j, b)] is the matrix of precomposition with hom[i,j][b], mapping
-    the label-j component to the label-i component, as a tuple of row
-    tuples: syzygy hashes the matrices to find a module it has seen.  act
-    holds exactly the live keys, those with dims[i] and dims[j] nonzero;
-    every other key acts by the empty matrix its dimensions fix.
+    act[(i, j, b)] is the matrix of precomposition with basis element b of
+    Hom(T_i, T_j), mapping the label-j component to the label-i component,
+    as a tuple of row tuples: syzygy hashes the matrices to find a module
+    it has seen.  act holds exactly the live keys, those with dims[i] and
+    dims[j] nonzero; every other key acts by the empty matrix its
+    dimensions fix.
     """
 
     __slots__ = ("alg", "dims", "act")
@@ -405,7 +399,7 @@ def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
             "Hom_C(T, M) = 0: M lies in the shift of the tilting object")
     act = {}
     for (i, j), keys in alg.basis_keys.items():
-        # act[(i, j, b)] sends g in Hom(T_j, M) to g . hom[i,j][b]
+        # act[(i, j, b)] sends g in Hom(T_j, M) to g . (basis element b)
         if dims[i] and dims[j]:
             act.update(zip(keys, eng.products(s[i], s[j], m_cid)))
     return AlgebraModule(alg, dims, act)

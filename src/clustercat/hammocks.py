@@ -153,10 +153,9 @@ def sectional_path(cc, x, y):
             "sectional path from %d to %d is not unique" % (x, y)
         )
     path = found[0]
-    el = cc.identity_element(x)
-    for u, w in zip(path, path[1:]):
-        el = cc.compose(el, cc.arrow_element(u, w))
-    if el.is_zero():
+    # the composite of its arrows: the seed of Hom(x, -) pushed along them
+    fx = cc._get_engine().functor(x)
+    if fx.apply_path(zip(path, path[1:]), x, 0, (1,)) is None:
         raise MeshConsistencyError(
             "sectional path composite vanished between %d and %d" % (x, y)
         )

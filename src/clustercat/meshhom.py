@@ -28,45 +28,46 @@ All coordinates are exact integers.  Every mesh cokernel is taken by an
 integer row reduction that accepts only pivots +-1, so the action matrices
 stay integral (entries in {-1, 0, 1} on types A and D); any other pivot
 raises MeshConsistencyError rather than falling back to Fractions.
-HomElement still accepts rational coefficients, which compose exactly.
 Basis order is deterministic: cover vertices by (height, cid), mesh
-middles by cid, quotient bases by the free indices of the rref.
+middles by cid, quotient bases by the free indices of the rref; F_x at x
+starts with the identity, which functor(x) checks once per object.
+
+HomElement holds a morphism as its coordinates in hom_basis order (rational
+entries compose exactly); only tests, witnesses and the quiver presets build
+one, since the algebra and the hammock code read the integer tables.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .cluster import ClusterCategory, MeshConsistencyError
 from .linalg import matvec, unit_quotient_basis
 
 
 class HomElement:
-    """Morphism X -> Y as level-indexed coordinate vectors in F_X."""
+    """Morphism X -> Y as its coordinates in hom_basis(X, Y) order."""
 
-    __slots__ = ("cc", "src", "tgt", "comps")
+    __slots__ = ("cc", "src", "tgt", "coords")
 
-    def __init__(self, cc, src, tgt, comps):
+    def __init__(self, cc, src, tgt, coords):
         self.cc = cc
         self.src = src
         self.tgt = tgt
-        self.comps = {k: tuple(v) for k, v in comps.items() if any(v)}
+        self.coords = tuple(coords)
 
     def is_zero(self):
-        return not self.comps
+        return not any(self.coords)
 
     def __add__(self, other):
         if (other.src, other.tgt) != (self.src, self.tgt):
             raise ValueError("cannot add morphisms with different ends")
-        comps = dict(self.comps)
-        for k, v in other.comps.items():
-            if k in comps:
-                comps[k] = tuple(a + b for a, b in zip(comps[k], v))
-            else:
-                comps[k] = v
-        return HomElement(self.cc, self.src, self.tgt, comps)
+        return HomElement(self.cc, self.src, self.tgt,
+                          map(add, self.coords, other.coords))
 
     def scale(self, c):
         return HomElement(self.cc, self.src, self.tgt,
-                          {k: tuple(c * a for a in v) for k, v in self.comps.items()})
+                          [c * a for a in self.coords])
 
     def __neg__(self):
         return self.scale(-1)
@@ -76,18 +77,16 @@ class HomElement:
 
     def __eq__(self, other):
         return (isinstance(other, HomElement)
-                and (self.src, self.tgt) == (other.src, other.tgt)
-                and self.comps == other.comps)
+                and (self.src, self.tgt, self.coords)
+                == (other.src, other.tgt, other.coords))
 
     def __hash__(self):
-        return hash((self.src, self.tgt,
-                     tuple(sorted(self.comps.items()))))
+        return hash((self.src, self.tgt, self.coords))
 
     def __repr__(self):
         if self.is_zero():
             return f"0: {self.src}->{self.tgt}"
-        parts = ", ".join(f"{k}:{list(v)}" for k, v in sorted(self.comps.items()))
-        return f"Hom({self.src}->{self.tgt}; {parts})"
+        return f"Hom({self.src}->{self.tgt}; {list(self.coords)})"
 
 
 class CoverFunctor:
@@ -215,15 +214,28 @@ class MeshHomEngine:
         self._hammocks: dict[int, frozenset] = {}  # a * n + b -> H(a, b)
 
     def functor(self, x: int) -> CoverFunctor:
+        """F_x, built once; its basis of End(x) must start with the identity."""
         got = self._functors.get(x)
         if got is None:
             got = CoverFunctor(self.cc, x)
+            lv = got.levels.get(x)
+            if not lv or lv[0] != (0, 1):
+                raise MeshConsistencyError(
+                    "identity is not the first End basis element")
             self._functors[x] = got
         return got
 
     def levels(self, x: int, y: int):
         """Sorted (level, dimension) pairs with nonzero F_x at lifts of y."""
         return self.functor(x).levels.get(y, ())
+
+    def _starts(self, x: int, y: int):
+        """Level of F_x at a lift of y -> its first coordinate in hom_basis(x, y)."""
+        at, off = {}, 0
+        for k, d in self.levels(x, y):
+            at[k] = off
+            off += d
+        return at
 
     def dim(self, x: int, y: int) -> int:
         """dim Hom(x, y) from the mesh levels, checked against the additive count."""
@@ -240,68 +252,59 @@ class MeshHomEngine:
         return got
 
     def hom_basis(self, x: int, y: int):
-        self.dim(x, y)
-        elems = []
-        for k, dim in self.levels(x, y):
-            for j in range(dim):
-                vec = tuple(int(i == j) for i in range(dim))
-                elems.append(HomElement(self.cc, x, y, {k: vec}))
-        return elems
+        d = self.dim(x, y)
+        return [HomElement(self.cc, x, y, [int(i == j) for i in range(d)])
+                for j in range(d)]
 
     def coords(self, elem: HomElement):
         """Coordinates of elem in hom_basis(src, tgt) order."""
-        levels = self.levels(elem.src, elem.tgt)
-        out = []
-        for k, dim in levels:
-            v = elem.comps.get(k)
-            out.extend(v if v is not None else (0,) * dim)
-        for k in elem.comps:
-            if all(k != lk for lk, _ in levels):
-                raise MeshConsistencyError("component outside the Hom basis levels")
-        return tuple(out)
+        d = self.dim(elem.src, elem.tgt)
+        if len(elem.coords) != d:
+            raise ValueError(
+                f"{len(elem.coords)} coordinates for Hom({elem.src},{elem.tgt}) "
+                f"of dimension {d}")
+        return elem.coords
 
     def identity(self, x: int):
-        return HomElement(self.cc, x, x, {0: (1,)})
-
-    def zero(self, x: int, y: int):
-        return HomElement(self.cc, x, y, {})
+        """The first basis element of End(x); functor(x) checks that it is."""
+        return self.hom_basis(x, x)[0]
 
     def arrow_element(self, x: int, y: int):
         if y not in self.cc.succ[x]:
             raise ValueError(f"no arrow {x}->{y} in the AR quiver")
-        fx = self.functor(x)
-        res = fx.apply_path(((x, y),), x, 0, (1,))
-        if res is None:
-            return self.zero(x, y)
-        _, lvl, v = res
-        return HomElement(self.cc, x, y, {lvl: v})
+        out = [0] * self.dim(x, y)
+        res = self.functor(x).apply_path(((x, y),), x, 0, (1,))
+        if res is not None:
+            _, lvl, v = res
+            start = self._starts(x, y)[lvl]
+            out[start:start + len(v)] = v
+        return HomElement(self.cc, x, y, out)
 
     def compose(self, g: HomElement, h: HomElement) -> HomElement:
-        """h after g."""
+        """h after g, by path application; the product table is not read."""
         if g.tgt != h.src:
             raise ValueError("morphisms are not composable")
-        fx = self.functor(g.src)
-        fy = self.functor(h.src)
-        acc: dict[int, list] = {}
-        for l, hv in h.comps.items():
-            recs = fy.basis[(h.tgt, l)]
-            for b, coeff in enumerate(hv):
-                if coeff == 0:
+        x, y, z = g.src, g.tgt, h.tgt
+        gc, hc = self.coords(g), self.coords(h)
+        fx, fy = self.functor(x), self.functor(y)
+        at_y, at = self._starts(x, y), self._starts(x, z)
+        gvs = [(k, gc[at_y[k]:at_y[k] + d]) for k, d in self.levels(x, y)]
+        out = [0] * self.dim(x, z)
+        paths = ((l, path) for l, _d in self.levels(y, z)
+                 for path in fy.basis[(z, l)])
+        for (l, path), coeff in zip(paths, hc):
+            if coeff == 0:
+                continue
+            for k, gv in gvs:
+                res = fx.apply_path(path, y, k, gv)
+                if res is None:
                     continue
-                for k, gv in g.comps.items():
-                    res = fx.apply_path(recs[b], h.src, k, gv)
-                    if res is None:
-                        continue
-                    cur, lvl, v = res
-                    if cur != h.tgt or lvl != k + l:
-                        raise MeshConsistencyError("path application lost track")
-                    slot = acc.get(lvl)
-                    if slot is None:
-                        acc[lvl] = [coeff * a for a in v]
-                    else:
-                        for i, a in enumerate(v):
-                            slot[i] += coeff * a
-        return HomElement(self.cc, g.src, h.tgt, {k: tuple(v) for k, v in acc.items()})
+                cur, lvl, v = res
+                if cur != z or lvl != k + l or lvl not in at:
+                    raise MeshConsistencyError("path application lost track")
+                for r, a in enumerate(v, at[lvl]):
+                    out[r] += coeff * a
+        return HomElement(self.cc, x, z, out)
 
     def products(self, x: int, y: int, z: int):
         """One matrix per basis element f of Hom(x, y): g -> g . f.
@@ -321,11 +324,7 @@ class MeshHomEngine:
         if not (dxy and dyz and dxz):
             return zero_products(dxy, dyz, dxz)
         fx, fy = self.functor(x), self.functor(y)
-        at = {}  # level of Hom(x, z) -> its first coordinate
-        off = 0
-        for k, d in fx.levels[z]:
-            at[k] = off
-            off += d
+        at = self._starts(x, z)
         mats = [[[0] * dyz for _ in range(dxz)] for _ in range(dxy)]
         row = 0
         for k, dk in fx.levels[y]:

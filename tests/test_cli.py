@@ -10,8 +10,12 @@ import pytest
 
 from clustercat import cli, hammocks
 from clustercat.cli import main
-from clustercat.cluster import MeshConsistencyError
-from clustercat.hammocks import UnclassifiableShapeError
+from clustercat.cluster import MeshConsistencyError, build_cluster
+from clustercat.dynkin import build_quiver
+from clustercat.hammocks import UnclassifiableShapeError, verify_main_theorem
+from clustercat.meshhom import HomElement
+from clustercat.render import export_json
+from clustercat.tilting import enumerate_tiltings
 
 
 def run(capsys, *argv):
@@ -338,3 +342,20 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert proc.stdout.strip() == "5/5 agree"
+
+
+def test_verify_export_and_cli_build_no_hom_element(capsys, monkeypatch):
+    """The integer tables carry every report: no HomElement is made."""
+    def refuse(*_args):
+        raise AssertionError("a HomElement was built")
+
+    monkeypatch.setattr(HomElement, "__init__", refuse)
+    cc = build_cluster(build_quiver("D", 5))
+    for t in enumerate_tiltings(cc)[::25]:
+        assert verify_main_theorem(cc, t).agreement
+        assert json.loads(export_json(cc, t))["agreement"] is True
+    for argv in (("classify", "--tilting", "@mutations:1,2"),
+                 ("render", "--format", "json", "--tilting", "@mutations:3")):
+        code, out, err = run(capsys, argv[0], "--family", "D", "--rank", "5",
+                             *argv[1:])
+        assert (code, err) == (0, "") and out, argv

@@ -149,7 +149,7 @@ def test_mesh_relations_hold(category, family, rank):
     cc = category(family, rank)
     for z in cc.cids():
         w = cc.tau[z]
-        total = HomElement(cc, w, z, {})
+        total = HomElement(cc, w, z, (0,) * cc.hom_dim_c(w, z))
         for e in cc.succ[w]:
             total = total + cc.compose(cc.arrow_element(w, e),
                                        cc.arrow_element(e, z))
@@ -241,7 +241,7 @@ def test_zero_and_scaling_normal_forms(category):
     assert (f - f).is_zero()
     assert f.scale(0).is_zero()
     assert f.scale(Fraction(1, 2)).scale(2) == f
-    assert HomElement(cc, x, y, {}) == f - f
+    assert HomElement(cc, x, y, (0,) * cc.hom_dim_c(x, y)) == f - f
 
 
 @pytest.mark.parametrize("family,rank",

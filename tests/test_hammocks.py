@@ -6,6 +6,7 @@ from functools import cache
 import pytest
 
 from clustercat.algebra import PdClass, build_algebra, module_of, pd_class
+from clustercat.cluster import MeshConsistencyError
 from clustercat.hammocks import (
     HammockSet,
     Shape,
@@ -18,6 +19,7 @@ from clustercat.hammocks import (
     shifted_summand,
     verify_main_theorem,
 )
+from clustercat.meshhom import CoverFunctor
 from clustercat.polygon import diagonal_of
 from clustercat.tilting import (
     TiltingObject,
@@ -421,6 +423,7 @@ def test_module_actions_equal_direct_composition(category, family, rank):
     other key's direct matrix is empty, the shape its dimensions fix.
     """
     cc = category(family, rank)
+    eng = cc._get_engine()
     for t in enumerate_tiltings(cc):
         alg = build_algebra(cc, t)
         shifted = shifted_set(cc, t)
@@ -429,13 +432,13 @@ def test_module_actions_equal_direct_composition(category, family, rank):
                 continue
             bases = {i: cc.hom_basis(alg.summand[i], m) for i in alg.labels}
             got = module_of(alg, m).act
-            keys = {(i, j, b) for (i, j), hs in alg.hom.items()
-                    for b in range(len(hs))}
+            keys = {(i, j, b) for (i, j), d in alg.hom_dims.items()
+                    for b in range(d)}
             assert set(got) == {(i, j, b) for i, j, b in keys
                                 if bases[i] and bases[j]}
             for i, j, b in keys:
-                f = alg.hom[(i, j)][b]
-                cols = [alg.coords(cc.compose(f, g)) for g in bases[j]]
+                f = cc.hom_basis(alg.summand[i], alg.summand[j])[b]
+                cols = [eng.coords(cc.compose(f, g)) for g in bases[j]]
                 direct = tuple(tuple(col[r] for col in cols)
                                for r in range(len(bases[i])))
                 if (i, j, b) in got:
@@ -523,3 +526,13 @@ def test_hammock_table_equals_composing_every_pair(category, family, rank,
     for a in cc.cids():
         for b in cc.cids():
             assert eng.hammock(a, b) == composing_hammock(cc, a, b), (a, b)
+
+
+def test_vanishing_sectional_composite_is_rejected(category, monkeypatch):
+    cc = category("A", 3)
+    x, y = cc.arrows()[0]
+    assert sectional_path(cc, x, y) == [x, y]
+    monkeypatch.setattr(CoverFunctor, "apply_path", lambda *_args: None)
+    with pytest.raises(MeshConsistencyError,
+                       match="sectional path composite vanished"):
+        sectional_path(cc, x, y)

@@ -5,6 +5,7 @@ import pytest
 from clustercat.algebra import build_algebra
 from clustercat.cluster import MeshConsistencyError, build_cluster
 from clustercat.dynkin import build_quiver
+from clustercat.meshhom import CoverFunctor, HomElement
 from clustercat.tilting import enumerate_tiltings
 
 # the default orientation and one custom orientation per type
@@ -65,8 +66,9 @@ def test_projective_actions_equal_direct_composition(
             assert p.dim_vector() == tuple(alg.hom_dim(i, k)
                                            for i in alg.labels)
             for (i, j, b), mat in p.act.items():
-                f = alg.hom[(i, j)][b]
-                cols = [eng.coords(cc.compose(f, g)) for g in alg.hom[(j, k)]]
+                f = cc.hom_basis(alg.summand[i], alg.summand[j])[b]
+                cols = [eng.coords(cc.compose(f, g)) for g in
+                        cc.hom_basis(alg.summand[j], alg.summand[k])]
                 assert mat == tuple(tuple(col[r] for col in cols)
                                     for r in range(alg.hom_dim(i, k))), \
                     (t.summands, k, (i, j, b))
@@ -78,3 +80,40 @@ def test_mesh_dimension_is_checked_against_the_additive_count(monkeypatch):
     monkeypatch.setattr(cc, "hom_dim_c", lambda x, y: count(x, y) + 1)
     with pytest.raises(MeshConsistencyError, match="additive count"):
         cc._get_engine().dim(0, 0)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda lv: [(-1, 1)] + lv,   # a basis element below the seed
+    lambda lv: [(0, 2)] + lv[1:],  # a second basis element at the seed
+    lambda lv: [],               # End(x) = 0
+], ids=["below-seed", "wide-seed", "empty"])
+def test_identity_first_is_checked_when_a_functor_is_built(monkeypatch,
+                                                           corrupt):
+    cc = build_cluster(build_quiver("A", 3))
+    init = CoverFunctor.__init__
+
+    def corrupted(self, cc, src):
+        init(self, cc, src)
+        self.levels[src] = corrupt(self.levels[src])
+
+    monkeypatch.setattr(CoverFunctor, "__init__", corrupted)
+    eng = cc._get_engine()
+    for x in cc.cids():
+        with pytest.raises(MeshConsistencyError,
+                           match="identity is not the first End basis"):
+            eng.functor(x)
+
+
+def test_coords_rejects_a_wrong_coordinate_count():
+    cc = build_cluster(build_quiver("A", 3))
+    eng = cc._get_engine()
+    x, y = next((x, y) for x in cc.cids() for y in cc.cids()
+                if x != y and cc.hom_dim_c(x, y) == 1)
+    f = cc.hom_basis(x, y)[0]
+    assert eng.coords(f) == (1,)
+    for bad in ((), (1, 0)):
+        g = HomElement(cc, x, y, bad)
+        with pytest.raises(ValueError, match="coordinates for Hom"):
+            eng.coords(g)
+        with pytest.raises(ValueError, match="coordinates for Hom"):
+            cc.compose(cc.identity_element(x), g)
