@@ -76,6 +76,7 @@ class ClusterCategory:
 
         self._build_arrows()
         self._build_heights()
+        self._check_tau_is_automorphism()
         self._hom_memo: dict[tuple[int, int], int] = {}
         self._engine = None
 
@@ -177,6 +178,24 @@ class ClusterCategory:
             if rem:
                 raise MeshConsistencyError(f"inconsistent height along tau at {x}")
             self.tau_offsets[x] = off
+
+    def _check_tau_is_automorphism(self):
+        """tau moves arrows to arrows and their level offsets along.
+
+        meshhom builds Hom(tau^m x, -) by relabelling Hom(x, -), which is
+        sound exactly when tau(succ(c)) = succ(tau c) for every c and each
+        arrow p -> c keeps its cover lift under tau: offset(tau p, tau c) =
+        offset(p, c) + tau_offset(c) - tau_offset(p).
+        """
+        tau, t = self.tau, self.tau_offsets
+        for c in self.cids():
+            if set(self.succ[tau[c]]) != {tau[y] for y in self.succ[c]}:
+                raise MeshConsistencyError(
+                    f"tau does not carry the arrows out of {self.indecs[c]}")
+        for (p, c), off in self.arrow_offsets.items():
+            if self.arrow_offsets.get((tau[p], tau[c])) != off + t[c] - t[p]:
+                raise MeshConsistencyError(
+                    f"tau moves the cover lift of the arrow {p}->{c}")
 
     # -- Hom dimensions (derived-category route) ----------------------------
 

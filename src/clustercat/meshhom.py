@@ -24,13 +24,21 @@ of 4h + 2 levels stays as a hard cap, and support reaching its top two
 levels means the window or the theory is wrong and raises
 MeshConsistencyError.
 
+Only one functor per tau-orbit is knitted, that of the orbit's smallest
+cid r.  tau is an automorphism of the category (ClusterCategory checks
+that it carries the arrows and their cover offsets along), so F_x for
+x = tau^m r is F_r with every cover vertex, path record and act key moved
+by tau^m; CoverFunctor.moved builds it so and shares the arrow matrices.
+
 All coordinates are exact integers.  Every mesh cokernel is taken by an
 integer row reduction that accepts only pivots +-1, so the action matrices
 stay integral (entries in {-1, 0, 1} on types A and D); any other pivot
 raises MeshConsistencyError rather than falling back to Fractions.
 Basis order is deterministic: cover vertices by (height, cid), mesh
-middles by cid, quotient bases by the free indices of the rref; F_x at x
-starts with the identity, which functor(x) checks once per object.
+middles by cid, quotient bases by the free indices of the rref; a relabelled
+F_x keeps the order of its representative, so where tau puts the middles of
+a mesh out of cid order its hom_basis differs from a knitted one.  Every F_x
+at x starts with the identity, which functor(x) checks once per object.
 
 HomElement holds a morphism as its coordinates in hom_basis order (rational
 entries compose exactly); only tests, witnesses and the quiver presets build
@@ -164,6 +172,36 @@ class CoverFunctor:
         for lv in self.levels.values():
             lv.sort()
 
+    @classmethod
+    def moved(cls, rep: CoverFunctor, move: dict) -> CoverFunctor:
+        """F_{tau^m x} from F_x = rep, with move[c] = (tau^m c, s_m(c)).
+
+        s_m(c) adds up the tau offsets along c, tau c, ..., tau^{m-1} c, so
+        tau^m lifts to the cover as (c, k) -> (tau^m c, k + s_m(c)), and
+        ClusterCategory checks that it maps arrows to arrows with their
+        offsets.  Shifted to keep the seed at level 0, every vertex, path
+        record and act key of rep is relabelled; the arrow matrices and the
+        level dimensions are shared.
+        """
+        self = cls.__new__(cls)
+        self.cc = rep.cc
+        self.src, s0 = move[rep.src]
+        lift = {c: (d, s - s0) for c, (d, s) in move.items()}
+        self.basis = {}
+        for (c, k), recs in rep.basis.items():
+            d, s = lift[c]
+            self.basis[(d, k + s)] = [
+                tuple([(move[p][0], move[q][0]) for p, q in r]) for r in recs]
+        self.act = {}
+        for (p, c, kp), mat in rep.act.items():
+            d, s = lift[p]
+            self.act[(d, move[c][0], kp + s)] = mat
+        self.levels = {}
+        for c, lv in rep.levels.items():
+            d, s = lift[c]
+            self.levels[d] = [(k + s, dim) for k, dim in lv]
+        return self
+
     def apply_path(self, path, start, level, vec):
         """Push vec in F(start, level) through a path of AR-quiver arrows.
 
@@ -188,6 +226,9 @@ class CoverFunctor:
         return cur, lvl, v
 
 
+_NO_OBJECTS = frozenset()  # every empty H(a, b) of every category
+
+
 def zero_products(dxy: int, dyz: int, dxz: int):
     """products of a triple with a zero Hom space: dxy zero dxz x dyz matrices."""
     return (((0,) * dyz,) * dxz,) * dxy
@@ -208,22 +249,46 @@ class MeshHomEngine:
         self.cc = cc
         self._n = len(cc.indecs)
         self._functors: dict[int, CoverFunctor] = {}
+        # x -> (r, m) with x = tau^m r, r the smallest cid of the tau-orbit
+        self._orbit: dict[int, tuple[int, int]] = {}
+        for r in cc.cids():
+            x, m = r, 0
+            while x not in self._orbit:
+                self._orbit[x] = (r, m)
+                x, m = cc.tau[x], m + 1
+        self._moves = [{c: (c, 0) for c in cc.cids()}]  # m -> tau^m on the cover
         self._dims: dict[int, int] = {}  # x * n + y -> dim Hom(x, y)
         self._products: dict[int, tuple] = {}  # (x * n + y) * n + z -> entry
         self._interned: dict[tuple, tuple] = {}
         self._hammocks: dict[int, frozenset] = {}  # a * n + b -> H(a, b)
 
     def functor(self, x: int) -> CoverFunctor:
-        """F_x, built once; its basis of End(x) must start with the identity."""
+        """F_x, built once; its basis of End(x) must start with the identity.
+
+        Only the smallest cid r of each tau-orbit is knitted; x = tau^m r
+        relabels F_r by tau^m, which is an automorphism of the category.
+        """
         got = self._functors.get(x)
         if got is None:
-            got = CoverFunctor(self.cc, x)
+            r, m = self._orbit[x]
+            if m:
+                got = CoverFunctor.moved(self.functor(r), self._move(m))
+            else:
+                got = CoverFunctor(self.cc, x)
             lv = got.levels.get(x)
             if not lv or lv[0] != (0, 1):
                 raise MeshConsistencyError(
                     "identity is not the first End basis element")
             self._functors[x] = got
         return got
+
+    def _move(self, m: int):
+        """c -> (tau^m c, s_m(c)) for every cid c, see CoverFunctor.moved."""
+        moves, tau, t = self._moves, self.cc.tau, self.cc.tau_offsets
+        while len(moves) <= m:
+            moves.append({c: (tau[d], s + t[d])
+                          for c, (d, s) in moves[-1].items()})
+        return moves[m]
 
     def levels(self, x: int, y: int):
         """Sorted (level, dimension) pairs with nonzero F_x at lifts of y."""
@@ -367,8 +432,8 @@ class MeshHomEngine:
                 if dim(a, x) and dim(x, b)
                 and any(any(row) for mat in self.products(a, x, b)
                         for row in mat)
-            ) if dim(a, b) else frozenset()
-            self._hammocks[key] = got
+            ) if dim(a, b) else None
+            got = self._hammocks[key] = got or _NO_OBJECTS
         return got
 
     def _intern(self, value):

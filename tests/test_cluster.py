@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from clustercat.cluster import MeshConsistencyError
+from clustercat.cluster import ClusterCategory, MeshConsistencyError
+from clustercat.dynkin import build_quiver
 from clustercat.meshhom import HomElement
 from clustercat.polygon import diagonal_of, ext_dim_by_crossing
 
@@ -274,3 +275,31 @@ def test_early_stop_keeps_hom_bases(category, family, rank):
         assert len(eng.functor(x).basis) < _full_window_size(cc, x)
         for y in cc.cids():
             assert len(cc.hom_basis(x, y)) == cc.hom_dim_c(x, y)
+
+
+def _drop_a_successor(cc):
+    c = next(c for c in cc.cids() if len(cc.succ[c]) > 1)
+    cc.succ[c] = cc.succ[c][1:]
+
+
+def _shift_an_offset(cc):
+    arrow = next(iter(cc.arrow_offsets))
+    cc.arrow_offsets[arrow] += 1
+
+
+@pytest.mark.parametrize("stage,corrupt,message", [
+    ("_build_arrows", _drop_a_successor, "tau does not carry the arrows"),
+    ("_build_heights", _shift_an_offset, "tau moves the cover lift"),
+], ids=["successors", "offset"])
+def test_tau_must_be_a_quiver_automorphism(monkeypatch, stage, corrupt,
+                                           message):
+    """Relabelling F_x along tau needs both halves of the automorphism check."""
+    build = getattr(ClusterCategory, stage)
+
+    def corrupted(self):
+        build(self)
+        corrupt(self)
+
+    monkeypatch.setattr(ClusterCategory, stage, corrupted)
+    with pytest.raises(MeshConsistencyError, match=message):
+        ClusterCategory(build_quiver("D", 5))

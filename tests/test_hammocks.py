@@ -536,3 +536,14 @@ def test_vanishing_sectional_composite_is_rejected(category, monkeypatch):
     with pytest.raises(MeshConsistencyError,
                        match="sectional path composite vanished"):
         sectional_path(cc, x, y)
+
+
+@pytest.mark.parametrize("orientation", [
+    "default", ((3, 1), (3, 2), (4, 3), (4, 5))], ids=["default", "custom"])
+def test_empty_hammocks_are_one_object(category, orientation):
+    """Once every H(a, b) of D5 is filled, the empty ones are one object."""
+    cc = category("D", 5, orientation)
+    eng = cc._get_engine()
+    empty = [h for a in cc.cids() for b in cc.cids()
+             if not (h := eng.hammock(a, b))]
+    assert empty and all(h is empty[0] for h in empty)

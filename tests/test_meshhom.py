@@ -5,6 +5,7 @@ import pytest
 from clustercat.algebra import build_algebra
 from clustercat.cluster import MeshConsistencyError, build_cluster
 from clustercat.dynkin import build_quiver
+from clustercat.hammocks import verify_main_theorem
 from clustercat.meshhom import CoverFunctor, HomElement
 from clustercat.tilting import enumerate_tiltings
 
@@ -117,3 +118,80 @@ def test_coords_rejects_a_wrong_coordinate_count():
             eng.coords(g)
         with pytest.raises(ValueError, match="coordinates for Hom"):
             cc.compose(cc.identity_element(x), g)
+
+
+# tau puts some mesh middles out of cid order in each, so a relabelled basis
+# can differ from the knitted one
+RELABELLED = [
+    ("A", 5, "linear"),
+    ("D", 5, "default"),
+    ("D", 6, ((1, 3), (3, 2), (4, 3), (4, 5), (6, 5))),
+    ("A", 6, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5))),
+]
+RELABELLED_IDS = [oriented_id(c) for c in RELABELLED]
+
+
+def orbit_minima(cc):
+    """The smallest cid of every tau-orbit."""
+    seen, out = set(), []
+    for c in cc.cids():
+        if c not in seen:
+            out.append(c)
+            while c not in seen:
+                seen.add(c)
+                c = cc.tau[c]
+    return out
+
+
+@pytest.mark.parametrize("family,rank,orientation", RELABELLED,
+                         ids=RELABELLED_IDS)
+def test_relabelled_functors_have_the_knitted_levels(
+        category, family, rank, orientation):
+    cc = category(family, rank, orientation)
+    eng = cc._get_engine()
+    differ = 0
+    for x in cc.cids():
+        knitted = CoverFunctor(cc, x)
+        assert eng.functor(x).levels == knitted.levels, x
+        differ += eng.functor(x).basis != knitted.basis
+    assert differ  # some path records follow the representative's middles
+
+
+@pytest.mark.parametrize("family,rank,orientation", RELABELLED,
+                         ids=RELABELLED_IDS)
+def test_knitting_runs_once_per_tau_orbit(monkeypatch, family, rank,
+                                          orientation):
+    cc = build_cluster(build_quiver(family, rank, orientation))
+    knitted = []
+    init = CoverFunctor.__init__
+
+    def counting(self, cc, src):
+        knitted.append(src)
+        init(self, cc, src)
+
+    monkeypatch.setattr(CoverFunctor, "__init__", counting)
+    eng = cc._get_engine()
+    for x in reversed(cc.cids()):
+        eng.functor(x)
+    assert sorted(knitted) == orbit_minima(cc)
+
+
+# every tilting of D6 and A6 takes seconds, so those two run with the sweeps
+@pytest.mark.parametrize("family,rank,orientation", [
+    pytest.param(*case, marks=pytest.mark.sweep) if case[1] > 5 else case
+    for case in RELABELLED], ids=RELABELLED_IDS)
+def test_relabelled_bases_give_the_knitted_reports(
+        category, family, rank, orientation):
+    """verify_main_theorem on every tilting, against every F_x knitted."""
+    cc = category(family, rank, orientation)
+    direct = build_cluster(build_quiver(family, rank, orientation))
+    direct._get_engine()._functors.update(
+        (x, CoverFunctor(direct, x)) for x in direct.cids())
+    tiltings = enumerate_tiltings(cc)
+    assert [t.summands for t in tiltings] == \
+        [t.summands for t in enumerate_tiltings(direct)]
+    for t in tiltings:
+        got = verify_main_theorem(cc, t)
+        want = verify_main_theorem(direct, t)
+        assert (got.rows, got.modules, got.hij) == \
+            (want.rows, want.modules, want.hij), t.summands
