@@ -160,7 +160,8 @@ class ClusterTiltedAlgebra:
         return arrows
 
     def arrow_representatives(self):
-        """One Hom element per Gabriel arrow (i, j), modulo rad^2."""
+        """Per Gabriel arrow (i, j), coordinate tuples in Hom(T_j, T_i) of
+        morphisms spanning its arrows modulo rad^2."""
         rad2 = self.radical_power_spans(2)
         reps: dict[tuple[int, int], list] = {}
         s = self.summand
@@ -267,11 +268,8 @@ class AlgebraModule:
         self.dims = {i: dims[i] for i in alg.labels}
         self.act = act
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def is_zero(self) -> bool:
-        return self.total_dim() == 0
+        return not any(self.dims.values())
 
     def dim_vector(self):
         return tuple(self.dims.values())

@@ -42,7 +42,7 @@ from .tilting import (
     tilting_count,
 )
 
-# both names resolve to the same frozen D6 representative
+# both names resolve to the least tilting the cycle-quiver locator finds
 _QUIVER_PRESETS = ("d6-cycle", "paper-d6")
 
 
@@ -81,8 +81,6 @@ def _preset_tilting(cc, name) -> TiltingObject:
         raise InputError(f"unknown quiver preset {name!r}; "
                          f"known: {', '.join(_QUIVER_PRESETS)}")
     try:
-        if cc.quiver.arrows == build_quiver("D", 6).arrows:
-            return presets.cycle_d6_tilting(cc)
         hits = presets.find_cycle_tiltings(cc)
     except ValueError as e:
         raise InputError(str(e)) from None

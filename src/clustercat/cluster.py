@@ -9,8 +9,8 @@ successors of its translate.
 
 Hom dimensions come from the orbit-category sum Hom(X, Y) + Hom(X, FY) in the
 derived category with F = tau^{-1} [1]; only those two summands survive for a
-hereditary Dynkin algebra.  Explicit morphism spaces with composition live in
-meshhom and are reached through hom_basis/compose here.
+hereditary Dynkin algebra.  Explicit morphism spaces live in meshhom, reached
+through hom_basis/compose here; a morphism is its coordinate tuple.
 
 The integer grading ("height") makes every arrow raise the height by exactly
 1 and tau lower it by 2.  On the finite quotient the height is only defined
@@ -237,19 +237,16 @@ class ClusterCategory:
         return self._engine
 
     def hom_basis(self, x: int, y: int):
-        """Basis of Hom_C(X, Y) in the mesh category of the AR quiver.
+        """Unit coordinate vectors of Hom_C(X, Y); hom_basis(x, x)[0] is 1_X.
 
         Cardinality is checked against hom_dim_c (once per pair, since the
         mesh levels never change); disagreement raises MeshConsistencyError.
         """
         return self._get_engine().hom_basis(x, y)
 
-    def compose(self, g, h):
-        """h after g, for g: X -> Y and h: Y -> Z."""
-        return self._get_engine().compose(g, h)
-
-    def identity_element(self, x: int):
-        return self._get_engine().identity(x)
+    def compose(self, x: int, y: int, z: int, g, h):
+        """h after g, for coordinate tuples g: X -> Y and h: Y -> Z."""
+        return self._get_engine().compose(x, y, z, g, h)
 
     def arrow_element(self, x: int, y: int):
         return self._get_engine().arrow_element(x, y)

@@ -99,7 +99,8 @@ def factorization_ideal_nonzero(cc, tilting, m):
 
     I_M is the ideal of End_C(T[1]) of endomorphisms factoring through M;
     it is nonzero iff some nonzero composite T_i[1] -> M -> T_j[1] exists.
-    The witness is the first such basis pair, pairs (i, j) in label order.
+    The witness is the first such basis pair, g and h as coordinate tuples
+    in hom_basis order, pairs (i, j) in label order.
     Only meaningful for M outside add T[1]: a shifted summand always admits
     the identity factorization, so it is rejected here.
     """

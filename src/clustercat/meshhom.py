@@ -40,61 +40,16 @@ F_x keeps the order of its representative, so where tau puts the middles of
 a mesh out of cid order its hom_basis differs from a knitted one.  Every F_x
 at x starts with the identity, which functor(x) checks once per object.
 
-HomElement holds a morphism as its coordinates in hom_basis order (rational
-entries compose exactly); only tests, witnesses and the quiver presets build
-one, since the algebra and the hammock code read the integer tables.
+A morphism x -> y is the tuple of its coordinates in hom_basis(x, y) order;
+its source and target are passed beside it.  compose and arrow_element serve
+the tests, the witness search and the quiver presets; the algebra and the
+hammock code read the integer tables.
 """
 
 from __future__ import annotations
 
-from operator import add
-
 from .cluster import ClusterCategory, MeshConsistencyError
 from .linalg import matvec, unit_quotient_basis
-
-
-class HomElement:
-    """Morphism X -> Y as its coordinates in hom_basis(X, Y) order."""
-
-    __slots__ = ("cc", "src", "tgt", "coords")
-
-    def __init__(self, cc, src, tgt, coords):
-        self.cc = cc
-        self.src = src
-        self.tgt = tgt
-        self.coords = tuple(coords)
-
-    def is_zero(self):
-        return not any(self.coords)
-
-    def __add__(self, other):
-        if (other.src, other.tgt) != (self.src, self.tgt):
-            raise ValueError("cannot add morphisms with different ends")
-        return HomElement(self.cc, self.src, self.tgt,
-                          map(add, self.coords, other.coords))
-
-    def scale(self, c):
-        return HomElement(self.cc, self.src, self.tgt,
-                          [c * a for a in self.coords])
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (isinstance(other, HomElement)
-                and (self.src, self.tgt, self.coords)
-                == (other.src, other.tgt, other.coords))
-
-    def __hash__(self):
-        return hash((self.src, self.tgt, self.coords))
-
-    def __repr__(self):
-        if self.is_zero():
-            return f"0: {self.src}->{self.tgt}"
-        return f"Hom({self.src}->{self.tgt}; {list(self.coords)})"
 
 
 class CoverFunctor:
@@ -317,24 +272,20 @@ class MeshHomEngine:
         return got
 
     def hom_basis(self, x: int, y: int):
+        """The unit coordinate vectors of Hom(x, y)."""
         d = self.dim(x, y)
-        return [HomElement(self.cc, x, y, [int(i == j) for i in range(d)])
-                for j in range(d)]
+        return [tuple(int(i == j) for i in range(d)) for j in range(d)]
 
-    def coords(self, elem: HomElement):
-        """Coordinates of elem in hom_basis(src, tgt) order."""
-        d = self.dim(elem.src, elem.tgt)
-        if len(elem.coords) != d:
+    def coords(self, x: int, y: int, vec):
+        """vec as a coordinate tuple of Hom(x, y); its length must be the dim."""
+        d = self.dim(x, y)
+        if len(vec) != d:
             raise ValueError(
-                f"{len(elem.coords)} coordinates for Hom({elem.src},{elem.tgt}) "
-                f"of dimension {d}")
-        return elem.coords
-
-    def identity(self, x: int):
-        """The first basis element of End(x); functor(x) checks that it is."""
-        return self.hom_basis(x, x)[0]
+                f"{len(vec)} coordinates for Hom({x},{y}) of dimension {d}")
+        return tuple(vec)
 
     def arrow_element(self, x: int, y: int):
+        """The coordinates of the AR-quiver arrow x -> y."""
         if y not in self.cc.succ[x]:
             raise ValueError(f"no arrow {x}->{y} in the AR quiver")
         out = [0] * self.dim(x, y)
@@ -343,14 +294,12 @@ class MeshHomEngine:
             _, lvl, v = res
             start = self._starts(x, y)[lvl]
             out[start:start + len(v)] = v
-        return HomElement(self.cc, x, y, out)
+        return tuple(out)
 
-    def compose(self, g: HomElement, h: HomElement) -> HomElement:
-        """h after g, by path application; the product table is not read."""
-        if g.tgt != h.src:
-            raise ValueError("morphisms are not composable")
-        x, y, z = g.src, g.tgt, h.tgt
-        gc, hc = self.coords(g), self.coords(h)
+    def compose(self, x: int, y: int, z: int, g, h):
+        """h after g, for g: x -> y and h: y -> z, by path application; the
+        product table is not read."""
+        gc, hc = self.coords(x, y, g), self.coords(y, z, h)
         fx, fy = self.functor(x), self.functor(y)
         at_y, at = self._starts(x, y), self._starts(x, z)
         gvs = [(k, gc[at_y[k]:at_y[k] + d]) for k, d in self.levels(x, y)]
@@ -369,7 +318,7 @@ class MeshHomEngine:
                     raise MeshConsistencyError("path application lost track")
                 for r, a in enumerate(v, at[lvl]):
                     out[r] += coeff * a
-        return HomElement(self.cc, x, z, out)
+        return tuple(out)
 
     def products(self, x: int, y: int, z: int):
         """One matrix per basis element f of Hom(x, y): g -> g . f.

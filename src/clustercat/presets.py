@@ -97,13 +97,16 @@ def _relation_signature(alg):
     """(dead composites all zero, alive composites all nonzero)."""
     reps = alg.arrow_representatives()
     singles = {(i, j): fs[0] for (i, j), fs in reps.items()}
+    s = alg.summand
 
-    def composite(first, second):
-        # path i -> j -> k is the morphism T_k -> T_i
-        return alg.cc.compose(singles[second], singles[first])
+    def nonzero(first, second):
+        # path i -> j -> k is the morphism T_k -> T_j -> T_i
+        (i, j), (_j, k) = first, second
+        return any(alg.cc.compose(s[k], s[j], s[i],
+                                  singles[second], singles[first]))
 
-    dead = all(composite(p, q).is_zero() for p, q in CYCLE_D6_DEAD)
-    alive = all(not composite(p, q).is_zero() for p, q in CYCLE_D6_ALIVE)
+    dead = not any(nonzero(p, q) for p, q in CYCLE_D6_DEAD)
+    alive = all(nonzero(p, q) for p, q in CYCLE_D6_ALIVE)
     return dead, alive
 
 

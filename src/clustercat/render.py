@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 
 from .cluster import ClusterCategory
+from .dynkin import build_quiver
 from .hammocks import hij, hij_closed_form, verify_main_theorem
 from .tilting import TiltingObject
 
@@ -183,12 +184,20 @@ def render_ascii(cc: ClusterCategory, spec: RenderSpec = None) -> str:
     return "\n".join(lines + legend) + "\n"
 
 
+def _orientation_name(quiver) -> str:
+    """"default", or the quiver's arrows as the CLI's custom:s-t,... string."""
+    if quiver.arrows == build_quiver(quiver.family, quiver.rank).arrows:
+        return "default"
+    return "custom:" + ",".join(f"{s}-{t}" for s, t in quiver.arrows)
+
+
 def export_json(cc: ClusterCategory, tilting: TiltingObject,
-                orientation: str = "default") -> str:
+                orientation: str | None = None) -> str:
     """Byte-stable JSON document for a verification run over one tilting.
 
     A view of the verify report: the memberships and vertex sets are its
     H(i,j) table, and only the shapes are computed here, in closed form.
+    meta.orientation is the given string, else _orientation_name(cc.quiver).
     """
     report = verify_main_theorem(cc, tilting)
     modules = [
@@ -213,7 +222,7 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
         "meta": {
             "family": cc.quiver.family,
             "rank": cc.quiver.rank,
-            "orientation": orientation,
+            "orientation": orientation or _orientation_name(cc.quiver),
             "tilting": list(tilting.summands),
         },
         "modules": modules,
@@ -224,7 +233,7 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
 
 
 def render(cc: ClusterCategory, spec: RenderSpec,
-           orientation: str = "default") -> str:
+           orientation: str | None = None) -> str:
     if spec.format == "dot":
         return render_dot(cc, spec)
     if spec.format == "tikz":

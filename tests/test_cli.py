@@ -13,7 +13,7 @@ from clustercat.cli import main
 from clustercat.cluster import MeshConsistencyError, build_cluster
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import UnclassifiableShapeError, verify_main_theorem
-from clustercat.meshhom import HomElement
+from clustercat.meshhom import MeshHomEngine
 from clustercat.render import export_json
 from clustercat.tilting import enumerate_tiltings
 
@@ -344,12 +344,14 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.strip() == "5/5 agree"
 
 
-def test_verify_export_and_cli_build_no_hom_element(capsys, monkeypatch):
-    """The integer tables carry every report: no HomElement is made."""
-    def refuse(*_args):
-        raise AssertionError("a HomElement was built")
+def test_verify_export_and_cli_compose_no_morphism(capsys, monkeypatch):
+    """The integer tables carry every report: compose, hom_basis and coords
+    are never called."""
+    for name in ("compose", "hom_basis", "coords"):
+        def refuse(*_args, name=name):
+            raise AssertionError(f"MeshHomEngine.{name} was called")
 
-    monkeypatch.setattr(HomElement, "__init__", refuse)
+        monkeypatch.setattr(MeshHomEngine, name, refuse)
     cc = build_cluster(build_quiver("D", 5))
     for t in enumerate_tiltings(cc)[::25]:
         assert verify_main_theorem(cc, t).agreement

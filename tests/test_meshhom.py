@@ -6,7 +6,7 @@ from clustercat.algebra import build_algebra
 from clustercat.cluster import MeshConsistencyError, build_cluster
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import verify_main_theorem
-from clustercat.meshhom import CoverFunctor, HomElement
+from clustercat.meshhom import CoverFunctor
 from clustercat.tilting import enumerate_tiltings
 
 # the default orientation and one custom orientation per type
@@ -29,12 +29,11 @@ def oriented_id(case):
 
 def direct_products(cc, x, y, z):
     """Per basis f of Hom(x, y), the matrix of g -> g . f built by compose."""
-    eng = cc._get_engine()
     targets = cc.hom_basis(y, z)
     rows = cc.hom_dim_c(x, z)
     out = []
     for f in cc.hom_basis(x, y):
-        cols = [eng.coords(cc.compose(f, g)) for g in targets]
+        cols = [cc.compose(x, y, z, f, g) for g in targets]
         out.append(tuple(tuple(col[r] for col in cols) for r in range(rows)))
     return tuple(out)
 
@@ -59,17 +58,18 @@ def test_projective_actions_equal_direct_composition(
         category, family, rank, orientation):
     """projective_module(k) acts on Hom(T, T_k) by precomposition."""
     cc = category(family, rank, orientation)
-    eng = cc._get_engine()
     for t in enumerate_tiltings(cc)[::7]:
         alg = build_algebra(cc, t)
         for k in alg.labels:
             p = alg.projective_module(k)
             assert p.dim_vector() == tuple(alg.hom_dim(i, k)
                                            for i in alg.labels)
+            sk = alg.summand[k]
             for (i, j, b), mat in p.act.items():
-                f = cc.hom_basis(alg.summand[i], alg.summand[j])[b]
-                cols = [eng.coords(cc.compose(f, g)) for g in
-                        cc.hom_basis(alg.summand[j], alg.summand[k])]
+                si, sj = alg.summand[i], alg.summand[j]
+                f = cc.hom_basis(si, sj)[b]
+                cols = [cc.compose(si, sj, sk, f, g)
+                        for g in cc.hom_basis(sj, sk)]
                 assert mat == tuple(tuple(col[r] for col in cols)
                                     for r in range(alg.hom_dim(i, k))), \
                     (t.summands, k, (i, j, b))
@@ -106,18 +106,23 @@ def test_identity_first_is_checked_when_a_functor_is_built(monkeypatch,
 
 
 def test_coords_rejects_a_wrong_coordinate_count():
+    """coords and both argument positions of compose check the length."""
     cc = build_cluster(build_quiver("A", 3))
     eng = cc._get_engine()
     x, y = next((x, y) for x in cc.cids() for y in cc.cids()
                 if x != y and cc.hom_dim_c(x, y) == 1)
     f = cc.hom_basis(x, y)[0]
-    assert eng.coords(f) == (1,)
+    assert eng.coords(x, y, f) == (1,)
+    assert eng.coords(x, y, [1]) == (1,)
+    idx, idy = cc.hom_basis(x, x)[0], cc.hom_basis(y, y)[0]
+    assert cc.compose(x, x, y, idx, f) == cc.compose(x, y, y, f, idy) == f
     for bad in ((), (1, 0)):
-        g = HomElement(cc, x, y, bad)
         with pytest.raises(ValueError, match="coordinates for Hom"):
-            eng.coords(g)
+            eng.coords(x, y, bad)
         with pytest.raises(ValueError, match="coordinates for Hom"):
-            cc.compose(cc.identity_element(x), g)
+            cc.compose(x, x, y, idx, bad)
+        with pytest.raises(ValueError, match="coordinates for Hom"):
+            cc.compose(x, y, y, bad, idy)
 
 
 # tau puts some mesh middles out of cid order in each, so a relabelled basis

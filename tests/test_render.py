@@ -7,6 +7,8 @@ import re
 import pytest
 
 from clustercat import presets
+from clustercat.cli import _parse_orientation
+from clustercat.dynkin import build_quiver
 from clustercat.hammocks import hij
 from clustercat.render import (
     RenderSpec,
@@ -119,6 +121,24 @@ def test_json_schema_and_byte_stability(category):
         assert h["vertices"] == sorted(h["vertices"])
     # re-serializing the parsed document reproduces the bytes
     assert json.dumps(data, sort_keys=True, indent=2) + "\n" == doc
+
+
+@pytest.mark.parametrize("family,rank,arrows,name", [
+    ("A", 3, ((2, 1), (2, 3)), "custom:2-1,2-3"),
+    ("D", 4, ((3, 1), (2, 3), (4, 3)), "custom:3-1,2-3,4-3"),
+    ("D", 4, ((1, 3), (2, 3), (3, 4)), "default"),
+], ids=["A3-custom", "D4-custom", "D4-default-arrows"])
+def test_json_meta_names_the_category(category, family, rank, arrows, name):
+    """Without an orientation argument, meta names the category's arrows in
+    the CLI's syntax, and the name builds the same quiver again."""
+    cc = category(family, rank, arrows)
+    t = initial_tilting(cc)
+    for doc in (export_json(cc, t), render(cc, RenderSpec("json", tilting=t))):
+        assert json.loads(doc)["meta"]["orientation"] == name
+    assert build_quiver(family, rank,
+                        _parse_orientation(name)).arrows == cc.quiver.arrows
+    given = json.loads(export_json(cc, t, "as-given"))["meta"]["orientation"]
+    assert given == "as-given"
 
 
 def test_json_hereditary_a2_agreement_and_no_infinite(category):
