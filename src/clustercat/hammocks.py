@@ -9,7 +9,8 @@ T_i[1] -> T_j[1] factors through M.  This module computes the supports
     _jH    = { X : Hom_C(X, T_j[1]) != 0 }          (right hammock)
     H(i,j) = { X : some nonzero T_i[1] -> T_j[1] factors through X }
 
-by exact composition in the mesh category, classifies each nonempty H(i,j)
+exactly in the mesh category (H(i,j) from Hom(T_i[1], -) alone, by a
+backward sweep of its cover window), classifies each nonempty H(i,j)
 into one of three closed forms (sectional path, swing, full intersection),
 and cross-checks the factorization criterion, membership in the union of
 the H(i,j), against the syzygy computation of projdim for every
@@ -70,9 +71,10 @@ def right_hammock(cc, tilting, j) -> frozenset:
 def _pairing_witness(cc, x, a, b):
     """A basis pair (g, h) with h o g != 0 for g: a -> x, h: x -> b, else None.
 
-    The additive counts rule a witness out as they do in hij.  The
+    The additive counts rule a witness out before any table is read.  The
     composites are read off the category's product table: column h of
-    the matrix of g is the composite of basis elements g and h.
+    the matrix of g is the composite of basis elements g and h.  hij does
+    not call it: the hammock table is filled without the product table.
     """
     if not (cc.hom_dim_c(a, b) and cc.hom_dim_c(a, x) and cc.hom_dim_c(x, b)):
         return None
@@ -86,9 +88,12 @@ def _pairing_witness(cc, x, a, b):
 def hij(cc, tilting, i, j) -> frozenset:
     """Exact H(i,j): the cids x with some nonzero T_i[1] -> x -> T_j[1].
 
-    H(i,j) depends only on the pair (T_i[1], T_j[1]), not on the rest of
-    the tilting, so it is a read of the category's hammock table, filled
-    from the product table on first use.
+    H(i,j) depends only on the pair (a, b) = (T_i[1], T_j[1]), not on the
+    rest of the tilting, so it is a read of the category's hammock table.
+    An entry is filled on first use by one backward sweep over the cover
+    window of Hom(a, -) (MeshHomEngine.hammock): it reads that functor's
+    arrow matrices and the additive counts Hom(x, b), builds no functor
+    of a middle object x, and stores no product.
     """
     return cc._get_engine().hammock(shifted_summand(cc, tilting, i),
                                     shifted_summand(cc, tilting, j))

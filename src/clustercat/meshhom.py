@@ -9,12 +9,22 @@ higher vertex V with translate U and mesh middles E_1..E_r gets
 
 the cokernel of the mesh map.  Exactness of the mesh (AR triangle) makes
 this the genuine Hom space at every vertex above the seed.  Each basis
-element remembers one representative path of arrows from the seed, so
-composition is path application through the stored arrow matrices.
+element remembers one representative path of arrows from the seed, the
+record of a predecessor's basis element followed by one arrow, so
+composition is path application through the stored arrow matrices;
+compose walks whole paths and is the reference the two tables below are
+tested against.
+
 MeshHomEngine.products tabulates the composites of basis elements once per
-category, and the algebra and hammock code read them from there; next to it,
-MeshHomEngine.hammock keeps H(a, b), the objects that a nonzero a -> b
-factors through, once per pair.
+category, a whole row (x, y, -) at a time: F_y's records are walked once
+in knit order, and the image of each under a unit vector of F_x is one
+arrow matrix of F_x applied to the image of its prefix.  The algebra reads
+its modules and structure constants from there.  MeshHomEngine.hammock
+keeps H(a, b), the objects that a nonzero a -> b factors through, once per
+pair.  It is decided from F_a alone, by one sweep from the top of its
+window down that tracks which functionals some arrow path carries to a
+lift of b, so it builds no functor of a middle object and reads no
+product.
 
 Knitting stops early: the mesh at height g reads only heights g - 1 (the
 middles) and g - 2 (the translate), so once two consecutive height levels
@@ -43,10 +53,16 @@ at x starts with the identity, which functor(x) checks once per object.
 A morphism x -> y is the tuple of its coordinates in hom_basis(x, y) order;
 its source and target are passed beside it.  compose and arrow_element serve
 the tests, the witness search and the quiver presets; the algebra and the
-hammock code read the integer tables.
+hammock code read the integer tables.  Both tables are exact: the product
+rows are integer matrix products, and the sweep keeps its spans as integer
+echelon bases.
 """
 
 from __future__ import annotations
+
+from bisect import insort
+from math import gcd
+from operator import mul
 
 from .cluster import ClusterCategory, MeshConsistencyError
 from .linalg import matvec, unit_quotient_basis
@@ -184,6 +200,25 @@ class CoverFunctor:
 _NO_OBJECTS = frozenset()  # every empty H(a, b) of every category
 
 
+def _echelon_add(span, vec):
+    """Add the integer row vec to span unless it lies in its row span.
+
+    span is an echelon basis: (pivot, row) pairs sorted by pivot, each row
+    zero before its pivot.  vec is reduced in pivot order by integer
+    cross-multiplication, so nothing leaves the integers, and what remains
+    is divided by its gcd.
+    """
+    for p, row in span:
+        if vec[p]:
+            f, g = row[p], vec[p]
+            vec = [f * x - g * y for x, y in zip(vec, row)]
+    for p, x in enumerate(vec):
+        if x:
+            g = gcd(*vec)
+            insort(span, (p, tuple([e // g for e in vec])))
+            return
+
+
 def zero_products(dxy: int, dyz: int, dxz: int):
     """products of a triple with a zero Hom space: dxy zero dxz x dyz matrices."""
     return (((0,) * dyz,) * dxz,) * dxy
@@ -193,11 +228,11 @@ class MeshHomEngine:
     """Hom spaces of one category, and its tables of basis products and
     hammocks.
 
-    products(x, y, z) is filled once per triple and hammock(a, b) once per
-    pair, and both are read by every tilting of the category; identical
-    matrices are shared through one intern map.  The memo tables are keyed
-    by one int per pair or triple of cids, which takes less memory than a
-    tuple key.
+    products(x, y, z) is filled once per row (x, y, -) and hammock(a, b)
+    once per pair, and both are read by every tilting of the category;
+    identical matrices are shared through one intern map.  The memo tables
+    are keyed by one int per pair or triple of cids, which takes less
+    memory than a tuple key.
     """
 
     def __init__(self, cc: ClusterCategory):
@@ -325,10 +360,9 @@ class MeshHomEngine:
 
         The matrix maps Hom(y, z) to Hom(x, z) in hom_basis coordinates
         (rows Hom(x, z), columns Hom(y, z)), the layout of a module action.
-        Each triple is filled once, by pushing the unit vectors of F_x at
-        the lifts of y along the path representatives of Hom(y, z).  A
-        triple with a zero Hom space is not stored: its matrices are zero,
-        of the shape the dimensions give.
+        The first read of a triple fills its whole row (x, y, -) at once,
+        see _fill_row.  A triple with a zero Hom space is not stored: its
+        matrices are zero, of the shape the dimensions give.
         """
         key = (x * self._n + y) * self._n + z
         got = self._products.get(key)
@@ -337,53 +371,135 @@ class MeshHomEngine:
         dxy, dyz, dxz = self.dim(x, y), self.dim(y, z), self.dim(x, z)
         if not (dxy and dyz and dxz):
             return zero_products(dxy, dyz, dxz)
+        self._fill_row(x, y)
+        return self._products[key]
+
+    def _fill_row(self, x: int, y: int):
+        """Store products(x, y, z) for every z with Hom(y, z) and Hom(x, z)
+        nonzero, in one pass over the path records of F_y per unit vector.
+
+        A unit vector e of F_x at a lift (y, k) is the image of the seed
+        record.  Every other record of F_y, at (c, l), is the record of a
+        predecessor (p, l') followed by the arrow p -> c, so its image is
+        the arrow matrix of F_x at (p, k + l') applied to the image of that
+        prefix.  Records are visited in knit order, which puts every prefix
+        first; the image of the record of basis element g of Hom(y, z) is
+        column g of the matrix of e.
+        """
         fx, fy = self.functor(x), self.functor(y)
-        at = self._starts(x, z)
-        mats = [[[0] * dyz for _ in range(dxz)] for _ in range(dxy)]
-        row = 0
+        act, offsets, n = fx.act, self.cc.arrow_offsets, self._n
+        # the targets z, with F_x's starts at their lifts, the zero column
+        # of Hom(x, z), and the matrices of the unit vectors done so far
+        starts = {z: self._starts(x, z) for z in fy.levels if z in fx.levels}
+        zeros = {z: (0,) * self.dim(x, z) for z in starts}
+        mats = {z: [] for z in starts}
+        # per record of F_y in knit order: the index of its prefix (-1 for
+        # the seed), the tail and F_y level of its last arrow, and where its
+        # image goes: the end c, its F_y level l and its column in Hom(y, c)
+        steps, index = [], {}
+        for (c, l), recs in fy.basis.items():
+            if not recs:
+                continue
+            col = self._starts(y, c)[l] if c in starts else 0
+            for i, rec in enumerate(recs, col):
+                index[rec] = len(steps)
+                if not rec:
+                    steps.append((-1, None, None, c, l, i))
+                    continue
+                p = rec[-1][0]
+                q = index.get(rec[:-1])
+                if q is None:
+                    raise MeshConsistencyError("path application lost track")
+                steps.append((q, p, l - offsets[(p, c)], c, l, i))
+        if len(steps) != sum(d for lv in fy.levels.values() for _k, d in lv):
+            raise MeshConsistencyError(
+                f"path records of Hom({y}, -) do not match its levels")
         for k, dk in fx.levels[y]:
-            units = [tuple(int(i == a) for i in range(dk)) for a in range(dk)]
-            col = 0
-            for l, _dl in fy.levels[z]:
-                for path in fy.basis[(z, l)]:
-                    for a, unit in enumerate(units):
-                        res = fx.apply_path(path, y, k, unit)
-                        if res is None:
-                            continue
-                        cur, lvl, v = res
-                        if cur != z or lvl != k + l or lvl not in at:
+            for a in range(dk):
+                images = []  # per record: its image at (c, k + l), or None
+                cols = {z: [zero] * self.dim(y, z)
+                        for z, zero in zeros.items()}
+                for q, p, lp, c, l, col in steps:
+                    if q < 0:
+                        v = tuple(int(i == a) for i in range(dk))
+                    elif (v := images[q]) is not None:
+                        mat = act.get((p, c, k + lp))
+                        if mat is None:
                             raise MeshConsistencyError(
-                                "path application lost track")
-                        mat = mats[row + a]
-                        for r, e in enumerate(v, at[lvl]):
-                            mat[r][col] = e
-                    col += 1
-            row += dk
-        got = self._intern(tuple(
-            self._intern(tuple(map(tuple, m))) for m in mats))
-        self._products[key] = got
-        return got
+                                "nonzero morphism escaped the cover window")
+                        v = matvec(mat, v)
+                        if not any(v):
+                            v = None
+                    images.append(v)
+                    if v is None:
+                        continue
+                    at = starts[c].get(k + l) if c in starts else None
+                    if at is None:
+                        raise MeshConsistencyError(
+                            "path application lost track")
+                    zero = zeros[c]
+                    cols[c][col] = zero[:at] + v + zero[at + len(v):]
+                for z, done in mats.items():
+                    done.append(self._intern(tuple(zip(*cols[z]))))
+        for z, done in mats.items():
+            self._products[(x * n + y) * n + z] = self._intern(tuple(done))
 
     def hammock(self, a: int, b: int) -> frozenset:
         """H(a, b): the cids x with some nonzero composite a -> x -> b.
 
-        The composite is bilinear, so x belongs exactly when products(a, x,
-        b) has a nonzero entry.  Every composite lies in Hom(a, b), and one
-        through x needs Hom(a, x) and Hom(x, b), so the additive counts rule
-        out a vertex without reading the table.
+        Decided from F_a = Hom(a, -) alone, by one sweep over its knitted
+        cover vertices from the top down.  R(v) is the row span of the
+        functionals on F_a(v) that some arrow path carries to a lift of b:
+        all of them at a lift of b, elsewhere the span of R(w) . act[v -> w]
+        over the arrows v -> w.  Arrow paths span every Hom space of the
+        mesh category, so x belongs exactly when R is nonzero at some lift
+        of x.  A vertex c with Hom(c, b) = 0 has R = 0 and is skipped, and
+        an empty Hom(a, b) gives the empty set without a sweep.
         """
         key = a * self._n + b
         got = self._hammocks.get(key)
         if got is None:
-            dim = self.cc.hom_dim_c
-            got = frozenset(
-                x for x in self.cc.cids()
-                if dim(a, x) and dim(x, b)
-                and any(any(row) for mat in self.products(a, x, b)
-                        for row in mat)
-            ) if dim(a, b) else None
+            got = self._sweep(a, b) if self.dim(a, b) else None
             got = self._hammocks[key] = got or _NO_OBJECTS
         return got
+
+    def _sweep(self, a: int, b: int) -> frozenset:
+        """The cids with R != 0, see hammock.  R(v) is an integer echelon
+        basis, kept only for the sweep."""
+        fa, cc = self.functor(a), self.cc
+        basis, act = fa.basis, fa.act
+        dim, succ, offsets = cc.hom_dim_c, cc.succ, cc.arrow_offsets
+        spans = {}
+        found = set()
+        # every arrow of the cover raises the height, and knit order (which
+        # CoverFunctor.moved keeps) ascends it, so reversed it is top down
+        for (c, k), recs in reversed(basis.items()):
+            d = len(recs)
+            if not d or not dim(c, b):
+                continue
+            if c == b:
+                span = [(i, tuple(int(i == j) for j in range(d)))
+                        for i in range(d)]
+            else:
+                span = []
+                for w in succ[c]:
+                    kw = k + offsets[(c, w)]
+                    mat = act.get((c, w, k))
+                    if len(basis.get((w, kw), ())) != (
+                            0 if mat is None else len(mat)):
+                        raise MeshConsistencyError(
+                            f"arrow {c}->{w} of Hom({a}, -) has no matrix "
+                            "matching its knitted vertices")
+                    for _p, row in spans.get((w, kw), ()):
+                        if len(span) < d:
+                            _echelon_add(span, [sum(map(mul, col, row))
+                                                for col in zip(*mat)])
+            if span:
+                spans[(c, k)] = span
+                found.add(c)
+        # filled in cid order: a set's iteration order can depend on the
+        # order it was filled in, and the reports print these sets
+        return frozenset(x for x in cc.cids() if x in found)
 
     def _intern(self, value):
         return self._interned.setdefault(value, value)

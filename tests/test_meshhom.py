@@ -7,7 +7,7 @@ from clustercat.cluster import MeshConsistencyError, build_cluster
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import verify_main_theorem
 from clustercat.meshhom import CoverFunctor
-from clustercat.tilting import enumerate_tiltings
+from clustercat.tilting import enumerate_tiltings, initial_tilting, mutate
 
 # the default orientation and one custom orientation per type
 ORIENTED = [
@@ -200,3 +200,86 @@ def test_relabelled_bases_give_the_knitted_reports(
         want = verify_main_theorem(direct, t)
         assert (got.rows, got.modules, got.hij) == \
             (want.rows, want.modules, want.hij), t.summands
+
+
+def arrow_inside_support(f):
+    """(c, w, k, kw): a cover arrow (c, k) -> (w, kw) of the functor f with
+    both ends nonzero, the last arrow of some basis record at (w, kw)."""
+    for (w, kw), recs in f.basis.items():
+        for rec in recs:
+            if rec:
+                c = rec[-1][0]
+                k = kw - f.cc.arrow_offsets[(c, w)]
+                if f.basis.get((c, k)):
+                    return c, w, k, kw
+    raise AssertionError("no arrow between two nonzero vertices")
+
+
+SMALL = [("A", 4, "default"), ("D", 4, ((3, 1), (2, 3), (4, 3)))]
+
+
+@pytest.mark.parametrize("family,rank,orientation", SMALL,
+                         ids=[oriented_id(c) for c in SMALL])
+@pytest.mark.parametrize("part", ["act", "basis"])
+def test_hammock_sweep_rejects_a_corrupted_functor(family, rank, orientation,
+                                                   part):
+    """An arrow matrix or a basis lift of F_a deleted after the knit."""
+    cc = build_cluster(build_quiver(family, rank, orientation))
+    eng = cc._get_engine()
+    a = next(x for x in cc.cids() if len(eng.functor(x).basis) > 2)
+    fa = eng.functor(a)
+    c, w, k, kw = arrow_inside_support(fa)
+    if part == "act":
+        del fa.act[(c, w, k)]
+    else:
+        del fa.basis[(w, kw)]
+    with pytest.raises(MeshConsistencyError, match="knitted vertices"):
+        eng.hammock(a, w)
+
+
+@pytest.mark.parametrize("family,rank,orientation", SMALL,
+                         ids=[oriented_id(c) for c in SMALL])
+@pytest.mark.parametrize("part", ["act", "basis"])
+def test_product_rows_reject_a_corrupted_functor(family, rank, orientation,
+                                                 part):
+    """products(y, y, y) walks the records of F_y with F_y's own matrices,
+    so every image is a basis vector; one matrix or lift deleted fails."""
+    cc = build_cluster(build_quiver(family, rank, orientation))
+    eng = cc._get_engine()
+    y = next(x for x in cc.cids() if len(eng.functor(x).basis) > 2)
+    fy = eng.functor(y)
+    c, w, k, kw = arrow_inside_support(fy)
+    if part == "act":
+        del fy.act[(c, w, k)]
+        match = "escaped the cover window"
+    else:
+        del fy.basis[(c, k) if (c, k) != (y, 0) else (w, kw)]
+        match = "lost track|do not match its levels"
+    with pytest.raises(MeshConsistencyError, match=match):
+        eng.products(y, y, y)
+
+
+@pytest.mark.parametrize("family,rank,orientation,word", [
+    ("D", 8, "default", (3, 5, 4, 6, 2, 3, 7, 5)),
+    ("A", 10, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (6, 7), (8, 7),
+               (8, 9), (10, 9)), (2, 3, 5, 4, 7, 6, 9, 8, 3)),
+], ids=["D8-default", "A10-2-1,2-3,4-3,4-5,6-5,6-7,8-7,8-9,10-9"])
+def test_cold_verify_builds_only_the_functors_it_reads(family, rank,
+                                                       orientation, word):
+    """A fresh category's verify knits Hom(x, -) for x in add T, add T[1]
+    and their tau-orbit representatives only, and stores no product with
+    its source in add T[1]: H(i, j) is a sweep of Hom(T_i[1], -)."""
+    cc = build_cluster(build_quiver(family, rank, orientation))
+    t = initial_tilting(cc)
+    for k in word:
+        t = mutate(cc, t, k)
+    report = verify_main_theorem(cc, t)
+    assert report.agreement and report.infinite_cids()
+    eng = cc._get_engine()
+    shifted = {cc.shift(s) for s in t.summands}
+    read = set(t.summands) | shifted
+    allowed = read | {eng._orbit[x][0] for x in read}
+    assert set(eng._functors) <= allowed
+    n = len(cc.indecs)
+    assert eng._products
+    assert not {key // (n * n) for key in eng._products} & shifted

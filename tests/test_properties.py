@@ -1,0 +1,90 @@
+"""Property tests over random orientations of A5, A6, D5 and D6.
+
+Each test draws an orientation of the Dynkin diagram (every edge either
+way), then pairs, triples or a mutation word, and checks one of the exact
+tables against an independent route:
+
+- the hammock sweep against composing every basis pair through x;
+- product rows, filled in a random order on a fresh engine, against
+  direct composition;
+- a cold export against a warm one of the same tilting, byte for byte.
+
+Examples are capped so the module stays a few seconds of the Tier-1 run
+(see `--durations`); a checkout without hypothesis skips it.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from clustercat.cluster import build_cluster  # noqa: E402
+from clustercat.dynkin import build_quiver, diagram_edges  # noqa: E402
+from clustercat.meshhom import MeshHomEngine  # noqa: E402
+from clustercat.render import export_json  # noqa: E402
+from clustercat.tilting import initial_tilting, mutate  # noqa: E402
+
+from test_hammocks import composing_hammock  # noqa: E402
+from test_meshhom import direct_products  # noqa: E402
+
+SETTINGS = hypothesis.settings(max_examples=25, deadline=None,
+                               database=None)
+TYPES = [("A", 5), ("A", 6), ("D", 5), ("D", 6)]
+
+
+@st.composite
+def oriented_types(draw):
+    """(family, rank, arrows): every diagram edge drawn in either direction."""
+    family, rank = draw(st.sampled_from(TYPES))
+    edges = sorted(tuple(sorted(e)) for e in diagram_edges(family, rank))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges),
+                          max_size=len(edges)))
+    arrows = tuple((t, s) if flip else (s, t)
+                   for (s, t), flip in zip(edges, flips))
+    return family, rank, arrows
+
+
+@SETTINGS
+@hypothesis.given(case=oriented_types(), data=st.data())
+def test_hammock_sweep_equals_composing(category, case, data):
+    """b is drawn among the targets of a nonzero map from a, half the time,
+    so most pairs have a nonempty H(a, b)."""
+    cc = category(*case)
+    eng = cc._get_engine()
+    for _ in range(data.draw(st.integers(1, 4))):
+        a = data.draw(st.sampled_from(cc.cids()))
+        b = data.draw(st.sampled_from(cc.cids()) | st.sampled_from(
+            [x for x in cc.cids() if cc.hom_dim_c(a, x)]))
+        assert eng.hammock(a, b) == composing_hammock(cc, a, b), (a, b)
+
+
+@SETTINGS
+@hypothesis.given(case=oriented_types(), data=st.data())
+def test_product_rows_in_any_order_equal_composition(category, case, data):
+    """A fresh engine on a cached category: its rows are filled in the drawn
+    order, and compose reads the category's own engine, not that table."""
+    cc = category(*case)
+    eng = MeshHomEngine(cc)
+    for _ in range(data.draw(st.integers(1, 6))):
+        x = data.draw(st.sampled_from(cc.cids()))
+        y = data.draw(st.sampled_from(
+            [c for c in cc.cids() if cc.hom_dim_c(x, c)]))
+        z = data.draw(st.sampled_from(cc.cids()))
+        assert eng.products(x, y, z) == direct_products(cc, x, y, z), \
+            (x, y, z)
+
+
+@SETTINGS
+@hypothesis.given(case=oriented_types(), data=st.data())
+def test_export_is_byte_stable(category, case, data):
+    """The first export of a tilting fills the tables of a fresh category,
+    the second reads them, and the suite's shared category, whose tables
+    other tests filled in another order, gives the same bytes."""
+    family, rank, arrows = case
+    cc = build_cluster(build_quiver(family, rank, arrows))
+    t = initial_tilting(cc)
+    for k in data.draw(st.lists(st.integers(1, rank), max_size=8)):
+        t = mutate(cc, t, k)
+    first = export_json(cc, t)
+    assert export_json(cc, t) == first
+    assert export_json(category(*case), t) == first
