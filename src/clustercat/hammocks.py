@@ -12,7 +12,8 @@ T_i[1] -> T_j[1] factors through M.  This module computes the supports
 exactly in the mesh category (H(i,j) from Hom(T_i[1], -) alone, by a
 backward sweep of its cover window), classifies each nonempty H(i,j)
 into one of three closed forms (sectional path, swing, full intersection),
-and cross-checks the factorization criterion, membership in the union of
+both kept once per pair of cids (T_i[1], T_j[1]) by the category, and
+cross-checks the factorization criterion, membership in the union of
 the H(i,j), against the syzygy computation of projdim for every
 indecomposable.
 """
@@ -198,18 +199,32 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
     Hom(T_i[1], T_i) != 0 forces the swing, but the swing also occurs in
     boundary-orbit configurations where that Hom vanishes, so the routes
     themselves are the discriminator.
+
+    Like H(i,j) the answer depends only on the pair (T_i[1], T_j[1]), so
+    after the family and the labels are checked it is a read of the
+    category's table of closed forms (MeshHomEngine.closed_form), filled
+    on first use by the case analysis above; the labels of the returned
+    set are the caller's.
     """
     family = cc.quiver.family
     if family not in ("A", "D"):
         raise ValueError("closed forms are defined for families A and D only")
     a = shifted_summand(cc, tilting, i)
     b = shifted_summand(cc, tilting, j)
+    vertices, shape = cc._get_engine().closed_form(
+        a, b, lambda: _classify(cc, tilting, i, j, a, b))
+    return HammockSet(i, j, vertices, shape)
+
+
+def _classify(cc, tilting, i, j, a, b):
+    """(vertices, shape) of H(i,j) for a = T_i[1], b = T_j[1], in the case
+    order of hij_closed_form; errors name the labels (i, j)."""
     if cc.hom_dim_c(a, b) == 0:
-        return HammockSet(i, j, frozenset(), Shape.EMPTY)
+        return frozenset(), Shape.EMPTY
     path = sectional_path(cc, a, b)
     if path is not None:
-        return HammockSet(i, j, frozenset(path), Shape.SECTIONAL_PATH)
-    if family == "A":
+        return frozenset(path), Shape.SECTIONAL_PATH
+    if cc.quiver.family == "A":
         raise UnclassifiableShapeError(
             "type A hammock (%d,%d) is nonempty but has no sectional path"
             % (i, j)
@@ -220,14 +235,14 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
         for p, q in routes:
             verts.update(p)
             verts.update(q)
-        return HammockSet(i, j, frozenset(verts), Shape.SWING)
+        return frozenset(verts), Shape.SWING
     if routes:
         raise UnclassifiableShapeError(
             "hammock (%d,%d): %d wide-middle routes, expected 0 or 2"
             % (i, j, len(routes))
         )
     inter = left_hammock(cc, tilting, i) & right_hammock(cc, tilting, j)
-    return HammockSet(i, j, inter, Shape.FULL_INTERSECTION)
+    return inter, Shape.FULL_INTERSECTION
 
 
 @dataclass

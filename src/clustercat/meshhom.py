@@ -24,7 +24,8 @@ keeps H(a, b), the objects that a nonzero a -> b factors through, once per
 pair.  It is decided from F_a alone, by one sweep from the top of its
 window down that tracks which functionals some arrow path carries to a
 lift of b, so it builds no functor of a middle object and reads no
-product.
+product.  MeshHomEngine.closed_form keeps the closed-form shape of H(a, b)
+beside it, once per pair, computed by the hammocks module on first use.
 
 Knitting stops early: the mesh at height g reads only heights g - 1 (the
 middles) and g - 2 (the translate), so once two consecutive height levels
@@ -225,11 +226,12 @@ def zero_products(dxy: int, dyz: int, dxz: int):
 
 
 class MeshHomEngine:
-    """Hom spaces of one category, and its tables of basis products and
-    hammocks.
+    """Hom spaces of one category, and its tables of basis products,
+    hammocks and their closed forms.
 
-    products(x, y, z) is filled once per row (x, y, -) and hammock(a, b)
-    once per pair, and both are read by every tilting of the category;
+    products(x, y, z) is filled once per row (x, y, -), hammock(a, b) and
+    closed_form(a, b, ...) once per pair, and all three are read by every
+    tilting of the category;
     identical matrices are shared through one intern map.  The memo tables
     are keyed by one int per pair or triple of cids, which takes less
     memory than a tuple key.
@@ -251,6 +253,7 @@ class MeshHomEngine:
         self._products: dict[int, tuple] = {}  # (x * n + y) * n + z -> entry
         self._interned: dict[tuple, tuple] = {}
         self._hammocks: dict[int, frozenset] = {}  # a * n + b -> H(a, b)
+        self._closed_forms: dict[int, tuple] = {}  # a * n + b -> (H, shape)
 
     def functor(self, x: int) -> CoverFunctor:
         """F_x, built once; its basis of End(x) must start with the identity.
@@ -461,6 +464,20 @@ class MeshHomEngine:
         if got is None:
             got = self._sweep(a, b) if self.dim(a, b) else None
             got = self._hammocks[key] = got or _NO_OBJECTS
+        return got
+
+    def closed_form(self, a: int, b: int, classify) -> tuple:
+        """(vertices, shape) of the closed form of H(a, b), see
+        hammocks.hij_closed_form.
+
+        Like H(a, b) it depends only on the pair, not on the tilting that
+        reaches it, so classify() runs once per pair, on first use; an entry
+        whose classify() raises is not stored.
+        """
+        key = a * self._n + b
+        got = self._closed_forms.get(key)
+        if got is None:
+            got = self._closed_forms[key] = classify()
         return got
 
     def _sweep(self, a: int, b: int) -> frozenset:

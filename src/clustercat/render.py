@@ -196,16 +196,22 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
     """Byte-stable JSON document for a verification run over one tilting.
 
     A view of the verify report: the memberships and vertex sets are its
-    H(i,j) table, and only the shapes are computed here, in closed form.
+    H(i,j) table, read once in label order, and the shapes are reads of the
+    category's table of closed forms (hij_closed_form).
     meta.orientation is the given string, else _orientation_name(cc.quiver).
     """
     report = verify_main_theorem(cc, tilting)
+    in_hij = {m: [] for m in report.modules}
+    for (i, j), h in report.hij.items():
+        for m in h:
+            if m in in_hij:
+                in_hij[m].append([i, j])
     modules = [
         {
             "cid": m,
             "dim_vector": list(dims),
             "pd": pd.value,
-            "in_hij": [[i, j] for (i, j), h in report.hij.items() if m in h],
+            "in_hij": in_hij[m],
         }
         for m, (dims, _syzygies, pd) in report.modules.items()
     ]

@@ -5,11 +5,14 @@ from functools import cache
 
 import pytest
 
+import clustercat.hammocks as hammocks
 from clustercat.algebra import PdClass, build_algebra, module_of, pd_class
-from clustercat.cluster import MeshConsistencyError
+from clustercat.cluster import MeshConsistencyError, build_cluster
+from clustercat.dynkin import build_quiver
 from clustercat.hammocks import (
     HammockSet,
     Shape,
+    UnclassifiableShapeError,
     factorization_ideal_nonzero,
     hij,
     hij_closed_form,
@@ -21,6 +24,7 @@ from clustercat.hammocks import (
 )
 from clustercat.meshhom import CoverFunctor
 from clustercat.polygon import diagonal_of
+from clustercat.presets import cycle_d6_tilting
 from clustercat.tilting import (
     TiltingObject,
     enumerate_tiltings,
@@ -211,6 +215,50 @@ def test_swing_equals_exact_hammock(category):
     pred = hij_closed_form(cc, t, 3, 2)
     assert pred.shape is Shape.SWING
     assert pred.vertices == hij(cc, t, 3, 2)
+
+
+@pytest.mark.parametrize("family,rank,arrows", [
+    ("A", 5, "default"),
+    ("D", 5, "default"),
+    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5))),
+], ids=["A5-default", "D5-default", "D5-31,32,43,45"])
+def test_closed_form_table_equals_a_cold_classification(category, family,
+                                                        rank, arrows):
+    """The shared category's table, filled by every tilting in turn, gives
+    what a fresh category classifies for the tilting at hand.  The table
+    keeps one entry per pair of cids, and a pair reached under other labels
+    returns the caller's (i, j)."""
+    cc = category(family, rank, arrows)
+    labels = range(1, rank + 1)
+    by_pair = {}
+    for t in enumerate_tiltings(cc):
+        fresh = build_cluster(build_quiver(family, rank, arrows))
+        for i in labels:
+            for j in labels:
+                warm = hij_closed_form(cc, t, i, j)
+                assert warm == hij_closed_form(fresh, t, i, j), (t, i, j)
+                assert (warm.i, warm.j) == (i, j)
+                pair = (shifted_summand(cc, t, i), shifted_summand(cc, t, j))
+                by_pair.setdefault(pair, set()).add((i, j))
+    assert len(cc._get_engine()._closed_forms) == len(by_pair)
+    assert any(len(seen) > 1 for seen in by_pair.values())
+
+
+def test_unclassifiable_shape_is_not_stored(monkeypatch):
+    """A classification that raises leaves no entry: it raises again on the
+    next call, and the true shape is found once the fault is gone."""
+    cc = build_cluster(build_quiver("D", 6))
+    t = cycle_d6_tilting(cc)
+
+    def three_routes(_cc, a, b):
+        return [([a], [b])] * 3
+
+    with monkeypatch.context() as patch:
+        patch.setattr(hammocks, "_swing_routes", three_routes)
+        for _ in range(2):
+            with pytest.raises(UnclassifiableShapeError):
+                hij_closed_form(cc, t, 3, 2)
+    assert hij_closed_form(cc, t, 3, 2).shape is Shape.SWING
 
 
 def hom_ii_nonzero(cc, t, i):

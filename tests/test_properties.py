@@ -7,7 +7,10 @@ tables against an independent route:
 - the hammock sweep against composing every basis pair through x;
 - product rows, filled in a random order on a fresh engine, against
   direct composition;
-- a cold export against a warm one of the same tilting, byte for byte.
+- a cold export against a warm one of the same tilting, byte for byte;
+- the closed form of every H(i, j) against the exact set, on tiltings
+  reached by a mutation word;
+- mutating twice at one label gives the tilting back.
 
 Examples are capped so the module stays a few seconds of the Tier-1 run
 (see `--durations`); a checkout without hypothesis skips it.
@@ -20,6 +23,7 @@ st = hypothesis.strategies
 
 from clustercat.cluster import build_cluster  # noqa: E402
 from clustercat.dynkin import build_quiver, diagram_edges  # noqa: E402
+from clustercat.hammocks import hij, hij_closed_form  # noqa: E402
 from clustercat.meshhom import MeshHomEngine  # noqa: E402
 from clustercat.render import export_json  # noqa: E402
 from clustercat.tilting import initial_tilting, mutate  # noqa: E402
@@ -42,6 +46,11 @@ def oriented_types(draw):
     arrows = tuple((t, s) if flip else (s, t)
                    for (s, t), flip in zip(edges, flips))
     return family, rank, arrows
+
+
+def mutation_word(data, rank):
+    """Labels to mutate at, in order, from the initial tilting."""
+    return data.draw(st.lists(st.integers(1, rank), max_size=8))
 
 
 @SETTINGS
@@ -83,8 +92,40 @@ def test_export_is_byte_stable(category, case, data):
     family, rank, arrows = case
     cc = build_cluster(build_quiver(family, rank, arrows))
     t = initial_tilting(cc)
-    for k in data.draw(st.lists(st.integers(1, rank), max_size=8)):
+    for k in mutation_word(data, rank):
         t = mutate(cc, t, k)
     first = export_json(cc, t)
     assert export_json(cc, t) == first
     assert export_json(category(*case), t) == first
+
+
+@SETTINGS
+@hypothesis.given(case=oriented_types(), data=st.data())
+def test_closed_forms_have_the_exact_vertices(category, case, data):
+    """On a tilting reached by a mutation word, the closed form of every
+    H(i, j), read from the shared category's table or classified there on
+    first use, has exactly the vertices of the hammock sweep."""
+    rank = case[1]
+    cc = category(*case)
+    t = initial_tilting(cc)
+    for k in mutation_word(data, rank):
+        t = mutate(cc, t, k)
+    for i in range(1, rank + 1):
+        for j in range(1, rank + 1):
+            assert hij_closed_form(cc, t, i, j).vertices == hij(cc, t, i, j), \
+                (t.summands, i, j)
+
+
+@SETTINGS
+@hypothesis.given(case=oriented_types(), data=st.data())
+def test_mutation_is_an_involution(category, case, data):
+    """Every step of a mutation word is undone by mutating at its label
+    again."""
+    rank = case[1]
+    cc = category(*case)
+    t = initial_tilting(cc)
+    for k in mutation_word(data, rank):
+        s = mutate(cc, t, k)
+        assert s.summands != t.summands
+        assert mutate(cc, s, k).summands == t.summands, (t.summands, k)
+        t = s

@@ -6,8 +6,10 @@ import re
 
 import pytest
 
+import clustercat.hammocks as hammocks
 from clustercat import presets
 from clustercat.cli import _parse_orientation
+from clustercat.cluster import build_cluster
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import hij
 from clustercat.render import (
@@ -204,3 +206,19 @@ def test_d6_preset_export_is_byte_stable(category):
     cc = category("D", 6)
     text = export_json(cc, presets.cycle_d6_tilting(cc))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == D6_PRESET_SHA256
+
+
+def test_second_export_reads_the_closed_form_table(monkeypatch):
+    """The shapes of a tilting are classified on its first export only: the
+    second walks no sectional path or swing route and reads no support."""
+    cc = build_cluster(build_quiver("D", 6))
+    t = presets.cycle_d6_tilting(cc)
+    first = export_json(cc, t)
+
+    def computed_again(*_args):
+        raise AssertionError("a closed form was computed twice")
+
+    for name in ("sectional_path", "_swing_routes", "left_hammock",
+                 "right_hammock"):
+        monkeypatch.setattr(hammocks, name, computed_again)
+    assert export_json(cc, t) == first
