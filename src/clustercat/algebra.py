@@ -19,9 +19,13 @@ are Hom_C(T, T_k), and syzygies are kernels of minimal projective covers
 with the restricted action.  Syzygies are memoized per algebra by content
 (dimension vector and live action matrices): the cover, its row reductions
 and every guard run once per distinct module, and a module equal entry for
-entry to one seen before gets the stored syzygy back.  Syzygies decide the
-projective dimension class: 0, 1, or infinite; a finite dimension of 2 or
-more cannot occur and is guarded by an assertion on the third syzygy.
+entry to one seen before gets the stored syzygy back.  The row reductions
+beneath them (the top and the kernel of the cover, label by label) are
+shared more widely: linalg.quotient_basis keeps one table for the whole
+process, so a small quotient met over one tilting is read back over every
+other algebra that meets it.  Syzygies decide the projective dimension
+class: 0, 1, or infinite; a finite dimension of 2 or more cannot occur and
+is guarded by an assertion on the third syzygy.
 """
 
 from __future__ import annotations
@@ -333,9 +337,9 @@ class AlgebraModule:
         kernels = {}
         for i, n in ncols.items():
             # one column per lift (k, f) and basis element b of Hom(T_i, T_k)
-            rows = list(zip(*[[row[f] for row in act[key]] for k, f in lifts
-                              for key in basis_keys.get((i, k), ())])
-                        ) if self.dims[i] else []
+            rows = tuple(zip(*[[row[f] for row in act[key]] for k, f in lifts
+                               for key in basis_keys.get((i, k), ())])
+                         ) if self.dims[i] else ()
             free, basis = quotient_basis(rows, n)
             if n - len(free) != self.dims[i]:
                 raise MeshConsistencyError("projective cover is not surjective")

@@ -10,7 +10,9 @@ tables against an independent route:
 - a cold export against a warm one of the same tilting, byte for byte;
 - the closed form of every H(i, j) against the exact set, on tiltings
   reached by a mutation word;
-- mutating twice at one label gives the tilting back.
+- mutating twice at one label gives the tilting back;
+- the syzygy-route classes and the sets H(i, j) of tau T and tau^-1 T
+  are those of T moved by tau and tau^-1 (on A5, D5 and D6 only).
 
 Examples are capped so the module stays a few seconds of the Tier-1 run
 (see `--durations`); a checkout without hypothesis skips it.
@@ -23,10 +25,18 @@ st = hypothesis.strategies
 
 from clustercat.cluster import build_cluster  # noqa: E402
 from clustercat.dynkin import build_quiver, diagram_edges  # noqa: E402
-from clustercat.hammocks import hij, hij_closed_form  # noqa: E402
+from clustercat.hammocks import (  # noqa: E402
+    hij,
+    hij_closed_form,
+    verify_main_theorem,
+)
 from clustercat.meshhom import MeshHomEngine  # noqa: E402
 from clustercat.render import export_json  # noqa: E402
-from clustercat.tilting import initial_tilting, mutate  # noqa: E402
+from clustercat.tilting import (  # noqa: E402
+    TiltingObject,
+    initial_tilting,
+    mutate,
+)
 
 from test_hammocks import composing_hammock  # noqa: E402
 from test_meshhom import direct_products  # noqa: E402
@@ -37,9 +47,9 @@ TYPES = [("A", 5), ("A", 6), ("D", 5), ("D", 6)]
 
 
 @st.composite
-def oriented_types(draw):
+def oriented_types(draw, types=TYPES):
     """(family, rank, arrows): every diagram edge drawn in either direction."""
-    family, rank = draw(st.sampled_from(TYPES))
+    family, rank = draw(st.sampled_from(types))
     edges = sorted(tuple(sorted(e)) for e in diagram_edges(family, rank))
     flips = draw(st.lists(st.booleans(), min_size=len(edges),
                           max_size=len(edges)))
@@ -129,3 +139,27 @@ def test_mutation_is_an_involution(category, case, data):
         assert s.summands != t.summands
         assert mutate(cc, s, k).summands == t.summands, (t.summands, k)
         t = s
+
+
+@SETTINGS
+@hypothesis.given(case=oriented_types([("A", 5), ("D", 5), ("D", 6)]),
+                  data=st.data())
+def test_pd_classes_move_along_tau(category, case, data):
+    """tau is an autoequivalence of C, so End(tau T) = End(T) label by
+    label and Hom(tau T, tau M) = Hom(T, M) as modules: the dim vector,
+    syzygy dim vectors and pd class of M over T are those of tau M over
+    tau T, and H(i, j) moves to tau H(i, j).  Checked for tau and its
+    inverse on a tilting reached by a mutation word."""
+    rank = case[1]
+    cc = category(*case)
+    t = initial_tilting(cc)
+    for k in mutation_word(data, rank):
+        t = mutate(cc, t, k)
+    report = verify_main_theorem(cc, t)
+    for move in (cc.tau, cc.tau_inv):
+        moved = verify_main_theorem(
+            cc, TiltingObject(move[s] for s in t.summands))
+        assert moved.modules == {move[m]: got
+                                 for m, got in report.modules.items()}
+        assert moved.hij == {ij: frozenset(move[x] for x in got)
+                             for ij, got in report.hij.items()}
