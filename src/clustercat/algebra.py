@@ -20,12 +20,13 @@ with the restricted action.  Syzygies are memoized per algebra by content
 (dimension vector and live action matrices): the cover, its row reductions
 and every guard run once per distinct module, and a module equal entry for
 entry to one seen before gets the stored syzygy back.  The row reductions
-beneath them (the top and the kernel of the cover, label by label) are
-shared more widely: linalg.quotient_basis keeps one table for the whole
-process, so a small quotient met over one tilting is read back over every
-other algebra that meets it.  Syzygies decide the projective dimension
-class: 0, 1, or infinite; a finite dimension of 2 or more cannot occur and
-is guarded by an assertion on the third syzygy.
+beneath them (the top and the kernel of the cover, label by label, and the
+identity blocks) are reads of the category's table of quotients,
+MeshHomEngine.quotient, shared by every tilting of the category; a pivot
+other than +-1 raises MeshConsistencyError, so every action matrix stays
+integral.  Syzygies decide the projective dimension class: 0, 1, or
+infinite; a finite dimension of 2 or more cannot occur and is guarded by an
+assertion on the third syzygy.
 """
 
 from __future__ import annotations
@@ -34,19 +35,9 @@ import enum
 from operator import mul
 
 from .cluster import ClusterCategory, MeshConsistencyError
-from .linalg import quotient_basis, rank
 from .tilting import TiltingObject
 
 _ONE = 1
-_IDENTITY: dict[int, tuple] = {}  # n -> the n x n identity matrix
-
-
-def _identity(n: int):
-    got = _IDENTITY.get(n)
-    if got is None:
-        got = _IDENTITY[n] = tuple(tuple(int(r == c) for c in range(n))
-                                   for r in range(n))
-    return got
 
 
 class PdClass(enum.Enum):
@@ -60,8 +51,9 @@ class PdClass(enum.Enum):
 
 class ClusterTiltedAlgebra:
     """End_C(T) as integers only: Hom dimensions, basis keys and reads of
-    the category's product table.  The Hom engine checks, once per object,
-    that the identity of each End(T_i) is its first basis element."""
+    the category's product and quotient tables.  The Hom engine checks,
+    once per object, that the identity of each End(T_i) is its first basis
+    element."""
 
     def __init__(self, cc: ClusterCategory, tilting: TiltingObject):
         self.cc = cc
@@ -70,6 +62,7 @@ class ClusterTiltedAlgebra:
         self.labels = tuple(range(1, self.n + 1))
         self.summand = {i: tilting[i - 1] for i in self.labels}
         self._engine = eng = cc._get_engine()
+        self._quotient = eng.quotient
         s = self.summand
         self.hom_dims = {(i, j): eng.dim(s[i], s[j])
                          for i in self.labels for j in self.labels}
@@ -158,7 +151,7 @@ class ClusterTiltedAlgebra:
                 if i == j:
                     # quotient by the identity line as well, leaving rad/rad^2
                     span.append(tuple(_ONE if t == 0 else 0 for t in range(d)))
-                mult = d - rank(span)
+                mult = len(self._quotient(tuple(span), d)[0])
                 if mult > 0:
                     arrows.append((i, j, mult))
         return arrows
@@ -174,7 +167,7 @@ class ClusterTiltedAlgebra:
             d = self.hom_dim(j, i)
             if i == j:
                 span.append(tuple(_ONE if t == 0 else 0 for t in range(d)))
-            free, _ = quotient_basis(span, d)
+            free, _ = self._quotient(tuple(span), d)
             if len(free) != mult:
                 raise MeshConsistencyError("arrow count and complement disagree")
             basis = self.cc.hom_basis(s[j], s[i])
@@ -243,7 +236,7 @@ class ClusterTiltedAlgebra:
         if got is None:
             mod = module_of(self, self.summand[k])
             for i, d in mod.dims.items():
-                if d and mod.act[(i, i, 0)] != _identity(d):
+                if d and mod.act[(i, i, 0)] != self._quotient((), d)[1]:
                     raise MeshConsistencyError(
                         f"the identity of End(T_{i}) does not act as the "
                         f"identity on P_{k}")
@@ -290,10 +283,10 @@ class AlgebraModule:
 
     def top_lifts(self):
         """(label, index) pairs: the unit vectors lifting a basis of V / V.rad."""
-        spans = self.radical_image()
+        spans, quotient = self.radical_image(), self.alg._quotient
         # a zero label has no top; skipping it saves a quotient per label
         return [(k, f) for k in self.alg.labels if self.dims[k]
-                for f in quotient_basis(spans[k], self.dims[k])[0]]
+                for f in quotient(tuple(spans[k]), self.dims[k])[0]]
 
     def syzygy(self) -> "AlgebraModule":
         """Kernel of the minimal projective cover, with restricted action.
@@ -327,7 +320,7 @@ class AlgebraModule:
         empty matrix is not stored.
         """
         alg = self.alg
-        basis_keys, act = alg.basis_keys, self.act
+        basis_keys, act, quotient = alg.basis_keys, self.act, alg._quotient
         lifts = self.top_lifts()
         if not lifts:
             if not self.is_zero():
@@ -340,7 +333,7 @@ class AlgebraModule:
             rows = tuple(zip(*[[row[f] for row in act[key]] for k, f in lifts
                                for key in basis_keys.get((i, k), ())])
                          ) if self.dims[i] else ()
-            free, basis = quotient_basis(rows, n)
+            free, basis = quotient(rows, n)
             if n - len(free) != self.dims[i]:
                 raise MeshConsistencyError("projective cover is not surjective")
             kernels[i] = free, basis
@@ -356,9 +349,9 @@ class AlgebraModule:
             for key in keys:
                 terms = moving.get(key)
                 if terms is None:
-                    if di:
-                        out[key] = (_identity(di) if i == j and not key[2]
-                                    else ((0,) * dj,) * di)
+                    if di:  # the identity is the quotient of no rows
+                        out[key] = (quotient((), di)[1] if i == j
+                                    and not key[2] else ((0,) * dj,) * di)
                     continue
                 cols = []
                 for w in kernels[j][1]:

@@ -251,6 +251,3 @@ class ClusterCategory:
     def arrow_element(self, x: int, y: int):
         return self._get_engine().arrow_element(x, y)
 
-
-def build_cluster(quiver: QuiverDescriptor) -> ClusterCategory:
-    return ClusterCategory(quiver)

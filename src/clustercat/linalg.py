@@ -7,18 +7,16 @@ divide, which turns the rows it touches into exact Fractions.
 Everything is immutable from the caller's point of view: functions never
 mutate their arguments and return tuples, which may be shared.
 
-quotient_basis keeps one table for the whole process, from the content of
-an all-integer query (its rows and ambient dimension) to its result.  The
-syzygy route asks for few distinct small quotients very many times (1302
-distinct among 1.36 million queries over every tilting of D7), so each is
-reduced once, by the same code an uncached call runs, and every later
-query with equal rows reads it back.
+The engine reduces only through unit_quotient_basis, which accepts +-1
+pivots alone, and keeps its results in a table per category (see
+meshhom.MeshHomEngine.quotient).  quotient_basis, rref and rank are plain
+rational functions without a table, for the representation oracle and the
+tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 from operator import mul
 from typing import Sequence
 
@@ -90,13 +88,6 @@ def _complement_rows(red, pivots, ncols):
     return free, tuple(out)
 
 
-# (rows, ambient_dim) -> quotient_basis, for rows of ints only: an equal
-# query with a Fraction entry, say Fraction(2) for 2, hashes alike but must
-# get Fraction results, so it is computed and never stored
-_QUOTIENTS: dict[tuple, tuple] = {}
-_INT_ONLY = frozenset((int,)).issuperset
-
-
 def quotient_basis(span_rows, ambient_dim):
     """Data for the quotient of Q^ambient_dim by the row span of span_rows.
 
@@ -104,22 +95,9 @@ def quotient_basis(span_rows, ambient_dim):
     len(free_indices) rows and ambient_dim columns; applying it to a vector
     yields its class in the quotient, coordinates dual to the images of the
     unit vectors e_f for f in free_indices.  Its rows are also a basis of
-    the right kernel of span_rows, the identity on the free columns.  The
-    result of integer rows is reduced once per distinct (rows, ambient_dim)
-    and then read from the module's table; any other entry type is reduced
-    on every call.  Both give exactly what the reduction gives.
+    the right kernel of span_rows, the identity on the free columns.
     """
-    rows = tuple(span_rows)
-    if rows and not _INT_ONLY(map(type, chain.from_iterable(rows))):
-        return _complement_rows(*rref(rows), ambient_dim)
-    key = rows, ambient_dim
-    try:
-        got = _QUOTIENTS.get(key)
-    except TypeError:  # list rows: key the table by their tuples
-        return quotient_basis(tuple(map(tuple, rows)), ambient_dim)
-    if got is None:
-        got = _QUOTIENTS[key] = _complement_rows(*rref(rows), ambient_dim)
-    return got
+    return _complement_rows(*rref(span_rows), ambient_dim)
 
 
 def unit_quotient_basis(span_rows, ambient_dim):
@@ -129,8 +107,7 @@ def unit_quotient_basis(span_rows, ambient_dim):
     MeshConsistencyError: mesh cokernels are integral, so one would be a bug,
     never a case to handle over Fraction.
     """
-    red, pivots = _rref(span_rows, unit_pivots=True) if span_rows else ((), ())
-    return _complement_rows(red, pivots, ambient_dim)
+    return _complement_rows(*_rref(span_rows, unit_pivots=True), ambient_dim)
 
 
 def matvec(mat, vec):

@@ -41,8 +41,9 @@ that it carries the arrows and their cover offsets along), so F_x for
 x = tau^m r is F_r with every cover vertex, path record and act key moved
 by tau^m; CoverFunctor.moved builds it so and shares the arrow matrices.
 
-All coordinates are exact integers.  Every mesh cokernel is taken by an
-integer row reduction that accepts only pivots +-1, so the action matrices
+All coordinates are exact integers.  Every row reduction of the category,
+the mesh cokernels and those of its algebras, is read from
+MeshHomEngine.quotient and accepts only pivots +-1, so the action matrices
 stay integral (entries in {-1, 0, 1} on types A and D); any other pivot
 raises MeshConsistencyError rather than falling back to Fractions.
 Basis order is deterministic: cover vertices by (height, cid), mesh
@@ -93,6 +94,7 @@ class CoverFunctor:
         self.basis: dict[tuple[int, int], list[tuple]] = {}
         self.act: dict[tuple[int, int, int], tuple] = {}
         basis, act, height, tau = self.basis, self.act, cc.height, cc.tau
+        quotient = cc._get_engine().quotient
         last = g0  # highest height with a nonzero vertex so far
         for g, c, k in (
                 (g, c, (g - height[c]) // H)
@@ -120,7 +122,7 @@ class CoverFunctor:
                     if bp:
                         col.extend([row[j] for row in act[(w, p, kw)]])
                 span.append(tuple(col))
-            free, proj = unit_quotient_basis(span, amb)
+            free, proj = quotient(tuple(span), amb)
             recs = []
             for f in free:
                 for p, kp, bp, o in blocks:
@@ -227,14 +229,14 @@ def zero_products(dxy: int, dyz: int, dxz: int):
 
 class MeshHomEngine:
     """Hom spaces of one category, and its tables of basis products,
-    hammocks and their closed forms.
+    hammocks, their closed forms and quotients.
 
     products(x, y, z) is filled once per row (x, y, -), hammock(a, b) and
-    closed_form(a, b, ...) once per pair, and all three are read by every
-    tilting of the category;
-    identical matrices are shared through one intern map.  The memo tables
-    are keyed by one int per pair or triple of cids, which takes less
-    memory than a tuple key.
+    closed_form(a, b, ...) once per pair, quotient(rows, n) once per
+    distinct query, and all four are read by every tilting of the category;
+    identical matrices are shared through one intern map.  The tables of
+    cids are keyed by one int per pair or triple, which takes less memory
+    than a tuple key.
     """
 
     def __init__(self, cc: ClusterCategory):
@@ -254,6 +256,7 @@ class MeshHomEngine:
         self._interned: dict[tuple, tuple] = {}
         self._hammocks: dict[int, frozenset] = {}  # a * n + b -> H(a, b)
         self._closed_forms: dict[int, tuple] = {}  # a * n + b -> (H, shape)
+        self._quotients: dict[tuple, tuple] = {}  # (rows, n) -> quotient
 
     def functor(self, x: int) -> CoverFunctor:
         """F_x, built once; its basis of End(x) must start with the identity.
@@ -517,6 +520,16 @@ class MeshHomEngine:
         # filled in cid order: a set's iteration order can depend on the
         # order it was filled in, and the reports print these sets
         return frozenset(x for x in cc.cids() if x in found)
+
+    def quotient(self, rows: tuple, n: int):
+        """unit_quotient_basis(rows, n) for a tuple of integer row tuples,
+        reduced once per distinct query; a query that raises is not stored.
+        """
+        key = rows, n
+        got = self._quotients.get(key)
+        if got is None:
+            got = self._quotients[key] = unit_quotient_basis(rows, n)
+        return got
 
     def _intern(self, value):
         return self._interned.setdefault(value, value)

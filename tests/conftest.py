@@ -1,6 +1,6 @@
 import pytest
 
-from clustercat.cluster import build_cluster
+from clustercat.cluster import ClusterCategory
 from clustercat.dynkin import build_quiver
 
 _cache = {}
@@ -10,7 +10,7 @@ def _category(family, rank, orientation="default"):
     key = (family, rank,
            orientation if isinstance(orientation, str) else tuple(orientation))
     if key not in _cache:
-        _cache[key] = build_cluster(build_quiver(family, rank, orientation))
+        _cache[key] = ClusterCategory(build_quiver(family, rank, orientation))
     return _cache[key]
 
 

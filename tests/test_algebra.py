@@ -6,7 +6,7 @@ import pytest
 from clustercat import linalg
 from clustercat.algebra import (AlgebraModule, PdClass, build_algebra,
                                 module_of, pd_class)
-from clustercat.cluster import MeshConsistencyError, build_cluster
+from clustercat.cluster import ClusterCategory, MeshConsistencyError
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import verify_main_theorem
 from clustercat.tilting import TiltingObject, enumerate_tiltings, initial_tilting
@@ -250,7 +250,7 @@ def corrupt_table(monkeypatch, cc, triple, corrupt):
 
 def test_projective_with_a_corrupted_identity_block_is_rejected(monkeypatch):
     """Syzygies write identity blocks; projective_module checks them."""
-    cc = build_cluster(build_quiver("D", 4))
+    cc = ClusterCategory(build_quiver("D", 4))
     alg = build_algebra(cc, TiltingObject((0, 1, 3, 8)))
     s = alg.summand
     pairs = [(i, k) for i in alg.labels for k in alg.labels
@@ -276,7 +276,7 @@ def test_syzygy_checks_the_image_where_the_kernel_is_zero(monkeypatch):
     on P_3.  A table entry that makes it act by 1 sends the kernel at 4
     out of the zero kernel at 3.
     """
-    cc = build_cluster(build_quiver("D", 4))
+    cc = ClusterCategory(build_quiver("D", 4))
     t = TiltingObject((0, 1, 3, 8))
     clean = module_of(build_algebra(cc, t), 2).syzygy()
     assert clean.dim_vector() == (0, 0, 0, 1)
@@ -295,7 +295,7 @@ def test_syzygy_checks_the_image_where_the_kernel_is_zero(monkeypatch):
 def test_syzygy_rejects_a_nonzero_module_with_zero_top():
     # labels 3 and 4 of this D4 tilting carry arrows both ways; acting by
     # 1 on both puts all of V in V.rad, which no module can do
-    cc = build_cluster(build_quiver("D", 4))
+    cc = ClusterCategory(build_quiver("D", 4))
     alg = build_algebra(cc, TiltingObject((0, 1, 3, 8)))
     one = ((1,),)
     bad = AlgebraModule(alg, {1: 0, 2: 0, 3: 1, 4: 1},
@@ -303,6 +303,25 @@ def test_syzygy_rejects_a_nonzero_module_with_zero_top():
                                               (4, 3, 0), (4, 4, 0))})
     with pytest.raises(MeshConsistencyError, match="zero top"):
         bad.syzygy()
+
+
+def test_syzygy_rejects_a_pivot_other_than_one():
+    """Every row reduction of the syzygy route accepts only pivots +-1.
+
+    Over the D4 tilting (0, 1, 2, 3), M = cid 9 has dimension vector
+    (1, 1, 1, 0) and (3, 1, 0) acts by -1.  Acting by 2 instead puts a
+    pivot 2 into the reduction at label 3; it raises rather than giving
+    a syzygy with Fraction entries.
+    """
+    cc = ClusterCategory(build_quiver("D", 4))
+    alg = build_algebra(cc, TiltingObject((0, 1, 2, 3)))
+    mod = module_of(alg, 9)
+    assert mod.dim_vector() == (1, 1, 1, 0)
+    assert mod.act[(3, 1, 0)] == ((-1,),)
+    bad = AlgebraModule(alg, mod.dims, {**mod.act, (3, 1, 0): ((2,),)})
+    with pytest.raises(MeshConsistencyError, match="pivot 2"):
+        bad.syzygy()
+    assert mod.syzygy().act[(4, 3, 0)] == ((1,), (1,))
 
 
 def test_chain_rejects_projective_dimension_two(category, monkeypatch):

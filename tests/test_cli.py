@@ -10,7 +10,7 @@ import pytest
 
 from clustercat import cli, hammocks
 from clustercat.cli import main
-from clustercat.cluster import MeshConsistencyError, build_cluster
+from clustercat.cluster import ClusterCategory, MeshConsistencyError
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import UnclassifiableShapeError, verify_main_theorem
 from clustercat.meshhom import MeshHomEngine
@@ -352,7 +352,7 @@ def test_verify_export_and_cli_compose_no_morphism(capsys, monkeypatch):
             raise AssertionError(f"MeshHomEngine.{name} was called")
 
         monkeypatch.setattr(MeshHomEngine, name, refuse)
-    cc = build_cluster(build_quiver("D", 5))
+    cc = ClusterCategory(build_quiver("D", 5))
     for t in enumerate_tiltings(cc)[::25]:
         assert verify_main_theorem(cc, t).agreement
         assert json.loads(export_json(cc, t))["agreement"] is True

@@ -7,7 +7,7 @@ import pytest
 
 import clustercat.hammocks as hammocks
 from clustercat.algebra import PdClass, build_algebra, module_of, pd_class
-from clustercat.cluster import MeshConsistencyError, build_cluster
+from clustercat.cluster import ClusterCategory, MeshConsistencyError
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import (
     HammockSet,
@@ -232,7 +232,7 @@ def test_closed_form_table_equals_a_cold_classification(category, family,
     labels = range(1, rank + 1)
     by_pair = {}
     for t in enumerate_tiltings(cc):
-        fresh = build_cluster(build_quiver(family, rank, arrows))
+        fresh = ClusterCategory(build_quiver(family, rank, arrows))
         for i in labels:
             for j in labels:
                 warm = hij_closed_form(cc, t, i, j)
@@ -247,7 +247,7 @@ def test_closed_form_table_equals_a_cold_classification(category, family,
 def test_unclassifiable_shape_is_not_stored(monkeypatch):
     """A classification that raises leaves no entry: it raises again on the
     next call, and the true shape is found once the fault is gone."""
-    cc = build_cluster(build_quiver("D", 6))
+    cc = ClusterCategory(build_quiver("D", 6))
     t = cycle_d6_tilting(cc)
 
     def three_routes(_cc, a, b):

@@ -1,24 +1,17 @@
 """Exact kernels: integer results agree with a Fraction-only reference.
 
-quotient_basis reads a process-wide table; the tests here hold every read
-of it, cold or warm, to the uncached reduction, in values and in types.
+quotient_basis, rref and rank are the untabled rational kernel of the
+representation oracle.  unit_quotient_basis is the engine's kernel; the
+engine keeps its results in a table per category, which
+tests/test_meshhom.py holds to it.
 """
 
 from fractions import Fraction
 
 import pytest
 
-import clustercat.linalg as linalg
 from clustercat.cluster import MeshConsistencyError
-from clustercat.hammocks import verify_main_theorem
-from clustercat.linalg import (
-    _complement_rows,
-    quotient_basis,
-    rank,
-    rref,
-    unit_quotient_basis,
-)
-from clustercat.tilting import enumerate_tiltings
+from clustercat.linalg import quotient_basis, rank, rref, unit_quotient_basis
 
 UNIT_PIVOTS = ((1, -1, 0, 1), (-1, 1, 1, 0), (0, 1, -1, -1))
 MATRICES = (
@@ -103,27 +96,17 @@ def test_unit_quotient_rejects_pivot_two():
         unit_quotient_basis([(1, 1, 0), (1, -1, 1)], 3)
 
 
-def uncached(rows, n):
-    return _complement_rows(*rref(rows), n)
-
-
-def typed(result):
-    """A quotient with the type of every entry next to its value."""
-    free, proj = result
-    return free, tuple(tuple((type(x), x) for x in row) for row in proj)
-
-
 def test_every_query_reads_what_the_reduction_gives():
-    """A Fraction query after an equal int one (2 == Fraction(2), and both
-    hash alike) gets Fractions, as its own reduction does; an int query
-    after a Fraction one gets ints; list rows read the same entry as tuple
-    rows."""
+    """int, Fraction and list rows of one matrix give the same quotient:
+    the free columns of its rref and the Fraction-only null space."""
     for mat in MATRICES:
         n = len(mat[0])
+        pivots = ref_rref(mat)[1]
         fractions = tuple(tuple(map(Fraction, row)) for row in mat)
-        for rows in (mat, fractions, mat, [list(row) for row in mat]):
-            assert typed(quotient_basis(rows, n)) == typed(uncached(rows, n))
-        assert typed(linalg._QUOTIENTS[mat, n]) == typed(uncached(mat, n))
+        for rows in (mat, fractions, [list(row) for row in mat]):
+            free, proj = quotient_basis(rows, n)
+            assert free == tuple(c for c in range(n) if c not in pivots)
+            assert list(proj) == ref_nullspace(mat)
 
 
 def test_empty_span_gives_the_identity():
@@ -132,60 +115,4 @@ def test_empty_span_gives_the_identity():
                          for r in range(n))
         for rows in ((), []):
             assert quotient_basis(rows, n) == (tuple(range(n)), identity)
-
-
-def test_random_small_matrices_read_exact_quotients():
-    """Integer matrices up to 4 x 5 with entries -2..2: a cold query, one
-    whose entry is dropped first, and the warm query after it both give
-    the uncached reduction and the Fraction-only reference."""
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-    matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
-        st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=4))
-
-    @hypothesis.settings(max_examples=60, deadline=None, database=None)
-    @hypothesis.given(rows=matrices, as_lists=st.booleans())
-    def check(rows, as_lists):
-        n = len(rows[0])
-        query = [list(row) for row in rows] if as_lists else rows
-        linalg._QUOTIENTS.pop((tuple(rows), n), None)
-        want = typed(uncached(rows, n))
-        assert typed(quotient_basis(query, n)) == want  # cold
-        assert typed(quotient_basis(query, n)) == want  # warm
-        assert list(quotient_basis(rows, n)[1]) == ref_nullspace(rows)
-
-    check()
-
-
-@pytest.fixture(scope="module")
-def d5_from_a_clear_table(category):
-    """Every D5 tilting verified on an empty table: the reports and the
-    table they leave.  The process-wide table is put back afterwards."""
-    cc = category("D", 5)
-    saved, linalg._QUOTIENTS = linalg._QUOTIENTS, {}
-    try:
-        reports = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
-        yield cc, reports, dict(linalg._QUOTIENTS)
-    finally:
-        linalg._QUOTIENTS = saved
-
-
-def test_every_entry_after_a_d5_sweep_is_exact(d5_from_a_clear_table):
-    _cc, _reports, table = d5_from_a_clear_table
-    assert table
-    for (rows, n), got in table.items():
-        assert all(type(x) is int for row in rows for x in row)
-        assert typed(got) == typed(uncached(rows, n)), (rows, n)
-
-
-def test_a_second_d5_sweep_adds_no_entry(d5_from_a_clear_table):
-    """The first pass saturates the table: the second sends only queries
-    it has seen, and the reports are the same."""
-    cc, reports, table = d5_from_a_clear_table
-    saved, linalg._QUOTIENTS = linalg._QUOTIENTS, dict(table)
-    try:
-        again = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
-        assert linalg._QUOTIENTS == table
-    finally:
-        linalg._QUOTIENTS = saved
-    assert again == reports
+            assert unit_quotient_basis(rows, n) == (tuple(range(n)), identity)

@@ -1,13 +1,15 @@
-"""The product table of the mesh engine against direct composition."""
+"""The tables of the mesh engine against direct composition and reduction."""
 
 import pytest
 
 from clustercat.algebra import build_algebra
-from clustercat.cluster import MeshConsistencyError, build_cluster
+from clustercat.cluster import ClusterCategory, MeshConsistencyError
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import verify_main_theorem
+from clustercat.linalg import quotient_basis, unit_quotient_basis
 from clustercat.meshhom import CoverFunctor
 from clustercat.tilting import enumerate_tiltings, initial_tilting, mutate
+from test_linalg import ref_nullspace
 
 # the default orientation and one custom orientation per type
 ORIENTED = [
@@ -76,7 +78,7 @@ def test_projective_actions_equal_direct_composition(
 
 
 def test_mesh_dimension_is_checked_against_the_additive_count(monkeypatch):
-    cc = build_cluster(build_quiver("A", 3))
+    cc = ClusterCategory(build_quiver("A", 3))
     count = cc.hom_dim_c
     monkeypatch.setattr(cc, "hom_dim_c", lambda x, y: count(x, y) + 1)
     with pytest.raises(MeshConsistencyError, match="additive count"):
@@ -90,7 +92,7 @@ def test_mesh_dimension_is_checked_against_the_additive_count(monkeypatch):
 ], ids=["below-seed", "wide-seed", "empty"])
 def test_identity_first_is_checked_when_a_functor_is_built(monkeypatch,
                                                            corrupt):
-    cc = build_cluster(build_quiver("A", 3))
+    cc = ClusterCategory(build_quiver("A", 3))
     init = CoverFunctor.__init__
 
     def corrupted(self, cc, src):
@@ -107,7 +109,7 @@ def test_identity_first_is_checked_when_a_functor_is_built(monkeypatch,
 
 def test_coords_rejects_a_wrong_coordinate_count():
     """coords and both argument positions of compose check the length."""
-    cc = build_cluster(build_quiver("A", 3))
+    cc = ClusterCategory(build_quiver("A", 3))
     eng = cc._get_engine()
     x, y = next((x, y) for x in cc.cids() for y in cc.cids()
                 if x != y and cc.hom_dim_c(x, y) == 1)
@@ -166,7 +168,7 @@ def test_relabelled_functors_have_the_knitted_levels(
                          ids=RELABELLED_IDS)
 def test_knitting_runs_once_per_tau_orbit(monkeypatch, family, rank,
                                           orientation):
-    cc = build_cluster(build_quiver(family, rank, orientation))
+    cc = ClusterCategory(build_quiver(family, rank, orientation))
     knitted = []
     init = CoverFunctor.__init__
 
@@ -189,7 +191,7 @@ def test_relabelled_bases_give_the_knitted_reports(
         category, family, rank, orientation):
     """verify_main_theorem on every tilting, against every F_x knitted."""
     cc = category(family, rank, orientation)
-    direct = build_cluster(build_quiver(family, rank, orientation))
+    direct = ClusterCategory(build_quiver(family, rank, orientation))
     direct._get_engine()._functors.update(
         (x, CoverFunctor(direct, x)) for x in direct.cids())
     tiltings = enumerate_tiltings(cc)
@@ -224,7 +226,7 @@ SMALL = [("A", 4, "default"), ("D", 4, ((3, 1), (2, 3), (4, 3)))]
 def test_hammock_sweep_rejects_a_corrupted_functor(family, rank, orientation,
                                                    part):
     """An arrow matrix or a basis lift of F_a deleted after the knit."""
-    cc = build_cluster(build_quiver(family, rank, orientation))
+    cc = ClusterCategory(build_quiver(family, rank, orientation))
     eng = cc._get_engine()
     a = next(x for x in cc.cids() if len(eng.functor(x).basis) > 2)
     fa = eng.functor(a)
@@ -244,7 +246,7 @@ def test_product_rows_reject_a_corrupted_functor(family, rank, orientation,
                                                  part):
     """products(y, y, y) walks the records of F_y with F_y's own matrices,
     so every image is a basis vector; one matrix or lift deleted fails."""
-    cc = build_cluster(build_quiver(family, rank, orientation))
+    cc = ClusterCategory(build_quiver(family, rank, orientation))
     eng = cc._get_engine()
     y = next(x for x in cc.cids() if len(eng.functor(x).basis) > 2)
     fy = eng.functor(y)
@@ -269,7 +271,7 @@ def test_cold_verify_builds_only_the_functors_it_reads(family, rank,
     """A fresh category's verify knits Hom(x, -) for x in add T, add T[1]
     and their tau-orbit representatives only, and stores no product with
     its source in add T[1]: H(i, j) is a sweep of Hom(T_i[1], -)."""
-    cc = build_cluster(build_quiver(family, rank, orientation))
+    cc = ClusterCategory(build_quiver(family, rank, orientation))
     t = initial_tilting(cc)
     for k in word:
         t = mutate(cc, t, k)
@@ -283,3 +285,92 @@ def test_cold_verify_builds_only_the_functors_it_reads(family, rank,
     n = len(cc.indecs)
     assert eng._products
     assert not {key // (n * n) for key in eng._products} & shifted
+
+
+def unit_pivots(rows):
+    """Whether the row reduction of rows meets only pivots +-1."""
+    try:
+        unit_quotient_basis(rows, len(rows[0]))
+    except MeshConsistencyError:
+        return False
+    return True
+
+
+def all_ints(quotient):
+    return all(type(x) is int for row in quotient[1] for x in row)
+
+
+def test_engine_quotients_equal_the_unit_reduction():
+    """Integer matrices up to 4 x 5 with entries -1..1 and only unit
+    pivots: a cold read of the engine's table and the warm one after it
+    give the unit reduction and the Fraction-only null space, in ints."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    matrices = st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(-1, 1)] * n), min_size=1, max_size=4,
+    ).map(tuple)).filter(unit_pivots)
+    eng = ClusterCategory(build_quiver("A", 3))._get_engine()
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(rows=matrices)
+    def check(rows):
+        n = len(rows[0])
+        eng._quotients.pop((rows, n), None)
+        want = unit_quotient_basis(rows, n)
+        cold = eng.quotient(rows, n)
+        assert cold == want and all_ints(cold)
+        assert eng.quotient(rows, n) is cold  # warm: the stored entry
+        assert list(cold[1]) == ref_nullspace(rows)
+
+    check()
+
+
+def test_a_pivot_other_than_one_raises_and_is_not_stored():
+    eng = ClusterCategory(build_quiver("A", 3))._get_engine()
+    for rows in (((2, 1, 0),), ((1, 1, 0), (1, -1, 1))):
+        with pytest.raises(MeshConsistencyError, match="pivot -?2"):
+            eng.quotient(rows, 3)
+        assert (rows, 3) not in eng._quotients
+
+
+@pytest.fixture(scope="module")
+def d5_sweep():
+    """Every D5 tilting verified on a freshly built category: the
+    category, the reports and a copy of its table of quotients."""
+    cc = ClusterCategory(build_quiver("D", 5))
+    reports = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
+    return cc, reports, dict(cc._get_engine()._quotients)
+
+
+def test_every_quotient_after_a_d5_sweep_is_exact(d5_sweep):
+    """Each entry is keyed by integer row tuples and holds the uncached
+    rational reduction of its key, in ints."""
+    _cc, _reports, table = d5_sweep
+    assert table
+    for (rows, n), got in table.items():
+        assert type(rows) is tuple
+        assert all(type(row) is tuple and len(row) == n for row in rows)
+        assert all(type(x) is int for row in rows for x in row)
+        assert got == quotient_basis(rows, n) and all_ints(got), (rows, n)
+
+
+def test_a_second_d5_sweep_adds_no_quotient(d5_sweep):
+    """The first pass saturates the table: the second sends only queries
+    it has seen, and the reports are the same."""
+    cc, reports, table = d5_sweep
+    again = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
+    assert cc._get_engine()._quotients == table
+    assert again == reports
+
+
+def test_a_second_category_starts_with_no_quotients(d5_sweep):
+    """The table belongs to its category: a new one starts empty, fills
+    its own, and leaves the first category's as it was."""
+    cc, reports, table = d5_sweep
+    other = ClusterCategory(build_quiver("D", 5))
+    eng = other._get_engine()
+    assert eng._quotients == {}
+    first = enumerate_tiltings(other)[0]
+    assert verify_main_theorem(other, first) == reports[0]
+    assert eng._quotients and eng._quotients.keys() <= table.keys()
+    assert cc._get_engine()._quotients == table

@@ -23,7 +23,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from clustercat.cluster import build_cluster  # noqa: E402
+from clustercat.cluster import ClusterCategory  # noqa: E402
 from clustercat.dynkin import build_quiver, diagram_edges  # noqa: E402
 from clustercat.hammocks import (  # noqa: E402
     hij,
@@ -100,7 +100,7 @@ def test_export_is_byte_stable(category, case, data):
     the second reads them, and the suite's shared category, whose tables
     other tests filled in another order, gives the same bytes."""
     family, rank, arrows = case
-    cc = build_cluster(build_quiver(family, rank, arrows))
+    cc = ClusterCategory(build_quiver(family, rank, arrows))
     t = initial_tilting(cc)
     for k in mutation_word(data, rank):
         t = mutate(cc, t, k)

@@ -9,7 +9,7 @@ import pytest
 import clustercat.hammocks as hammocks
 from clustercat import presets
 from clustercat.cli import _parse_orientation
-from clustercat.cluster import build_cluster
+from clustercat.cluster import ClusterCategory
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import hij
 from clustercat.render import (
@@ -211,7 +211,7 @@ def test_d6_preset_export_is_byte_stable(category):
 def test_second_export_reads_the_closed_form_table(monkeypatch):
     """The shapes of a tilting are classified on its first export only: the
     second walks no sectional path or swing route and reads no support."""
-    cc = build_cluster(build_quiver("D", 6))
+    cc = ClusterCategory(build_quiver("D", 6))
     t = presets.cycle_d6_tilting(cc)
     first = export_json(cc, t)
 
