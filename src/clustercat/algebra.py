@@ -10,16 +10,22 @@ An arrow i -> j of the Gabriel quiver corresponds to an irreducible morphism
 T_j -> T_i; with that convention the hereditary case T = kQ gives back Q
 itself.  Multiplicities are dim rad/rad^2 in the matching Hom component.
 
-Modules are plain coordinate data: a dimension per label and one matrix per
-live algebra basis element f in Hom(T_i, T_j), acting V_j -> V_i by
-precomposition.  A basis element is live when V_i and V_j are both nonzero;
-any other acts by the empty matrix that the dimension vector already fixes,
-so no matrix is stored for it.  Hom_C(T, M) is such a module, projectives
-are Hom_C(T, T_k), and syzygies are kernels of minimal projective covers
-with the restricted action.  Syzygies are memoized per algebra by content
-(dimension vector and live action matrices): the cover, its row reductions
-and every guard run once per distinct module, and a module equal entry for
-entry to one seen before gets the stored syzygy back.  The row reductions
+Modules are plain coordinate data: a dimension per label and one block per
+live label pair (i, j), the tuple over the basis elements f of Hom(T_i, T_j)
+of the matrices by which f acts V_j -> V_i by precomposition.  A pair is
+live when Hom(T_i, T_j), V_i and V_j are all nonzero; any other basis
+element acts by the empty matrix that the dimension vector already fixes,
+so no block is stored for it.  Hom_C(T, M) is such a module, its blocks the
+category's product table entries as they are; projectives are
+Hom_C(T, T_k), and syzygies are kernels of minimal projective covers with
+the restricted action.  Syzygies are memoized per algebra by content
+(dimension vector and live blocks): the cover, its row reductions and every
+guard run once per distinct module, and a module equal block for block to
+one seen before gets the stored syzygy back.  The memo and the covers stay
+with the algebra: keyed by the cids of the cover's summands, only 30% of the
+syzygy contents of all D7 tiltings repeat across tiltings, so a table per
+category would mostly hold entries read once.  classify_modules empties the
+memo when it is done, so the algebra is freed at once.  The row reductions
 beneath them (the top and the kernel of the cover, label by label, and the
 identity blocks) are reads of the category's table of quotients,
 MeshHomEngine.quotient, shared by every tilting of the category; a pivot
@@ -32,12 +38,14 @@ assertion on the third syzygy.
 from __future__ import annotations
 
 import enum
-from operator import mul
+from itertools import compress
+from operator import add, itemgetter, mul
 
 from .cluster import ClusterCategory, MeshConsistencyError
 from .tilting import TiltingObject
 
 _ONE = 1
+_FIRST = itemgetter(0)
 
 
 class PdClass(enum.Enum):
@@ -50,10 +58,10 @@ class PdClass(enum.Enum):
 
 
 class ClusterTiltedAlgebra:
-    """End_C(T) as integers only: Hom dimensions, basis keys and reads of
-    the category's product and quotient tables.  The Hom engine checks,
-    once per object, that the identity of each End(T_i) is its first basis
-    element."""
+    """End_C(T) as integers only: Hom dimensions, the label pairs with a
+    nonzero Hom, and reads of the category's product and quotient tables.
+    The Hom engine checks, once per object, that the identity of each
+    End(T_i) is its first basis element."""
 
     def __init__(self, cc: ClusterCategory, tilting: TiltingObject):
         self.cc = cc
@@ -67,17 +75,18 @@ class ClusterTiltedAlgebra:
         self.hom_dims = {(i, j): eng.dim(s[i], s[j])
                          for i in self.labels for j in self.labels}
         self.dim = sum(self.hom_dims.values())
-        # the (i, j, b) keys of the basis elements of each Hom(T_i, T_j) != 0
-        self.basis_keys = {(i, j): tuple((i, j, b) for b in range(d))
-                           for (i, j), d in self.hom_dims.items() if d}
-        self._radical_keys = tuple(
-            key for (i, j), keys in self.basis_keys.items()
-            for key in keys[1 if i == j else 0:])
+        # the label pairs (i, j) with Hom(T_i, T_j) != 0, in label order,
+        # and the indices i - 1 and j - 1 of each in a dimension vector
+        self.pairs = tuple(p for p, d in self.hom_dims.items() if d)
+        self._ends = (tuple(i - 1 for i, _j in self.pairs),
+                      tuple(j - 1 for _i, j in self.pairs))
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
         self._proj: dict[int, tuple] = {}  # k -> (P_k, its moving blocks)
         self._covers: dict[tuple[int, ...], tuple] = {}
-        # dim vector -> its live keys; (dim vector, live matrices) -> syzygy
+        # dim vector -> its live pairs; (pair, di, dj) -> written block;
+        # (dim vector, live blocks) -> syzygy
         self._live: dict[tuple, tuple] = {}
+        self._written_blocks: dict[tuple, tuple] = {}
         self._syzygies: dict[tuple, AlgebraModule] = {}
 
     def hom_dim(self, i: int, j: int) -> int:
@@ -89,18 +98,31 @@ class ClusterTiltedAlgebra:
         s = self.summand
         return self._engine.products(s[i], s[j], s[k])
 
-    def radical_keys(self):
-        """(i, j, b) triples indexing a basis of the radical."""
-        return self._radical_keys
+    def _written(self, pair, di, dj):
+        """The block of pair (i, j) on a syzygy of dimensions di at i and dj
+        at j when the pair acts by zero on every summand of the cover: zero
+        matrices, but for the identity of End(T_i).  One tuple per key is
+        shared by every syzygy of the algebra."""
+        key = pair, di, dj
+        got = self._written_blocks.get(key)
+        if got is None:
+            i, j = pair
+            zero = ((0,) * dj,) * di
+            d = self.hom_dims[pair]
+            # the identity is the quotient of no rows
+            got = self._written_blocks[key] = (
+                (self._quotient((), di)[1],) + (zero,) * (d - 1)
+                if i == j else (zero,) * d)
+        return got
 
-    def _live_keys(self, dv):
-        """The keys (i, j, b) with dv[i - 1] and dv[j - 1] nonzero, in basis
-        key order: the blocks a module of dimension vector dv stores."""
+    def _live_pairs(self, dv):
+        """The pairs (i, j) with dv[i - 1] and dv[j - 1] nonzero, in label
+        order: the blocks a module of dimension vector dv stores."""
         got = self._live.get(dv)
         if got is None:
-            got = self._live[dv] = tuple(
-                key for (i, j), keys in self.basis_keys.items()
-                if dv[i - 1] and dv[j - 1] for key in keys)
+            at = dv.__getitem__
+            got = self._live[dv] = tuple(compress(self.pairs, map(
+                mul, map(at, self._ends[0]), map(at, self._ends[1]))))
         return got
 
     def radical_power_spans(self, m: int):
@@ -113,10 +135,12 @@ class ClusterTiltedAlgebra:
         spans: dict[tuple[int, int], list[tuple]] = {
             (i, j): [] for i in self.labels for j in self.labels}
         if m == 1:
-            for i, j, b in self.radical_keys():
+            for i, j in self.pairs:
                 d = self.hom_dim(i, j)
-                spans[(i, j)].append(
-                    tuple(_ONE if t == b else 0 for t in range(d)))
+                # every basis element but the identity of End(T_i)
+                for b in range(1 if i == j else 0, d):
+                    spans[(i, j)].append(
+                        tuple(_ONE if t == b else 0 for t in range(d)))
         else:
             prev = self.radical_power_spans(m - 1)
             for i in self.labels:
@@ -194,31 +218,26 @@ class ClusterTiltedAlgebra:
         return not any(state[v] == 0 and dfs(v) for v in self.labels)
 
     def _cover(self, tops):
-        """The projective sum of P_k, k in tops: its dimensions and moving keys.
+        """The projective sum of P_k, k in tops: its dimensions and moving
+        blocks.
 
-        ncols gives the dimension of the sum at each label.  moving maps
-        each radical key to the (matrix, row offset, column offset, width)
-        of every summand it acts on by a nonzero matrix; a radical key that
-        moving lacks acts on the sum by zero.
+        ncols gives the dimension of the sum at each label.  moving maps a
+        pair (i, j) to the (row offset, column offset, width, block) of
+        every summand P_k whose block of (i, j) has a nonzero radical
+        matrix, the block as _projective keeps it; a pair that moving lacks
+        acts on the sum by zero, but for the identity of End(T_i).
         """
         got = self._covers.get(tops)
         if got is None:
-            # per label, the first coordinate of each summand's block
-            starts, ncols = {}, {}
-            for i in self.labels:
-                off, starts[i] = 0, []
-                for k in tops:
-                    starts[i].append(off)
-                    off += self.hom_dims[(i, k)]
-                ncols[i] = off
-            moving = {}
-            for n, k in enumerate(tops):
-                for key, mat in self._projective(k)[1]:
-                    i, j, _b = key
-                    moving.setdefault(key, []).append(
-                        (mat, starts[i][n], starts[j][n],
-                         self.hom_dims[(j, k)]))
-            got = self._covers[tops] = ncols, moving
+            # off[i - 1]: the first coordinate at label i of the next summand
+            off, moving = (0,) * self.n, {}
+            for k in tops:
+                mod, blocks = self._projective(k)
+                for pair, dk, mats in blocks:
+                    moving.setdefault(pair, []).append(
+                        (off[pair[0] - 1], off[pair[1] - 1], dk, mats))
+                off = tuple(map(add, off, mod.dim_vector()))
+            got = self._covers[tops] = dict(zip(self.labels, off)), moving
         return got
 
     def projective_module(self, k: int) -> "AlgebraModule":
@@ -230,63 +249,80 @@ class ClusterTiltedAlgebra:
         return self._projective(k)[0]
 
     def _projective(self, k: int):
-        """(P_k, its moving blocks): the (key, matrix) of every radical key
-        acting on P_k by a nonzero matrix, which the covers read."""
+        """(P_k, its moving blocks), which the covers read: per pair (i, j)
+        with a radical basis element acting on P_k by a nonzero matrix, the
+        pair, dim Hom(T_j, T_k) and the block with None in place of the
+        identity and of every zero matrix."""
         got = self._proj.get(k)
         if got is None:
             mod = module_of(self, self.summand[k])
             for i, d in mod.dims.items():
-                if d and mod.act[(i, i, 0)] != self._quotient((), d)[1]:
+                if d and mod.act[(i, i)][0] != self._quotient((), d)[1]:
                     raise MeshConsistencyError(
                         f"the identity of End(T_{i}) does not act as the "
                         f"identity on P_{k}")
-            got = self._proj[k] = mod, tuple(
-                (key, mat) for key, mat in mod.act.items()
-                if (key[2] or key[0] != key[1]) and any(map(any, mat)))
+            moving = []
+            for pair, mats in mod.act.items():
+                i, j = pair
+                mats = tuple(mat if (b or i != j) and any(map(any, mat))
+                             else None for b, mat in enumerate(mats))
+                if any(mats):
+                    moving.append((pair, mod.dims[j], mats))
+            got = self._proj[k] = mod, tuple(moving)
         return got
 
 
 class AlgebraModule:
-    """Coordinate module: dims per label, one matrix per live basis element.
+    """Coordinate module: dims per label, one block per live label pair.
 
-    act[(i, j, b)] is the matrix of precomposition with basis element b of
-    Hom(T_i, T_j), mapping the label-j component to the label-i component,
-    as a tuple of row tuples: syzygy hashes the matrices to find a module
-    it has seen.  act holds exactly the live keys, those with dims[i] and
-    dims[j] nonzero; every other key acts by the empty matrix its
-    dimensions fix.
+    act[(i, j)] is the block of Hom(T_i, T_j): the tuple over its basis
+    elements b of the matrix of precomposition with b, mapping the label-j
+    component to the label-i component, each matrix a tuple of row tuples;
+    for Hom_C(T, M) it is the product table's entry itself.  syzygy hashes
+    the blocks to find a module it has seen.  act holds exactly the live
+    pairs, those with Hom(T_i, T_j), dims[i] and dims[j] nonzero; every
+    other basis element acts by the empty matrix its dimensions fix.  A
+    module is not changed once built: its dimension vector is kept.
     """
 
-    __slots__ = ("alg", "dims", "act")
+    __slots__ = ("alg", "dims", "act", "_dv")
 
     def __init__(self, alg: ClusterTiltedAlgebra, dims, act):
         self.alg = alg
-        # in label order, which dim_vector reads
-        self.dims = {i: dims[i] for i in alg.labels}
+        # in label order, which the dimension vector follows
+        self.dims = (dims if tuple(dims) == alg.labels
+                     else {i: dims[i] for i in alg.labels})
+        self._dv = tuple(self.dims.values())
         self.act = act
 
     def is_zero(self) -> bool:
-        return not any(self.dims.values())
+        return not any(self._dv)
 
     def dim_vector(self):
-        return tuple(self.dims.values())
-
-    def radical_image(self):
-        """Spanning vectors of (V . rad)_i per label i, from the live blocks."""
-        act = self.act
-        spans = {i: [] for i in self.alg.labels}
-        for key in self.alg._live_keys(self.dim_vector()):
-            i, j, b = key
-            if b or i != j:
-                spans[i].extend(col for col in zip(*act[key]) if any(col))
-        return spans
+        return self._dv
 
     def top_lifts(self):
-        """(label, index) pairs: the unit vectors lifting a basis of V / V.rad."""
-        spans, quotient = self.radical_image(), self.alg._quotient
+        """(label, index) pairs: the unit vectors lifting a basis of V / V.rad.
+
+        (V . rad)_i is spanned by the columns of the radical matrices in
+        the blocks of the live pairs (i, j).
+        """
+        spans = {}
+        for (i, j), mats in self.act.items():
+            if i == j:  # every basis element but the identity is radical
+                mats = mats[1:]
+            if mats:
+                cols = spans.setdefault(i, [])
+                for mat in mats:
+                    cols.extend(filter(any, zip(*mat)))
+        quotient, lifts = self.alg._quotient, []
         # a zero label has no top; skipping it saves a quotient per label
-        return [(k, f) for k in self.alg.labels if self.dims[k]
-                for f in quotient(tuple(spans[k]), self.dims[k])[0]]
+        for k, d in self.dims.items():
+            if d:
+                span = spans.get(k)
+                for f in quotient(tuple(span), d)[0] if span else range(d):
+                    lifts.append((k, f))
+        return lifts
 
     def syzygy(self) -> "AlgebraModule":
         """Kernel of the minimal projective cover, with restricted action.
@@ -295,9 +331,8 @@ class AlgebraModule:
         action, so it is computed once per distinct content and kept on the
         algebra; a call that raises keeps nothing.
         """
-        alg = self.alg
-        dv = self.dim_vector()
-        key = (dv, tuple(map(self.act.__getitem__, alg._live_keys(dv))))
+        alg, dv = self.alg, self._dv
+        key = (dv, tuple(map(self.act.__getitem__, alg._live_pairs(dv))))
         got = alg._syzygies.get(key)
         if got is None:
             got = alg._syzygies[key] = self._syzygy()
@@ -307,75 +342,97 @@ class AlgebraModule:
         """The syzygy of this content: one cover, its kernel and its guards.
 
         The cover sends basis element b of the summand P_k at a lift e_f to
-        column f of act[(i, k, b)].  One row reduction per label gives the
+        column f of act[(i, k)][b].  One row reduction per label gives the
         rank of the cover and a kernel basis that is the identity on the
         free columns, so a kernel vector's coordinates are its entries
-        there.  Two kinds of block are written, not computed: the identity
+        there.  Two kinds of matrix are written, not computed: the identity
         of End(T_i) acts as the identity (projective_module checks it on
-        every summand), and a key that acts by zero on every summand acts
-        by zero, an image that lies in every kernel.  Any other key builds
-        the image of each kernel vector and rebuilds it from its
-        coordinates, which checks that it lies in the kernel; where the
+        every summand), and a basis element that acts by zero on every
+        summand acts by zero, an image that lies in every kernel.  Any
+        other builds the image of each kernel vector and rebuilds it from
+        its coordinates, which checks that it lies in the kernel; where the
         kernel at label i is zero, that check asks for a zero image and the
-        empty matrix is not stored.
+        empty block is not stored.
         """
         alg = self.alg
-        basis_keys, act, quotient = alg.basis_keys, self.act, alg._quotient
+        act, quotient = self.act, alg._quotient
         lifts = self.top_lifts()
         if not lifts:
             if not self.is_zero():
                 raise MeshConsistencyError("nonzero module with zero top")
             return AlgebraModule(alg, {i: 0 for i in alg.labels}, {})
-        ncols, moving = alg._cover(tuple(k for k, _ in lifts))
-        kernels = {}
-        for i, n in ncols.items():
-            # one column per lift (k, f) and basis element b of Hom(T_i, T_k)
-            rows = tuple(zip(*[[row[f] for row in act[key]] for k, f in lifts
-                               for key in basis_keys.get((i, k), ())])
-                         ) if self.dims[i] else ()
-            free, basis = quotient(rows, n)
-            if n - len(free) != self.dims[i]:
-                raise MeshConsistencyError("projective cover is not surjective")
-            kernels[i] = free, basis
-        dims = {i: len(kernels[i][0]) for i in alg.labels}
-        out = {}
-        for (i, j), keys in basis_keys.items():
-            dj = dims[j]
-            if not dj:
+        ncols, moving = alg._cover(tuple(map(_FIRST, lifts)))
+        picks = [(k, itemgetter(f)) for k, f in lifts]
+        kernels, dims = {}, {}
+        for (i, n), di in zip(ncols.items(), self.dims.values()):
+            if not di:  # the whole of the cover at i is the kernel
+                kernels[i] = quotient((), n) if n else ((), ())
+                dims[i] = n
                 continue
-            di = dims[i]
-            free, basis = kernels[i]
-            n = ncols[i]
-            for key in keys:
-                terms = moving.get(key)
-                if terms is None:
-                    if di:  # the identity is the quotient of no rows
-                        out[key] = (quotient((), di)[1] if i == j
-                                    and not key[2] else ((0,) * dj,) * di)
-                    continue
-                cols = []
-                for w in kernels[j][1]:
-                    img = [0] * n
-                    for mat, oi, oj, dk in terms:
-                        seg = w[oj: oj + dk]
-                        for r, row in enumerate(mat, oi):
-                            img[r] = sum(map(mul, row, seg))
-                    coeffs = [img[f] for f in free]
-                    rebuilt = [0] * n
-                    for c, u in zip(coeffs, basis):
-                        if c:
-                            for t, x in enumerate(u):
-                                if x:
-                                    rebuilt[t] += c * x
-                    if rebuilt != img:
-                        raise MeshConsistencyError(
-                            "syzygy action left the kernel")
-                    cols.append(coeffs)
-                if di:
-                    # rows follow the kernel basis of i, columns that of j:
-                    # the action matrix V_j -> V_i
-                    out[key] = tuple(zip(*cols))
+            # one column per lift (k, f) and basis element b of Hom(T_i, T_k)
+            cols = []
+            for k, pick in picks:
+                mats = act.get((i, k))
+                if mats:
+                    for mat in mats:
+                        cols.append(tuple(map(pick, mat)))
+            kernels[i] = free, _basis = quotient(tuple(zip(*cols)), n)
+            dims[i] = len(free)
+            if n - dims[i] != di:
+                raise MeshConsistencyError("projective cover is not surjective")
+        out = {}
+        for pair in alg._live_pairs(tuple(dims.values())):
+            terms = moving.get(pair)
+            if terms is None:
+                out[pair] = alg._written(pair, dims[pair[0]], dims[pair[1]])
+            else:
+                out[pair] = _kernel_block(alg, pair, terms, kernels, ncols)
+        for (i, j), terms in moving.items():
+            if dims[j] and not dims[i]:
+                _kernel_block(alg, (i, j), terms, kernels, ncols)
         return AlgebraModule(alg, dims, out)
+
+
+def _kernel_block(alg, pair, terms, kernels, ncols):
+    """The block of pair (i, j) on the kernel of a cover, from its moving
+    terms (see ClusterTiltedAlgebra._cover).
+
+    Each image of a kernel vector at j is rebuilt from its coordinates,
+    its entries at the free columns of the kernel at i; a rebuilt image
+    that differs from it left the kernel.  The identity of End(T_i) is
+    written, not computed.
+    """
+    i, j = pair
+    free, basis = kernels[i]
+    n = ncols[i]
+    mats = []
+    for b in range(alg.hom_dims[pair]):
+        if i == j and not b:
+            mats.append(alg._quotient((), len(free))[1])
+            continue
+        cols = []
+        for w in kernels[j][1]:
+            img = [0] * n
+            for oi, oj, dk, blk in terms:
+                mat = blk[b]
+                if mat is not None:
+                    seg = w[oj: oj + dk]
+                    for r, row in enumerate(mat, oi):
+                        img[r] = sum(map(mul, row, seg))
+            coeffs = list(map(img.__getitem__, free))
+            rebuilt = [0] * n
+            for c, u in zip(coeffs, basis):
+                if c:
+                    for t, x in enumerate(u):
+                        if x:
+                            rebuilt[t] += c * x
+            if rebuilt != img:
+                raise MeshConsistencyError("syzygy action left the kernel")
+            cols.append(coeffs)
+        # rows follow the kernel basis of i, columns that of j: the action
+        # matrix V_j -> V_i
+        mats.append(tuple(zip(*cols)))
+    return tuple(mats)
 
 
 def build_algebra(cc: ClusterCategory, tilting: TiltingObject) -> ClusterTiltedAlgebra:
@@ -385,19 +442,20 @@ def build_algebra(cc: ClusterCategory, tilting: TiltingObject) -> ClusterTiltedA
 def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     """Hom_C(T, M) as a module over the algebra; M outside add T[1].
 
-    Each live block is a read of the category's product table.
+    The block of each live pair (i, j) is the category's product table
+    entry products(T_i, T_j, M), stored as it is.
     """
     eng, s = alg._engine, alg.summand
-    dims = {i: eng.dim(s[i], m_cid) for i in alg.labels}
-    if not any(dims.values()):
+    dim = eng.dim
+    dv = tuple([dim(x, m_cid) for x in alg.tilting.summands])
+    if not any(dv):
         raise ValueError(
             "Hom_C(T, M) = 0: M lies in the shift of the tilting object")
-    act = {}
-    for (i, j), keys in alg.basis_keys.items():
-        # act[(i, j, b)] sends g in Hom(T_j, M) to g . (basis element b)
-        if dims[i] and dims[j]:
-            act.update(zip(keys, eng.products(s[i], s[j], m_cid)))
-    return AlgebraModule(alg, dims, act)
+    # act[(i, j)][b] sends g in Hom(T_j, M) to g . (basis element b)
+    products = eng.products
+    return AlgebraModule(alg, dict(zip(alg.labels, dv)), {
+        pair: products(s[pair[0]], s[pair[1]], m_cid)
+        for pair in alg._live_pairs(dv)})
 
 
 def _syzygy_chain(module: AlgebraModule):
@@ -412,8 +470,8 @@ def _syzygy_chain(module: AlgebraModule):
     cur = module
     for pd in (PdClass.ZERO, PdClass.ONE, None):
         cur = cur.syzygy()
-        dims.append(cur.dim_vector())
-        if cur.is_zero():
+        dims.append(dv := cur.dim_vector())
+        if not any(dv):
             if pd is None:
                 raise MeshConsistencyError(
                     "projective dimension 2 encountered; "
@@ -430,11 +488,21 @@ def classify_modules(cc: ClusterCategory, tilting: TiltingObject):
     """(cid, dim vector, syzygy dim vectors, pd class) per M outside add T[1].
 
     One algebra for the tilting, then one Hom_C(T, M) and one syzygy chain
-    per module, in cid order.
+    per module, in cid order; M = T_k is read as the projective P_k, which
+    the covers build anyway.
     """
     alg = build_algebra(cc, tilting)
     shifted = {cc.shift(s) for s in tilting.summands}
+    label = {c: k for k, c in alg.summand.items()}
     for m in cc.cids():
         if m not in shifted:
-            mod = module_of(alg, m)
+            k = label.get(m)
+            mod = module_of(alg, m) if k is None else alg.projective_module(k)
             yield (m, mod.dim_vector()) + _syzygy_chain(mod)
+    # Every module refers to its algebra, and the algebra keeps its
+    # projectives and syzygies: reference cycles that only the cyclic
+    # garbage collector would free.  The algebra never leaves this
+    # function, so emptying the two tables frees it and its memo as soon
+    # as the last class is read.
+    alg._syzygies.clear()
+    alg._proj.clear()

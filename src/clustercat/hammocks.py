@@ -15,7 +15,8 @@ into one of three closed forms (sectional path, swing, full intersection),
 both kept once per pair of cids (T_i[1], T_j[1]) by the category, and
 cross-checks the factorization criterion, membership in the union of
 the H(i,j), against the syzygy computation of projdim for every
-indecomposable.
+indecomposable.  classify_by_location gives the classes a third way,
+from the closed forms alone.
 """
 
 import enum
@@ -243,6 +244,27 @@ def _classify(cc, tilting, i, j, a, b):
         )
     inter = left_hammock(cc, tilting, i) & right_hammock(cc, tilting, j)
     return inter, Shape.FULL_INTERSECTION
+
+
+def classify_by_location(cc, tilting) -> dict:
+    """pd class per M outside add T[1], in cid order, from where M lies.
+
+    The location theorem read as a classifier: pd 0 for M in add T, pd
+    infinite for M in the closed form of some H(i,j), and pd 1 otherwise.
+    It reads the category's table of closed forms (hij_closed_form) and
+    nothing else: no module, syzygy, product table or hammock sweep, so
+    it is a route of its own to the classes that verify_main_theorem
+    finds by syzygies.
+    """
+    labels = range(1, len(tilting.summands) + 1)
+    located = frozenset().union(*(
+        hij_closed_form(cc, tilting, i, j).vertices
+        for i in labels for j in labels))
+    summands = set(tilting.summands)
+    shifted = {cc.shift(s) for s in tilting.summands}
+    return {m: PdClass.ZERO if m in summands
+            else PdClass.INFINITE if m in located else PdClass.ONE
+            for m in cc.cids() if m not in shifted}
 
 
 @dataclass

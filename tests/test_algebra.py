@@ -1,11 +1,13 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from clustercat import linalg
+from clustercat import algebra, linalg
 from clustercat.algebra import (AlgebraModule, PdClass, build_algebra,
-                                module_of, pd_class)
+                                classify_modules, module_of, pd_class)
 from clustercat.cluster import ClusterCategory, MeshConsistencyError
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import verify_main_theorem
@@ -217,8 +219,9 @@ def corrupted_a4_module(category, key, mat):
                            if c not in shifted)
                if m.dim_vector() == (1, 1, 1, 0))
     assert mod.syzygy().dim_vector() == (0, 0, 0, 1)
+    i, j, b = key
     act = dict(mod.act)
-    act[key] = mat
+    act[(i, j)] = act[(i, j)][:b] + (mat,) + act[(i, j)][b + 1:]
     return AlgebraModule(alg, mod.dims, act)
 
 
@@ -268,19 +271,19 @@ def test_projective_with_a_corrupted_identity_block_is_rejected(monkeypatch):
 
 
 def test_syzygy_checks_the_image_where_the_kernel_is_zero(monkeypatch):
-    """A key with a zero kernel at its source label stores no matrix, yet
+    """A pair with a zero kernel at its source label stores no block, yet
     its image must still vanish.
 
     Over this D4 tilting, M = cid 2 has top P_3 and Omega(M) is zero at
-    label 3 and one-dimensional at label 4, so key (3, 4, 0) acts by zero
-    on P_3.  A table entry that makes it act by 1 sends the kernel at 4
+    label 3 and one-dimensional at label 4, so basis element 0 of pair
+    (3, 4) acts by zero on P_3.  A table entry that makes it act by 1 sends the kernel at 4
     out of the zero kernel at 3.
     """
     cc = ClusterCategory(build_quiver("D", 4))
     t = TiltingObject((0, 1, 3, 8))
     clean = module_of(build_algebra(cc, t), 2).syzygy()
     assert clean.dim_vector() == (0, 0, 0, 1)
-    assert clean.act == {(4, 4, 0): ((1,),)}
+    assert clean.act == {(4, 4): (((1,),),)}
     alg = build_algebra(cc, t)
     mod = module_of(alg, 2)
     assert [k for k, _f in mod.top_lifts()] == [3]
@@ -297,10 +300,10 @@ def test_syzygy_rejects_a_nonzero_module_with_zero_top():
     # 1 on both puts all of V in V.rad, which no module can do
     cc = ClusterCategory(build_quiver("D", 4))
     alg = build_algebra(cc, TiltingObject((0, 1, 3, 8)))
-    one = ((1,),)
+    one = (((1,),),)
     bad = AlgebraModule(alg, {1: 0, 2: 0, 3: 1, 4: 1},
-                        {key: one for key in ((3, 3, 0), (3, 4, 0),
-                                              (4, 3, 0), (4, 4, 0))})
+                        {pair: one for pair in ((3, 3), (3, 4),
+                                                (4, 3), (4, 4))})
     with pytest.raises(MeshConsistencyError, match="zero top"):
         bad.syzygy()
 
@@ -309,19 +312,19 @@ def test_syzygy_rejects_a_pivot_other_than_one():
     """Every row reduction of the syzygy route accepts only pivots +-1.
 
     Over the D4 tilting (0, 1, 2, 3), M = cid 9 has dimension vector
-    (1, 1, 1, 0) and (3, 1, 0) acts by -1.  Acting by 2 instead puts a
-    pivot 2 into the reduction at label 3; it raises rather than giving
-    a syzygy with Fraction entries.
+    (1, 1, 1, 0) and the one basis element of pair (3, 1) acts by -1.
+    Acting by 2 instead puts a pivot 2 into the reduction at label 3; it
+    raises rather than giving a syzygy with Fraction entries.
     """
     cc = ClusterCategory(build_quiver("D", 4))
     alg = build_algebra(cc, TiltingObject((0, 1, 2, 3)))
     mod = module_of(alg, 9)
     assert mod.dim_vector() == (1, 1, 1, 0)
-    assert mod.act[(3, 1, 0)] == ((-1,),)
-    bad = AlgebraModule(alg, mod.dims, {**mod.act, (3, 1, 0): ((2,),)})
+    assert mod.act[(3, 1)] == (((-1,),),)
+    bad = AlgebraModule(alg, mod.dims, {**mod.act, (3, 1): (((2,),),)})
     with pytest.raises(MeshConsistencyError, match="pivot 2"):
         bad.syzygy()
-    assert mod.syzygy().act[(4, 3, 0)] == ((1,), (1,))
+    assert mod.syzygy().act[(4, 3)][0] == ((1,), (1,))
 
 
 def test_chain_rejects_projective_dimension_two(category, monkeypatch):
@@ -395,6 +398,57 @@ def test_syzygy_memo_is_exact(category, family, rank, orientation):
                 [(s.dims, s.act) for s in alone], (t.summands, m)
 
 
+@pytest.mark.parametrize("family,rank,runs", [("D", 5, 4203), ("A", 5, 2197)])
+def test_exhaustive_verify_runs_each_syzygy_once_per_content(
+        category, family, rank, runs, monkeypatch):
+    """An exhaustive verify runs _syzygy a fixed number of times.
+
+    The memo is per algebra and keyed by content, so the count is the
+    number of distinct (tilting, module content) pairs met on the way.  A
+    key that stops merging equal contents raises it; a key that merges
+    unequal ones lowers it.
+    """
+    cc = category(family, rank)
+    count = 0
+    run = AlgebraModule._syzygy
+
+    def counted(self):
+        nonlocal count
+        count += 1
+        return run(self)
+
+    monkeypatch.setattr(AlgebraModule, "_syzygy", counted)
+    for t in enumerate_tiltings(cc):
+        verify_main_theorem(cc, t)
+    assert count == runs
+
+
+def test_classify_frees_its_algebra_without_the_cycle_collector(
+        category, monkeypatch):
+    """Reading the last class frees the algebra and its syzygy memo.
+
+    Modules refer to their algebra and the algebra keeps its projectives
+    and syzygies; classify_modules empties those tables, so reference
+    counting frees all of it with the cyclic collector switched off.
+    """
+    cc = category("D", 5)
+    t = enumerate_tiltings(cc)[3]
+    refs = []
+
+    def build(cc, t):
+        alg = build_algebra(cc, t)
+        refs.append(weakref.ref(alg))
+        return alg
+
+    monkeypatch.setattr(algebra, "build_algebra", build)
+    gc.disable()
+    try:
+        classes = list(classify_modules(cc, t))
+        assert classes and refs[0]() is None
+    finally:
+        gc.enable()
+
+
 def test_content_equal_module_gets_the_same_syzygy(category):
     cc = category("D", 4)
     for t in enumerate_tiltings(cc)[:10]:
@@ -405,7 +459,7 @@ def test_content_equal_module_gets_the_same_syzygy(category):
                 m = module_of(alg, c)
                 copy = AlgebraModule(alg, m.dims, dict(m.act))
                 assert copy.syzygy() is m.syzygy()
-                # the memo reads the blocks in basis key order, whatever
+                # the memo reads the blocks in label pair order, whatever
                 # order the dict was filled in
                 turned = AlgebraModule(alg, m.dims,
                                        dict(reversed(m.act.items())))
@@ -413,9 +467,11 @@ def test_content_equal_module_gets_the_same_syzygy(category):
 
 
 def block(mod, key):
-    """The action matrix of key; the zero matrix of its shape if not live."""
-    i, j, _b = key
-    return mod.act.get(key, ((0,) * mod.dims[j],) * mod.dims[i])
+    """The action matrix of basis element b of Hom(T_i, T_j), key (i, j, b);
+    the zero matrix of its shape if (i, j) is not live."""
+    i, j, b = key
+    mats = mod.act.get((i, j))
+    return mats[b] if mats else ((0,) * mod.dims[j],) * mod.dims[i]
 
 
 @pytest.mark.parametrize("family,rank,orientation", ORIENTED, ids=[
@@ -433,7 +489,8 @@ def test_syzygies_are_modules(category, family, rank, orientation):
     for t in enumerate_tiltings(cc)[::5]:
         alg = build_algebra(cc, t)
         shifted = {cc.shift(c) for c in t.summands}
-        keys = alg.basis_keys
+        keys = {(i, j): tuple((i, j, b) for b in range(alg.hom_dim(i, j)))
+                for i, j in alg.pairs}
         for c in cc.cids():
             if c in shifted:
                 continue

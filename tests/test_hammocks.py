@@ -5,6 +5,7 @@ from functools import cache
 
 import pytest
 
+import clustercat.algebra as algebra
 import clustercat.hammocks as hammocks
 from clustercat.algebra import PdClass, build_algebra, module_of, pd_class
 from clustercat.cluster import ClusterCategory, MeshConsistencyError
@@ -22,7 +23,7 @@ from clustercat.hammocks import (
     shifted_summand,
     verify_main_theorem,
 )
-from clustercat.meshhom import CoverFunctor
+from clustercat.meshhom import CoverFunctor, MeshHomEngine
 from clustercat.polygon import diagonal_of
 from clustercat.presets import cycle_d6_tilting
 from clustercat.tilting import (
@@ -467,8 +468,10 @@ def test_membership_equals_unpruned_search(category, family, rank):
 def test_module_actions_equal_direct_composition(category, family, rank):
     """module_of stores exactly the live blocks, each the direct composite.
 
-    A key is live when Hom(T_i, M) and Hom(T_j, M) are both nonzero; every
-    other key's direct matrix is empty, the shape its dimensions fix.
+    A pair (i, j) is live when Hom(T_i, T_j), Hom(T_i, M) and Hom(T_j, M)
+    are all nonzero; its block holds one matrix per basis element b of
+    Hom(T_i, T_j).  Every other direct matrix is empty, the shape its
+    dimensions fix.
     """
     cc = category(family, rank)
     for t in enumerate_tiltings(cc):
@@ -481,16 +484,18 @@ def test_module_actions_equal_direct_composition(category, family, rank):
             got = module_of(alg, m).act
             keys = {(i, j, b) for (i, j), d in alg.hom_dims.items()
                     for b in range(d)}
-            assert set(got) == {(i, j, b) for i, j, b in keys
+            assert set(got) == {(i, j) for i, j, _b in keys
                                 if bases[i] and bases[j]}
+            assert all(len(mats) == alg.hom_dim(i, j)
+                       for (i, j), mats in got.items())
             for i, j, b in keys:
                 si, sj = alg.summand[i], alg.summand[j]
                 f = cc.hom_basis(si, sj)[b]
                 cols = [cc.compose(si, sj, m, f, g) for g in bases[j]]
                 direct = tuple(tuple(col[r] for col in cols)
                                for r in range(len(bases[i])))
-                if (i, j, b) in got:
-                    assert got[(i, j, b)] == direct, (t.summands, m, (i, j, b))
+                if (i, j) in got:
+                    assert got[(i, j)][b] == direct, (t.summands, m, (i, j, b))
                 else:  # no rows, or rows without entries
                     assert not any(direct), (t.summands, m, (i, j, b))
 
@@ -595,3 +600,41 @@ def test_empty_hammocks_are_one_object(category, orientation):
     empty = [h for a in cc.cids() for b in cc.cids()
              if not (h := eng.hammock(a, b))]
     assert empty and all(h is empty[0] for h in empty)
+
+
+LOCATED = [
+    ("A", 5, "default"),
+    ("D", 5, "default"),
+    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5))),
+]
+
+
+@pytest.mark.parametrize("family,rank,orientation", LOCATED, ids=[
+    f"{f}{r}-" + (o if isinstance(o, str) else ",".join(f"{s}{t}" for s, t in o))
+    for f, r, o in LOCATED])
+def test_location_route_agrees_with_the_syzygy_route(family, rank, orientation,
+                                                     monkeypatch):
+    """classify_by_location gives every module the class of the report.
+
+    The category is fresh, so its closed forms are classified here, with
+    modules, syzygies, the product table, the hammock sweep and the
+    witnesses all made to fail: the location route reads none of them.
+    """
+    cc = ClusterCategory(build_quiver(family, rank, orientation))
+    tiltings = enumerate_tiltings(cc)
+    reports = [verify_main_theorem(cc, t) for t in tiltings]
+
+    def forbidden(*_args):
+        raise AssertionError("the location route read the syzygy route")
+
+    monkeypatch.setattr(algebra, "module_of", forbidden)
+    monkeypatch.setattr(algebra.AlgebraModule, "syzygy", forbidden)
+    monkeypatch.setattr(algebra.AlgebraModule, "_syzygy", forbidden)
+    monkeypatch.setattr(hammocks, "_pairing_witness", forbidden)
+    monkeypatch.setattr(MeshHomEngine, "hammock", forbidden)
+    monkeypatch.setattr(MeshHomEngine, "products", forbidden)
+    for t, report in zip(tiltings, reports):
+        got = hammocks.classify_by_location(cc, t)
+        assert list(got) == list(report.modules), t.summands
+        assert got == {m: pd for m, (_dims, _syzygies, pd)
+                       in report.modules.items()}, t.summands

@@ -67,14 +67,16 @@ def test_projective_actions_equal_direct_composition(
             assert p.dim_vector() == tuple(alg.hom_dim(i, k)
                                            for i in alg.labels)
             sk = alg.summand[k]
-            for (i, j, b), mat in p.act.items():
+            for (i, j), mats in p.act.items():
                 si, sj = alg.summand[i], alg.summand[j]
-                f = cc.hom_basis(si, sj)[b]
-                cols = [cc.compose(si, sj, sk, f, g)
-                        for g in cc.hom_basis(sj, sk)]
-                assert mat == tuple(tuple(col[r] for col in cols)
-                                    for r in range(alg.hom_dim(i, k))), \
-                    (t.summands, k, (i, j, b))
+                assert len(mats) == alg.hom_dim(i, j)
+                for b, mat in enumerate(mats):
+                    f = cc.hom_basis(si, sj)[b]
+                    cols = [cc.compose(si, sj, sk, f, g)
+                            for g in cc.hom_basis(sj, sk)]
+                    assert mat == tuple(tuple(col[r] for col in cols)
+                                        for r in range(alg.hom_dim(i, k))), \
+                        (t.summands, k, (i, j, b))
 
 
 def test_mesh_dimension_is_checked_against_the_additive_count(monkeypatch):

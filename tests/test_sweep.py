@@ -1,5 +1,6 @@
 """Exhaustive sweeps: the main theorem on every tilting of D6, D7 and A8,
-and of D6 and A7 in an orientation past the default.
+and of D6 and A7 in an orientation past the default, with the location
+route's classes checked against the syzygy route's, module by module.
 
 Deselected from the default run by the `sweep` marker (see pyproject.toml);
 run them with `pytest -m sweep`.  CHANGES.md gives the measured CPU time
@@ -11,7 +12,7 @@ knitted ones.
 
 import pytest
 
-from clustercat.hammocks import verify_main_theorem
+from clustercat.hammocks import classify_by_location, verify_main_theorem
 from clustercat.tilting import enumerate_tiltings
 
 pytestmark = pytest.mark.sweep
@@ -29,6 +30,13 @@ def test_every_tilting_agrees(category, family, rank, orientation, count):
     cc = category(family, rank, orientation)
     tiltings = enumerate_tiltings(cc)
     assert len(tiltings) == count
-    disagreeing = [t.summands for t in tiltings
-                   if not verify_main_theorem(cc, t).agreement]
+    disagreeing, mislocated = [], []
+    for t in tiltings:
+        report = verify_main_theorem(cc, t)
+        if not report.agreement:
+            disagreeing.append(t.summands)
+        if classify_by_location(cc, t) != {
+                m: pd for m, (_dims, _syzygies, pd) in report.modules.items()}:
+            mislocated.append(t.summands)
     assert disagreeing == []
+    assert mislocated == []
