@@ -12,16 +12,19 @@ itself.  Multiplicities are dim rad/rad^2 in the matching Hom component.
 
 Modules are plain coordinate data: a dimension per label and one block per
 live label pair (i, j), the tuple over the basis elements f of Hom(T_i, T_j)
-of the matrices by which f acts V_j -> V_i by precomposition.  A pair is
-live when Hom(T_i, T_j), V_i and V_j are all nonzero; any other basis
-element acts by the empty matrix that the dimension vector already fixes,
-so no block is stored for it.  Hom_C(T, M) is such a module, its blocks the
-category's product table entries as they are; projectives are
-Hom_C(T, T_k), and syzygies are kernels of minimal projective covers with
-the restricted action.  Syzygies are memoized per algebra by content
-(dimension vector and live blocks): the cover, its row reductions and every
-guard run once per distinct module, and a module equal block for block to
-one seen before gets the stored syzygy back.  The memo and the covers stay
+of the matrices by which f acts V_j -> V_i by precomposition.  Every matrix
+is column-major, the image in V_i of each basis vector of V_j in turn: the
+layout of the category's product table.  A pair is live when
+Hom(T_i, T_j), V_i and V_j are all nonzero; any other basis element acts
+by the empty matrix that the dimension vector already fixes, so no block
+is stored for it.  Hom_C(T, M) is such a module, its blocks the category's
+product table entries as they are; projectives are Hom_C(T, T_k), and
+syzygies are kernels of minimal projective covers with the restricted
+action, their blocks built and written in the same layout.  Syzygies are
+memoized per algebra by content (dimension vector and live blocks): the
+cover, its row reductions and every guard run once per distinct module,
+and a module equal block for block to one seen before gets the stored
+syzygy back.  The memo and the covers stay
 with the algebra: keyed by the cids of the cover's summands, only 30% of the
 syzygy contents of all D7 tiltings repeat across tiltings, so a table per
 category would mostly hold entries read once.  classify_modules empties the
@@ -107,7 +110,7 @@ class ClusterTiltedAlgebra:
         got = self._written_blocks.get(key)
         if got is None:
             i, j = pair
-            zero = ((0,) * dj,) * di
+            zero = ((0,) * di,) * dj
             d = self.hom_dims[pair]
             # the identity is the quotient of no rows
             got = self._written_blocks[key] = (
@@ -154,7 +157,7 @@ class ClusterTiltedAlgebra:
                             for b in range(start, self.hom_dim(j, k)):
                                 # (sum_a vec[a] f_a) then g_b, in (i,k) coords
                                 out = tuple(
-                                    sum(ca * mat[r][b]
+                                    sum(ca * mat[b][r]
                                         for ca, mat in zip(vec, mats))
                                     for r in range(self.hom_dim(i, k)))
                                 if any(out):
@@ -252,7 +255,9 @@ class ClusterTiltedAlgebra:
         """(P_k, its moving blocks), which the covers read: per pair (i, j)
         with a radical basis element acting on P_k by a nonzero matrix, the
         pair, dim Hom(T_j, T_k) and the block with None in place of the
-        identity and of every zero matrix."""
+        identity and of every zero matrix.  The moving matrices are
+        transposed once here, to row tuples, for the matrix-vector products
+        of _kernel_block."""
         got = self._proj.get(k)
         if got is None:
             mod = module_of(self, self.summand[k])
@@ -264,7 +269,8 @@ class ClusterTiltedAlgebra:
             moving = []
             for pair, mats in mod.act.items():
                 i, j = pair
-                mats = tuple(mat if (b or i != j) and any(map(any, mat))
+                mats = tuple(tuple(zip(*mat))
+                             if (b or i != j) and any(map(any, mat))
                              else None for b, mat in enumerate(mats))
                 if any(mats):
                     moving.append((pair, mod.dims[j], mats))
@@ -277,8 +283,9 @@ class AlgebraModule:
 
     act[(i, j)] is the block of Hom(T_i, T_j): the tuple over its basis
     elements b of the matrix of precomposition with b, mapping the label-j
-    component to the label-i component, each matrix a tuple of row tuples;
-    for Hom_C(T, M) it is the product table's entry itself.  syzygy hashes
+    component to the label-i component, each matrix column-major: column q
+    of act[(i, j)][b] is the image of basis vector q of V_j in V_i.  For
+    Hom_C(T, M) it is the product table's entry itself.  syzygy hashes
     the blocks to find a module it has seen.  act holds exactly the live
     pairs, those with Hom(T_i, T_j), dims[i] and dims[j] nonzero; every
     other basis element acts by the empty matrix its dimensions fix.  A
@@ -305,7 +312,8 @@ class AlgebraModule:
         """(label, index) pairs: the unit vectors lifting a basis of V / V.rad.
 
         (V . rad)_i is spanned by the columns of the radical matrices in
-        the blocks of the live pairs (i, j).
+        the blocks of the live pairs (i, j), which the blocks hold as they
+        are.
         """
         spans = {}
         for (i, j), mats in self.act.items():
@@ -314,7 +322,7 @@ class AlgebraModule:
             if mats:
                 cols = spans.setdefault(i, [])
                 for mat in mats:
-                    cols.extend(filter(any, zip(*mat)))
+                    cols.extend(filter(any, mat))
         quotient, lifts = self.alg._quotient, []
         # a zero label has no top; skipping it saves a quotient per label
         for k, d in self.dims.items():
@@ -342,13 +350,14 @@ class AlgebraModule:
         """The syzygy of this content: one cover, its kernel and its guards.
 
         The cover sends basis element b of the summand P_k at a lift e_f to
-        column f of act[(i, k)][b].  One row reduction per label gives the
-        rank of the cover and a kernel basis that is the identity on the
-        free columns, so a kernel vector's coordinates are its entries
-        there.  Two kinds of matrix are written, not computed: the identity
-        of End(T_i) acts as the identity (projective_module checks it on
-        every summand), and a basis element that acts by zero on every
-        summand acts by zero, an image that lies in every kernel.  Any
+        column f of mat = act[(i, k)][b], which is mat[f].  One row
+        reduction per label gives the rank of the cover and a kernel basis
+        that is the identity on the free columns, so a kernel vector's
+        coordinates are its entries there.  Two kinds of matrix are
+        written, not computed: the identity of End(T_i) acts as the
+        identity (projective_module checks it on every summand), and a
+        basis element that acts by zero on every summand acts by zero, an
+        image that lies in every kernel.  Any
         other builds the image of each kernel vector and rebuilds it from
         its coordinates, which checks that it lies in the kernel; where the
         kernel at label i is zero, that check asks for a zero image and the
@@ -362,7 +371,6 @@ class AlgebraModule:
                 raise MeshConsistencyError("nonzero module with zero top")
             return AlgebraModule(alg, {i: 0 for i in alg.labels}, {})
         ncols, moving = alg._cover(tuple(map(_FIRST, lifts)))
-        picks = [(k, itemgetter(f)) for k, f in lifts]
         kernels, dims = {}, {}
         for (i, n), di in zip(ncols.items(), self.dims.values()):
             if not di:  # the whole of the cover at i is the kernel
@@ -371,11 +379,11 @@ class AlgebraModule:
                 continue
             # one column per lift (k, f) and basis element b of Hom(T_i, T_k)
             cols = []
-            for k, pick in picks:
+            for k, f in lifts:
                 mats = act.get((i, k))
                 if mats:
                     for mat in mats:
-                        cols.append(tuple(map(pick, mat)))
+                        cols.append(mat[f])
             kernels[i] = free, _basis = quotient(tuple(zip(*cols)), n)
             dims[i] = len(free)
             if n - dims[i] != di:
@@ -399,8 +407,9 @@ def _kernel_block(alg, pair, terms, kernels, ncols):
 
     Each image of a kernel vector at j is rebuilt from its coordinates,
     its entries at the free columns of the kernel at i; a rebuilt image
-    that differs from it left the kernel.  The identity of End(T_i) is
-    written, not computed.
+    that differs from it left the kernel.  The coordinate tuples are the
+    columns of the block's matrices, which are stored as they are.  The
+    identity of End(T_i) is written, not computed.
     """
     i, j = pair
     free, basis = kernels[i]
@@ -419,7 +428,7 @@ def _kernel_block(alg, pair, terms, kernels, ncols):
                     seg = w[oj: oj + dk]
                     for r, row in enumerate(mat, oi):
                         img[r] = sum(map(mul, row, seg))
-            coeffs = list(map(img.__getitem__, free))
+            coeffs = tuple(map(img.__getitem__, free))
             rebuilt = [0] * n
             for c, u in zip(coeffs, basis):
                 if c:
@@ -429,9 +438,9 @@ def _kernel_block(alg, pair, terms, kernels, ncols):
             if rebuilt != img:
                 raise MeshConsistencyError("syzygy action left the kernel")
             cols.append(coeffs)
-        # rows follow the kernel basis of i, columns that of j: the action
-        # matrix V_j -> V_i
-        mats.append(tuple(zip(*cols)))
+        # one column per kernel basis vector of j: the action matrix
+        # V_j -> V_i
+        mats.append(tuple(cols))
     return tuple(mats)
 
 
@@ -451,7 +460,7 @@ def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     if not any(dv):
         raise ValueError(
             "Hom_C(T, M) = 0: M lies in the shift of the tilting object")
-    # act[(i, j)][b] sends g in Hom(T_j, M) to g . (basis element b)
+    # act[(i, j)][b][g] is g . (basis element b), for g in Hom(T_j, M)
     products = eng.products
     return AlgebraModule(alg, dict(zip(alg.labels, dv)), {
         pair: products(s[pair[0]], s[pair[1]], m_cid)

@@ -17,6 +17,7 @@ exception).  --seed affects listing order only; all math is exact.
 """
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -282,7 +283,10 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser():
+    """The argument parser, built once per process: a parse keeps its state
+    in the namespace it returns, so every call of main can share it."""
     top = argparse.ArgumentParser(
         prog="clustercat",
         description="exact cluster-category engine for Dynkin types A and D")

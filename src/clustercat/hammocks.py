@@ -75,13 +75,14 @@ def _pairing_witness(cc, x, a, b):
 
     The additive counts rule a witness out before any table is read.  The
     composites are read off the category's product table: column h of
-    the matrix of g is the composite of basis elements g and h.  hij does
-    not call it: the hammock table is filled without the product table.
+    the matrix of g, products(a, x, b)[g][h], is the composite of basis
+    elements g and h.  hij does not call it: the hammock table is filled
+    without the product table.
     """
     if not (cc.hom_dim_c(a, b) and cc.hom_dim_c(a, x) and cc.hom_dim_c(x, b)):
         return None
     for g, mat in enumerate(cc._get_engine().products(a, x, b)):
-        for h, col in enumerate(zip(*mat)):
+        for h, col in enumerate(mat):
             if any(col):
                 return cc.hom_basis(a, x)[g], cc.hom_basis(x, b)[h]
     return None

@@ -18,7 +18,9 @@ tested against.
 MeshHomEngine.products tabulates the composites of basis elements once per
 category, a whole row (x, y, -) at a time: F_y's records are walked once
 in knit order, and the image of each under a unit vector of F_x is one
-arrow matrix of F_x applied to the image of its prefix.  The algebra reads
+arrow matrix of F_x applied to the image of its prefix.  An entry is
+column-major, the coordinate tuple of g . f per pair of basis elements
+(f, g), which is the order the walk produces them in.  The algebra reads
 its modules and structure constants from there.  MeshHomEngine.hammock
 keeps H(a, b), the objects that a nonzero a -> b factors through, once per
 pair.  It is decided from F_a alone, by one sweep from the top of its
@@ -223,8 +225,9 @@ def _echelon_add(span, vec):
 
 
 def zero_products(dxy: int, dyz: int, dxz: int):
-    """products of a triple with a zero Hom space: dxy zero dxz x dyz matrices."""
-    return (((0,) * dyz,) * dxz,) * dxy
+    """products of a triple with a zero Hom space: dxy tuples of dyz zero
+    columns of length dxz."""
+    return (((0,) * dxz,) * dyz,) * dxy
 
 
 class MeshHomEngine:
@@ -364,10 +367,11 @@ class MeshHomEngine:
     def products(self, x: int, y: int, z: int):
         """One matrix per basis element f of Hom(x, y): g -> g . f.
 
-        The matrix maps Hom(y, z) to Hom(x, z) in hom_basis coordinates
-        (rows Hom(x, z), columns Hom(y, z)), the layout of a module action.
-        The first read of a triple fills its whole row (x, y, -) at once,
-        see _fill_row.  A triple with a zero Hom space is not stored: its
+        The matrix maps Hom(y, z) to Hom(x, z) in hom_basis coordinates and
+        is stored column-major: products(x, y, z)[f][g] is the coordinate
+        tuple of g . f in Hom(x, z), the layout of a module action.  The
+        first read of a triple fills its whole row (x, y, -) at once, see
+        _fill_row.  A triple with a zero Hom space is not stored: its
         matrices are zero, of the shape the dimensions give.
         """
         key = (x * self._n + y) * self._n + z
@@ -390,7 +394,7 @@ class MeshHomEngine:
         the arrow matrix of F_x at (p, k + l') applied to the image of that
         prefix.  Records are visited in knit order, which puts every prefix
         first; the image of the record of basis element g of Hom(y, z) is
-        column g of the matrix of e.
+        column g of the matrix of e, and the columns are stored as they are.
         """
         fx, fy = self.functor(x), self.functor(y)
         act, offsets, n = fx.act, self.cc.arrow_offsets, self._n
@@ -446,7 +450,7 @@ class MeshHomEngine:
                     zero = zeros[c]
                     cols[c][col] = zero[:at] + v + zero[at + len(v):]
                 for z, done in mats.items():
-                    done.append(self._intern(tuple(zip(*cols[z]))))
+                    done.append(self._intern(tuple(cols[z])))
         for z, done in mats.items():
             self._products[(x * n + y) * n + z] = self._intern(tuple(done))
 

@@ -191,6 +191,18 @@ def _orientation_name(quiver) -> str:
     return "custom:" + ",".join(f"{s}-{t}" for s, t in quiver.arrows)
 
 
+def _array(items, pad):
+    """A JSON array of rendered items, one per line, closed at indent pad."""
+    if not items:
+        return "[]"
+    inner = "\n" + pad + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + pad + "]"
+
+
+def _ints(values, pad):
+    return _array([str(v) for v in values], pad)
+
+
 def export_json(cc: ClusterCategory, tilting: TiltingObject,
                 orientation: str | None = None) -> str:
     """Byte-stable JSON document for a verification run over one tilting.
@@ -199,43 +211,46 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
     H(i,j) table, read once in label order, and the shapes are reads of the
     category's table of closed forms (hij_closed_form).
     meta.orientation is the given string, else _orientation_name(cc.quiver).
+
+    The text is written directly, in the layout of
+    json.dumps(doc, sort_keys=True, indent=2) plus a newline: keys in
+    sorted order, two spaces per level, one array item per line and [] for
+    an empty array.  The stdlib encoder is pure Python once it indents;
+    only the two free strings, family and orientation, go through it, so
+    their escaping is the stdlib's.
     """
     report = verify_main_theorem(cc, tilting)
     in_hij = {m: [] for m in report.modules}
     for (i, j), h in report.hij.items():
+        pair = _ints((i, j), " " * 8)
         for m in h:
             if m in in_hij:
-                in_hij[m].append([i, j])
+                in_hij[m].append(pair)
+    p6 = " " * 6
     modules = [
-        {
-            "cid": m,
-            "dim_vector": list(dims),
-            "pd": pd.value,
-            "in_hij": in_hij[m],
-        }
+        '{\n      "cid": %s,\n      "dim_vector": %s,\n'
+        '      "in_hij": %s,\n      "pd": "%s"\n    }'
+        % (m, _ints(dims, p6), _array(in_hij[m], p6), pd.value)
         for m, (dims, _syzygies, pd) in report.modules.items()
     ]
     hammocks = [
-        {
-            "i": i,
-            "j": j,
-            "shape": str(hij_closed_form(cc, tilting, i, j).shape),
-            "vertices": sorted(h),
-        }
+        '{\n      "i": %s,\n      "j": %s,\n      "shape": "%s",\n'
+        '      "vertices": %s\n    }'
+        % (i, j, hij_closed_form(cc, tilting, i, j).shape,
+           _ints(sorted(h), p6))
         for (i, j), h in report.hij.items()
     ]
-    doc = {
-        "meta": {
-            "family": cc.quiver.family,
-            "rank": cc.quiver.rank,
-            "orientation": orientation or _orientation_name(cc.quiver),
-            "tilting": list(tilting.summands),
-        },
-        "modules": modules,
-        "hammocks": hammocks,
-        "agreement": report.agreement,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return (
+        '{\n  "agreement": %s,\n  "hammocks": %s,\n  "meta": {\n'
+        '    "family": %s,\n    "orientation": %s,\n    "rank": %s,\n'
+        '    "tilting": %s\n  },\n  "modules": %s\n}\n'
+        % ("true" if report.agreement else "false",
+           _array(hammocks, "  "),
+           json.dumps(cc.quiver.family),
+           json.dumps(orientation or _orientation_name(cc.quiver)),
+           cc.quiver.rank,
+           _ints(tilting.summands, "    "),
+           _array(modules, "  ")))
 
 
 def render(cc: ClusterCategory, spec: RenderSpec,

@@ -24,9 +24,9 @@ def radical_power_dim(alg, m):
 
 
 def mult_table(alg, i, j, k):
-    """coords of hom[i,j][a] . hom[j,k][b] in the (i,k) basis, as [a][b]."""
-    return [[tuple(row[b] for row in mat) for b in range(alg.hom_dim(j, k))]
-            for mat in alg.products(i, j, k)]
+    """coords of hom[i,j][a] . hom[j,k][b] in the (i,k) basis, as [a][b]:
+    the product table's columns."""
+    return [list(mat) for mat in alg.products(i, j, k)]
 
 
 def cyclic_a3_algebra(category):
@@ -324,7 +324,7 @@ def test_syzygy_rejects_a_pivot_other_than_one():
     bad = AlgebraModule(alg, mod.dims, {**mod.act, (3, 1): (((2,),),)})
     with pytest.raises(MeshConsistencyError, match="pivot 2"):
         bad.syzygy()
-    assert mod.syzygy().act[(4, 3)][0] == ((1,), (1,))
+    assert mod.syzygy().act[(4, 3)][0] == ((1, 1),)
 
 
 def test_chain_rejects_projective_dimension_two(category, monkeypatch):
@@ -467,11 +467,11 @@ def test_content_equal_module_gets_the_same_syzygy(category):
 
 
 def block(mod, key):
-    """The action matrix of basis element b of Hom(T_i, T_j), key (i, j, b);
-    the zero matrix of its shape if (i, j) is not live."""
+    """The action matrix of basis element b of Hom(T_i, T_j), key (i, j, b),
+    column-major; the zero matrix of its shape if (i, j) is not live."""
     i, j, b = key
     mats = mod.act.get((i, j))
-    return mats[b] if mats else ((0,) * mod.dims[j],) * mod.dims[i]
+    return mats[b] if mats else ((0,) * mod.dims[i],) * mod.dims[j]
 
 
 @pytest.mark.parametrize("family,rank,orientation", ORIENTED, ids=[
@@ -508,12 +508,12 @@ def test_syzygies_are_modules(category, family, rank, orientation):
                         for f in fs:
                             for g in keys[(j, k)]:
                                 af, ag = block(mod, f), block(mod, g)
-                                lhs = [[sum(af[r][p] * ag[p][q]
+                                lhs = [[sum(af[p][r] * ag[q][p]
                                             for p in range(mod.dims[j]))
                                         for q in range(mod.dims[k])]
                                        for r in range(mod.dims[i])]
-                                rhs = [[sum(prods[f[2]][h[2]][g[2]]
-                                            * block(mod, h)[r][q]
+                                rhs = [[sum(prods[f[2]][g[2]][h[2]]
+                                            * block(mod, h)[q][r]
                                             for h in hs)
                                         for q in range(mod.dims[k])]
                                        for r in range(mod.dims[i])]

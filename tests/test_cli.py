@@ -199,6 +199,37 @@ def test_render_json_needs_tilting(capsys):
     assert "--tilting" in err
 
 
+# one call per verb the parser must keep apart, and an input it rejects;
+# a highlight list left in the parser would turn the plain dot render into
+# "--highlight needs --tilting"
+PARSER_CALLS = (
+    ("render", "--family", "D", "--rank", "4", "--format", "json",
+     "--tilting", "@mutations:1,2"),
+    ("render", "--family", "A", "--rank", "3", "--format", "dot",
+     "--tilting", "0,2,5", "--highlight", "2:1:blue",
+     "--highlight", "1:3:red"),
+    ("render", "--family", "A", "--rank", "3", "--format", "dot"),
+    ("verify", "--family", "A", "--rank", "3", "--all-tiltings"),
+    ("classify", "--family", "D", "--rank", "4", "--tilting", "@mutations:3"),
+    ("render", "--family", "A", "--rank", "3", "--format", "svg"),
+)
+
+
+def test_one_parser_serves_every_call(capsys):
+    """main builds its parser once per process.  A parse leaves no state in
+    it (such as an appended highlight list), so calls that share it, the
+    list run twice, print what calls with a freshly built parser print."""
+    fresh = []
+    for argv in PARSER_CALLS:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert [code for code, _out, _err in fresh] == [0, 0, 0, 0, 0, 2]
+    assert "invalid choice: 'svg'" in fresh[-1][2]
+    shared = [run(capsys, *argv) for argv in PARSER_CALLS * 2]
+    assert shared == fresh * 2
+    assert cli._parser.cache_info().misses == 1
+
+
 def test_render_json_parses(capsys):
     code, out, _err = run(capsys, "render", "--family", "A", "--rank", "3",
                           "--format", "json", "--tilting", "0,2,5")

@@ -491,13 +491,12 @@ def test_module_actions_equal_direct_composition(category, family, rank):
             for i, j, b in keys:
                 si, sj = alg.summand[i], alg.summand[j]
                 f = cc.hom_basis(si, sj)[b]
-                cols = [cc.compose(si, sj, m, f, g) for g in bases[j]]
-                direct = tuple(tuple(col[r] for col in cols)
-                               for r in range(len(bases[i])))
+                direct = tuple(cc.compose(si, sj, m, f, g) for g in bases[j])
                 if (i, j) in got:
                     assert got[(i, j)][b] == direct, (t.summands, m, (i, j, b))
-                else:  # no rows, or rows without entries
-                    assert not any(direct), (t.summands, m, (i, j, b))
+                else:  # no columns, or columns without entries
+                    assert not any(map(any, direct)), \
+                        (t.summands, m, (i, j, b))
 
 
 def first_composing_pair(cc, t, m):

@@ -8,6 +8,8 @@ tables against an independent route:
 - product rows, filled in a random order on a fresh engine, against
   direct composition;
 - a cold export against a warm one of the same tilting, byte for byte;
+- the directly written export against the standard library's rendering of
+  the document it parses to, with orientation names that need escaping;
 - the closed form of every H(i, j) against the exact set, on tiltings
   reached by a mutation word;
 - mutating twice at one label gives the tilting back;
@@ -17,6 +19,8 @@ tables against an independent route:
 Examples are capped so the module stays a few seconds of the Tier-1 run
 (see `--durations`); a checkout without hypothesis skips it.
 """
+
+import json
 
 import pytest
 
@@ -34,6 +38,7 @@ from clustercat.meshhom import MeshHomEngine  # noqa: E402
 from clustercat.render import export_json  # noqa: E402
 from clustercat.tilting import (  # noqa: E402
     TiltingObject,
+    enumerate_tiltings,
     initial_tilting,
     mutate,
 )
@@ -107,6 +112,43 @@ def test_export_is_byte_stable(category, case, data):
     first = export_json(cc, t)
     assert export_json(cc, t) == first
     assert export_json(category(*case), t) == first
+
+
+# orientation names for the export: a quote, a backslash, a tab and a
+# non-ASCII letter each need escaping in JSON
+ORIENTATION_NAMES = st.none() | st.text(st.sampled_from('a"\\\té'),
+                                        min_size=1, max_size=6)
+
+
+def stdlib_rendering(doc):
+    """The text json.dumps writes for the document doc parses to."""
+    return json.dumps(json.loads(doc), sort_keys=True, indent=2) + "\n"
+
+
+@SETTINGS
+@hypothesis.given(case=oriented_types(), data=st.data())
+def test_export_is_the_stdlib_rendering(category, case, data):
+    """export_json writes its text directly; it is the standard library's
+    sorted, two-space rendering of the same document, escaping included."""
+    cc = category(*case)
+    t = initial_tilting(cc)
+    for k in mutation_word(data, case[1]):
+        t = mutate(cc, t, k)
+    name = data.draw(ORIENTATION_NAMES)
+    doc = export_json(cc, t, name)
+    assert doc == stdlib_rendering(doc), (t.summands, name)
+    if name is not None:
+        assert json.loads(doc)["meta"]["orientation"] == name
+
+
+def test_smallest_export_is_the_stdlib_rendering(category):
+    """A1: one module per tilting, with an empty list of memberships."""
+    cc = category("A", 1)
+    for t in enumerate_tiltings(cc):
+        for name in (None, 'we"ird\\\té'):
+            doc = export_json(cc, t, name)
+            assert doc == stdlib_rendering(doc), (t.summands, name)
+            assert '"in_hij": []' in doc
 
 
 @SETTINGS

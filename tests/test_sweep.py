@@ -1,6 +1,8 @@
 """Exhaustive sweeps: the main theorem on every tilting of D6, D7 and A8,
 and of D6 and A7 in an orientation past the default, with the location
-route's classes checked against the syzygy route's, module by module.
+route's classes checked against the syzygy route's, module by module.  On
+the two D6 sweeps every tilting's JSON export is also checked against the
+standard library's rendering of the document it parses to.
 
 Deselected from the default run by the `sweep` marker (see pyproject.toml);
 run them with `pytest -m sweep`.  CHANGES.md gives the measured CPU time
@@ -10,9 +12,12 @@ in D6, 5 in A7), so relabelled cover functors carry bases that differ from
 knitted ones.
 """
 
+import json
+
 import pytest
 
 from clustercat.hammocks import classify_by_location, verify_main_theorem
+from clustercat.render import export_json
 from clustercat.tilting import enumerate_tiltings
 
 pytestmark = pytest.mark.sweep
@@ -30,7 +35,7 @@ def test_every_tilting_agrees(category, family, rank, orientation, count):
     cc = category(family, rank, orientation)
     tiltings = enumerate_tiltings(cc)
     assert len(tiltings) == count
-    disagreeing, mislocated = [], []
+    disagreeing, mislocated, misrendered = [], [], []
     for t in tiltings:
         report = verify_main_theorem(cc, t)
         if not report.agreement:
@@ -38,5 +43,11 @@ def test_every_tilting_agrees(category, family, rank, orientation, count):
         if classify_by_location(cc, t) != {
                 m: pd for m, (_dims, _syzygies, pd) in report.modules.items()}:
             mislocated.append(t.summands)
+        if (family, rank) == ("D", 6):
+            doc = export_json(cc, t)
+            if doc != json.dumps(json.loads(doc), sort_keys=True,
+                                 indent=2) + "\n":
+                misrendered.append(t.summands)
     assert disagreeing == []
     assert mislocated == []
+    assert misrendered == []
