@@ -24,11 +24,19 @@ action, their blocks built and written in the same layout.  Syzygies are
 memoized per algebra by content (dimension vector and live blocks): the
 cover, its row reductions and every guard run once per distinct module,
 and a module equal block for block to one seen before gets the stored
-syzygy back.  The memo and the covers stay
-with the algebra: keyed by the cids of the cover's summands, only 30% of the
-syzygy contents of all D7 tiltings repeat across tiltings, so a table per
-category would mostly hold entries read once.  classify_modules empties the
-memo when it is done, so the algebra is freed at once.  The row reductions
+syzygy back.  The memo and the covers stay with the algebra: keyed by the
+cids of the cover's summands, only 30% of the syzygy contents of all D7
+tiltings repeat across tiltings.  The work repeats at the step instead:
+the action block of one label pair on the kernel of a cover depends on
+six things only (see _kernel_block), and an exhaustive D7 verify reads
+124,707 such blocks of 384 distinct inputs.  So the blocks, and the
+moving forms of the projectives' blocks that the covers are made of, are
+kept in tables of the category, filled here on first use and read by
+every tilting; an input that raises stores nothing.  classify_modules
+empties the memo when it is done, so the algebra is freed at once.
+Hom_C(T, M) is read from the category's tables too: its dimension vector
+from the summands' dimension rows, its blocks from the tilting's product
+rows.  The row reductions
 beneath them (the top and the kernel of the cover, label by label, and the
 identity blocks) are reads of the category's table of quotients,
 MeshHomEngine.quotient, shared by every tilting of the category; a pivot
@@ -74,15 +82,22 @@ class ClusterTiltedAlgebra:
         self.summand = {i: tilting[i - 1] for i in self.labels}
         self._engine = eng = cc._get_engine()
         self._quotient = eng.quotient
+        self._kernel_blocks = eng._kernel_blocks
         s = self.summand
-        self.hom_dims = {(i, j): eng.dim(s[i], s[j])
-                         for i in self.labels for j in self.labels}
+        # dim Hom(T_i, y) per summand, over every cid y
+        self._dim_rows = tuple(map(eng.dim_row, tilting.summands))
+        self.hom_dims = {(i, j): row[s[j]]
+                         for i, row in zip(self.labels, self._dim_rows)
+                         for j in self.labels}
         self.dim = sum(self.hom_dims.values())
         # the label pairs (i, j) with Hom(T_i, T_j) != 0, in label order,
         # and the indices i - 1 and j - 1 of each in a dimension vector
         self.pairs = tuple(p for p, d in self.hom_dims.items() if d)
         self._ends = (tuple(i - 1 for i, _j in self.pairs),
                       tuple(j - 1 for _i, j in self.pairs))
+        # pair (i, j) -> the category's product row of (T_i, T_j)
+        self._rows = {(i, j): eng.product_row(s[i], s[j])
+                      for i, j in self.pairs}
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
         self._proj: dict[int, tuple] = {}  # k -> (P_k, its moving blocks)
         self._covers: dict[tuple[int, ...], tuple] = {}
@@ -240,7 +255,9 @@ class ClusterTiltedAlgebra:
                     moving.setdefault(pair, []).append(
                         (off[pair[0] - 1], off[pair[1] - 1], dk, mats))
                 off = tuple(map(add, off, mod.dim_vector()))
-            got = self._covers[tops] = dict(zip(self.labels, off)), moving
+            # tuples, which key the category's table of kernel blocks
+            got = self._covers[tops] = dict(zip(self.labels, off)), {
+                pair: tuple(terms) for pair, terms in moving.items()}
         return got
 
     def projective_module(self, k: int) -> "AlgebraModule":
@@ -254,10 +271,10 @@ class ClusterTiltedAlgebra:
     def _projective(self, k: int):
         """(P_k, its moving blocks), which the covers read: per pair (i, j)
         with a radical basis element acting on P_k by a nonzero matrix, the
-        pair, dim Hom(T_j, T_k) and the block with None in place of the
-        identity and of every zero matrix.  The moving matrices are
-        transposed once here, to row tuples, for the matrix-vector products
-        of _kernel_block."""
+        pair, dim Hom(T_j, T_k) and the moving form of its block (see
+        _moving_form).  The forms are read from the category's table, keyed
+        by the interned product entry, so every algebra of the category
+        shares one tuple per form."""
         got = self._proj.get(k)
         if got is None:
             mod = module_of(self, self.summand[k])
@@ -266,14 +283,14 @@ class ClusterTiltedAlgebra:
                     raise MeshConsistencyError(
                         f"the identity of End(T_{i}) does not act as the "
                         f"identity on P_{k}")
-            moving = []
+            forms, moving = self._engine._moving_forms, []
             for pair, mats in mod.act.items():
-                i, j = pair
-                mats = tuple(tuple(zip(*mat))
-                             if (b or i != j) and any(map(any, mat))
-                             else None for b, mat in enumerate(mats))
-                if any(mats):
-                    moving.append((pair, mod.dims[j], mats))
+                key = mats, pair[0] == pair[1]
+                form = forms.get(key)
+                if form is None:
+                    form = forms[key] = _moving_form(*key)
+                if any(form):
+                    moving.append((pair, mod.dims[pair[1]], form))
             got = self._proj[k] = mod, tuple(moving)
         return got
 
@@ -401,9 +418,34 @@ class AlgebraModule:
         return AlgebraModule(alg, dims, out)
 
 
+def _moving_form(mats, diagonal):
+    """The block mats of a pair on a projective, as the covers read it: per
+    basis element, None for the identity of End(T_i) (diagonal is whether
+    the pair is (i, i)) and for a zero matrix, else the matrix transposed
+    to row tuples, for the matrix-vector products of _block_on_kernel."""
+    return tuple([tuple(zip(*mat))
+                  if (b or not diagonal) and any(map(any, mat)) else None
+                  for b, mat in enumerate(mats)])
+
+
 def _kernel_block(alg, pair, terms, kernels, ncols):
     """The block of pair (i, j) on the kernel of a cover, from its moving
-    terms (see ClusterTiltedAlgebra._cover).
+    terms (see ClusterTiltedAlgebra._cover): a read of the category's
+    table, keyed by all that _block_on_kernel reads, and filled on first
+    use; a key whose block raises is not stored."""
+    i, j = pair
+    key = (alg.hom_dims[pair], i == j, terms, kernels[i], kernels[j][1],
+           ncols[i])
+    got = alg._kernel_blocks.get(key)
+    if got is None:
+        got = alg._kernel_blocks[key] = _block_on_kernel(alg._quotient, *key)
+    return got
+
+
+def _block_on_kernel(quotient, d, diagonal, terms, kernel, basis_j, n):
+    """The block of a pair (i, j) with d basis elements on the kernel of a
+    cover: kernel = (free, basis) is the kernel at i, basis_j the kernel
+    basis at j, n the dimension of the cover at i.
 
     Each image of a kernel vector at j is rebuilt from its coordinates,
     its entries at the free columns of the kernel at i; a rebuilt image
@@ -411,16 +453,14 @@ def _kernel_block(alg, pair, terms, kernels, ncols):
     columns of the block's matrices, which are stored as they are.  The
     identity of End(T_i) is written, not computed.
     """
-    i, j = pair
-    free, basis = kernels[i]
-    n = ncols[i]
+    free, basis = kernel
     mats = []
-    for b in range(alg.hom_dims[pair]):
-        if i == j and not b:
-            mats.append(alg._quotient((), len(free))[1])
+    for b in range(d):
+        if diagonal and not b:
+            mats.append(quotient((), len(free))[1])
             continue
         cols = []
-        for w in kernels[j][1]:
+        for w in basis_j:
             img = [0] * n
             for oi, oj, dk, blk in terms:
                 mat = blk[b]
@@ -451,20 +491,18 @@ def build_algebra(cc: ClusterCategory, tilting: TiltingObject) -> ClusterTiltedA
 def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     """Hom_C(T, M) as a module over the algebra; M outside add T[1].
 
-    The block of each live pair (i, j) is the category's product table
-    entry products(T_i, T_j, M), stored as it is.
+    The dimension vector is entry M of the summands' dimension rows, and
+    the block of each live pair (i, j) is entry M of the category's
+    product row of (T_i, T_j), products(T_i, T_j, M), stored as it is.
     """
-    eng, s = alg._engine, alg.summand
-    dim = eng.dim
-    dv = tuple([dim(x, m_cid) for x in alg.tilting.summands])
+    dv = tuple([row[m_cid] for row in alg._dim_rows])
     if not any(dv):
         raise ValueError(
             "Hom_C(T, M) = 0: M lies in the shift of the tilting object")
     # act[(i, j)][b][g] is g . (basis element b), for g in Hom(T_j, M)
-    products = eng.products
+    rows = alg._rows
     return AlgebraModule(alg, dict(zip(alg.labels, dv)), {
-        pair: products(s[pair[0]], s[pair[1]], m_cid)
-        for pair in alg._live_pairs(dv)})
+        pair: rows[pair][m_cid] for pair in alg._live_pairs(dv)})
 
 
 def _syzygy_chain(module: AlgebraModule):

@@ -15,13 +15,16 @@ composition is path application through the stored arrow matrices;
 compose walks whole paths and is the reference the two tables below are
 tested against.
 
-MeshHomEngine.products tabulates the composites of basis elements once per
-category, a whole row (x, y, -) at a time: F_y's records are walked once
-in knit order, and the image of each under a unit vector of F_x is one
-arrow matrix of F_x applied to the image of its prefix.  An entry is
-column-major, the coordinate tuple of g . f per pair of basis elements
-(f, g), which is the order the walk produces them in.  The algebra reads
-its modules and structure constants from there.  MeshHomEngine.hammock
+MeshHomEngine.product_row tabulates the composites of basis elements once
+per category, one dict per row (x, y, -) from z to the entry of (x, y, z):
+F_y's records are walked once in knit order, and the image of each under a
+unit vector of F_x is one arrow matrix of F_x applied to the image of its
+prefix.  An entry is column-major, the coordinate tuple of g . f per pair
+of basis elements (f, g), which is the order the walk produces them in.
+products(x, y, z) reads one entry.  The algebra reads its modules, entry
+M of each of its rows, and its structure constants from there, and the
+dimension vectors of its modules from dim_row, dim Hom(x, -) for one
+object x as a tuple over the cids.  MeshHomEngine.hammock
 keeps H(a, b), the objects that a nonzero a -> b factors through, once per
 pair.  It is decided from F_a alone, by one sweep from the top of its
 window down that tracks which functionals some arrow path carries to a
@@ -231,15 +234,22 @@ def zero_products(dxy: int, dyz: int, dxz: int):
 
 
 class MeshHomEngine:
-    """Hom spaces of one category, and its tables of basis products,
-    hammocks, their closed forms and quotients.
+    """Hom spaces of one category, and its tables of Hom dimensions, basis
+    products, hammocks, their closed forms and quotients, and the two
+    tables of the syzygy route.
 
-    products(x, y, z) is filled once per row (x, y, -), hammock(a, b) and
+    dim(x, y) is filled once per pair and dim_row(x) once per object,
+    product_row(x, y) once per row (x, y, -), hammock(a, b) and
     closed_form(a, b, ...) once per pair, quotient(rows, n) once per
-    distinct query, and all four are read by every tilting of the category;
+    distinct query, and all are read by every tilting of the category;
     identical matrices are shared through one intern map.  The tables of
-    cids are keyed by one int per pair or triple, which takes less memory
-    than a tuple key.
+    cids are keyed by one int per object or pair, which takes less memory
+    than a tuple key.  The algebra module
+    fills two more tables, read by every tilting as well: the moving form
+    of a product entry on a projective (ClusterTiltedAlgebra._projective),
+    and the action block of a label pair on the kernel of a cover, once
+    per distinct input of algebra._kernel_block.  After every tilting of
+    D7 they hold 4 and 384 entries.
     """
 
     def __init__(self, cc: ClusterCategory):
@@ -255,11 +265,18 @@ class MeshHomEngine:
                 x, m = cc.tau[x], m + 1
         self._moves = [{c: (c, 0) for c in cc.cids()}]  # m -> tau^m on the cover
         self._dims: dict[int, int] = {}  # x * n + y -> dim Hom(x, y)
-        self._products: dict[int, tuple] = {}  # (x * n + y) * n + z -> entry
+        self._dim_rows: dict[int, tuple] = {}  # x -> dim Hom(x, y) per cid y
+        self._rows: dict[int, dict] = {}  # x * n + y -> {z: products(x, y, z)}
         self._interned: dict[tuple, tuple] = {}
         self._hammocks: dict[int, frozenset] = {}  # a * n + b -> H(a, b)
         self._closed_forms: dict[int, tuple] = {}  # a * n + b -> (H, shape)
         self._quotients: dict[tuple, tuple] = {}  # (rows, n) -> quotient
+        # the algebra module's tables, filled there: (product entry, whether
+        # the pair is (i, i)) -> its moving form, see
+        # ClusterTiltedAlgebra._projective; the inputs of one kernel action
+        # block -> the block, see algebra._kernel_block
+        self._moving_forms: dict[tuple, tuple] = {}
+        self._kernel_blocks: dict[tuple, tuple] = {}
 
     def functor(self, x: int) -> CoverFunctor:
         """F_x, built once; its basis of End(x) must start with the identity.
@@ -313,6 +330,16 @@ class MeshHomEngine:
                     f"mesh basis of Hom({x},{y}) has {got} elements, "
                     f"additive count gives {expect}")
             self._dims[key] = got
+        return got
+
+    def dim_row(self, x: int) -> tuple:
+        """dim(x, y) for every cid y in turn, built once per x; the algebra
+        reads the dimension vectors of its modules from the rows of its
+        summands."""
+        got = self._dim_rows.get(x)
+        if got is None:
+            got = self._dim_rows[x] = tuple([self.dim(x, y)
+                                             for y in self.cc.cids()])
         return got
 
     def hom_basis(self, x: int, y: int):
@@ -369,23 +396,30 @@ class MeshHomEngine:
 
         The matrix maps Hom(y, z) to Hom(x, z) in hom_basis coordinates and
         is stored column-major: products(x, y, z)[f][g] is the coordinate
-        tuple of g . f in Hom(x, z), the layout of a module action.  The
-        first read of a triple fills its whole row (x, y, -) at once, see
-        _fill_row.  A triple with a zero Hom space is not stored: its
-        matrices are zero, of the shape the dimensions give.
+        tuple of g . f in Hom(x, z), the layout of a module action.  It is
+        entry z of product_row(x, y); a triple with a zero Hom space has no
+        entry, its matrices are zero, of the shape the dimensions give.
         """
-        key = (x * self._n + y) * self._n + z
-        got = self._products.get(key)
-        if got is not None:
-            return got
         dxy, dyz, dxz = self.dim(x, y), self.dim(y, z), self.dim(x, z)
         if not (dxy and dyz and dxz):
             return zero_products(dxy, dyz, dxz)
-        self._fill_row(x, y)
-        return self._products[key]
+        return self.product_row(x, y)[z]
 
-    def _fill_row(self, x: int, y: int):
-        """Store products(x, y, z) for every z with Hom(y, z) and Hom(x, z)
+    def product_row(self, x: int, y: int) -> dict:
+        """z -> products(x, y, z) for every z with Hom(y, z) and Hom(x, z)
+        nonzero, filled by _fill_row on the first read of the row and read
+        by every tilting of the category; empty when Hom(x, y) = 0.  Its
+        readers do not change it."""
+        key = x * self._n + y
+        got = self._rows.get(key)
+        if got is None:
+            if not self.dim(x, y):
+                return {}
+            got = self._rows[key] = self._fill_row(x, y)
+        return got
+
+    def _fill_row(self, x: int, y: int) -> dict:
+        """products(x, y, z) for every z with Hom(y, z) and Hom(x, z)
         nonzero, in one pass over the path records of F_y per unit vector.
 
         A unit vector e of F_x at a lift (y, k) is the image of the seed
@@ -397,7 +431,7 @@ class MeshHomEngine:
         column g of the matrix of e, and the columns are stored as they are.
         """
         fx, fy = self.functor(x), self.functor(y)
-        act, offsets, n = fx.act, self.cc.arrow_offsets, self._n
+        act, offsets = fx.act, self.cc.arrow_offsets
         # the targets z, with F_x's starts at their lifts, the zero column
         # of Hom(x, z), and the matrices of the unit vectors done so far
         starts = {z: self._starts(x, z) for z in fy.levels if z in fx.levels}
@@ -451,8 +485,7 @@ class MeshHomEngine:
                     cols[c][col] = zero[:at] + v + zero[at + len(v):]
                 for z, done in mats.items():
                     done.append(self._intern(tuple(cols[z])))
-        for z, done in mats.items():
-            self._products[(x * n + y) * n + z] = self._intern(tuple(done))
+        return {z: self._intern(tuple(done)) for z, done in mats.items()}
 
     def hammock(self, a: int, b: int) -> frozenset:
         """H(a, b): the cids x with some nonzero composite a -> x -> b.

@@ -237,18 +237,14 @@ def test_syzygy_rejects_a_kernel_that_is_not_a_submodule(category):
 
 
 def corrupt_table(monkeypatch, cc, triple, corrupt):
-    """Make cc's product table answer corrupt(entry) for one triple.
+    """Make cc's product table hold corrupt(entry) for one triple (x, y, z),
+    entry z of the row of (x, y), which products and module_of both read.
 
-    cc must be built for the test: the patch sits on its engine.
+    cc must be built for the test: the patch sits on its engine's row.
     """
-    eng = cc._get_engine()
-    table = eng.products
-
-    def products(x, y, z):
-        got = table(x, y, z)
-        return corrupt(got) if (x, y, z) == triple else got
-
-    monkeypatch.setattr(eng, "products", products)
+    x, y, z = triple
+    row = cc._get_engine().product_row(x, y)
+    monkeypatch.setitem(row, z, corrupt(row[z]))
 
 
 def test_projective_with_a_corrupted_identity_block_is_rejected(monkeypatch):
@@ -293,6 +289,37 @@ def test_syzygy_checks_the_image_where_the_kernel_is_zero(monkeypatch):
                   lambda _got: (((1,),),))
     with pytest.raises(MeshConsistencyError, match="left the kernel"):
         mod.syzygy()
+
+
+def test_a_stored_kernel_block_never_masks_a_fault(monkeypatch):
+    """The fault of test_syzygy_checks_the_image_where_the_kernel_is_zero,
+    injected through the row table after every D4 tilting has filled the
+    category's tables, still raises, and the input that raised leaves no
+    entry in the table of kernel blocks."""
+    cc = ClusterCategory(build_quiver("D", 4))
+    for t in enumerate_tiltings(cc):
+        assert verify_main_theorem(cc, t).agreement
+    blocks = cc._get_engine()._kernel_blocks
+    assert blocks
+    alg = build_algebra(cc, TiltingObject((0, 1, 3, 8)))
+    mod = module_of(alg, 2)
+    raised = []
+    build = algebra._block_on_kernel
+
+    def recorded(quotient, *key):
+        try:
+            return build(quotient, *key)
+        except MeshConsistencyError:
+            raised.append(key)
+            raise
+
+    monkeypatch.setattr(algebra, "_block_on_kernel", recorded)
+    s = alg.summand
+    corrupt_table(monkeypatch, cc, (s[3], s[4], s[3]),
+                  lambda _got: (((1,),),))
+    with pytest.raises(MeshConsistencyError, match="left the kernel"):
+        mod.syzygy()
+    assert len(raised) == 1 and raised[0] not in blocks
 
 
 def test_syzygy_rejects_a_nonzero_module_with_zero_top():
@@ -381,15 +408,20 @@ def chain_summary(chain):
 def test_syzygy_memo_is_exact(category, family, rank, orientation):
     """Chains that share one memo equal chains that never read a memo.
 
-    The memo-free chain calls _syzygy at every step, on one fresh algebra
-    per tilting.  The report's modules agree in dims and pd; an algebra
-    shared in the report's order gives the same action matrices at every
-    step as well.
+    The memo-free chain calls _syzygy at every step, on an algebra over a
+    fresh category per tilting, whose tables of kernel blocks, moving forms
+    and quotients hold that tilting's entries only.  The report's modules
+    agree in dims and pd; an algebra over the shared category, whose
+    tables every tilting before has filled, gives the same dims and action
+    matrices at every step as well, so a stale or mis-keyed table entry
+    fails here.
     """
     cc = category(family, rank, orientation)
     for t in enumerate_tiltings(cc):
         report = verify_main_theorem(cc, t)
-        shared, fresh = build_algebra(cc, t), build_algebra(cc, t)
+        shared = build_algebra(cc, t)
+        fresh = build_algebra(
+            ClusterCategory(build_quiver(family, rank, orientation)), t)
         for m in report.modules:
             alone = syzygy_chain(module_of(fresh, m), memo=False)
             assert report.modules[m] == chain_summary(alone), (t.summands, m)

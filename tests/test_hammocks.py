@@ -631,7 +631,8 @@ def test_location_route_agrees_with_the_syzygy_route(family, rank, orientation,
     monkeypatch.setattr(algebra.AlgebraModule, "_syzygy", forbidden)
     monkeypatch.setattr(hammocks, "_pairing_witness", forbidden)
     monkeypatch.setattr(MeshHomEngine, "hammock", forbidden)
-    monkeypatch.setattr(MeshHomEngine, "products", forbidden)
+    for accessor in ("products", "product_row", "_fill_row"):
+        monkeypatch.setattr(MeshHomEngine, accessor, forbidden)
     for t, report in zip(tiltings, reports):
         got = hammocks.classify_by_location(cc, t)
         assert list(got) == list(report.modules), t.summands

@@ -280,8 +280,8 @@ def test_cold_verify_builds_only_the_functors_it_reads(family, rank,
     allowed = read | {eng._orbit[x][0] for x in read}
     assert set(eng._functors) <= allowed
     n = len(cc.indecs)
-    assert eng._products
-    assert not {key // (n * n) for key in eng._products} & shifted
+    assert eng._rows  # keyed x * n + y, one row of products per (x, y)
+    assert not {key // n for key in eng._rows} & shifted
 
 
 def unit_pivots(rows):
@@ -333,16 +333,18 @@ def test_a_pivot_other_than_one_raises_and_is_not_stored():
 @pytest.fixture(scope="module")
 def d5_sweep():
     """Every D5 tilting verified on a freshly built category: the
-    category, the reports and a copy of its table of quotients."""
+    category, the reports and copies of its tables of quotients and of
+    kernel blocks."""
     cc = ClusterCategory(build_quiver("D", 5))
     reports = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
-    return cc, reports, dict(cc._get_engine()._quotients)
+    eng = cc._get_engine()
+    return cc, reports, dict(eng._quotients), dict(eng._kernel_blocks)
 
 
 def test_every_quotient_after_a_d5_sweep_is_exact(d5_sweep):
     """Each entry is keyed by integer row tuples and holds the uncached
     rational reduction of its key, in ints."""
-    _cc, _reports, table = d5_sweep
+    _cc, _reports, table, _blocks = d5_sweep
     assert table
     for (rows, n), got in table.items():
         assert type(rows) is tuple
@@ -352,22 +354,27 @@ def test_every_quotient_after_a_d5_sweep_is_exact(d5_sweep):
 
 
 def test_a_second_d5_sweep_adds_no_quotient(d5_sweep):
-    """The first pass saturates the table: the second sends only queries
-    it has seen, and the reports are the same."""
-    cc, reports, table = d5_sweep
+    """The first pass saturates the tables of quotients and of kernel
+    blocks: the second sends only queries they have seen, and the reports
+    are the same."""
+    cc, reports, table, blocks = d5_sweep
     again = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
     assert cc._get_engine()._quotients == table
+    assert cc._get_engine()._kernel_blocks == blocks
     assert again == reports
 
 
 def test_a_second_category_starts_with_no_quotients(d5_sweep):
-    """The table belongs to its category: a new one starts empty, fills
-    its own, and leaves the first category's as it was."""
-    cc, reports, table = d5_sweep
+    """The tables of quotients and of kernel blocks belong to their
+    category: a new one starts empty, fills its own, and leaves the first
+    category's as they were."""
+    cc, reports, table, blocks = d5_sweep
     other = ClusterCategory(build_quiver("D", 5))
     eng = other._get_engine()
-    assert eng._quotients == {}
+    assert eng._quotients == {} and eng._kernel_blocks == {}
     first = enumerate_tiltings(other)[0]
     assert verify_main_theorem(other, first) == reports[0]
     assert eng._quotients and eng._quotients.keys() <= table.keys()
+    assert eng._kernel_blocks.items() <= blocks.items()
     assert cc._get_engine()._quotients == table
+    assert cc._get_engine()._kernel_blocks == blocks
