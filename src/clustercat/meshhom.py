@@ -30,7 +30,8 @@ pair.  It is decided from F_a alone, by one sweep from the top of its
 window down that tracks which functionals some arrow path carries to a
 lift of b, so it builds no functor of a middle object and reads no
 product.  MeshHomEngine.closed_form keeps the closed-form shape of H(a, b)
-beside it, once per pair, computed by the hammocks module on first use.
+beside it, once per pair, computed by the hammocks module on first use; a
+closed-form vertex set equal to H(a, b) is kept as the same frozenset.
 
 Knitting stops early: the mesh at height g reads only heights g - 1 (the
 middles) and g - 2 (the translate), so once two consecutive height levels
@@ -504,6 +505,9 @@ class MeshHomEngine:
         if got is None:
             got = self._sweep(a, b) if self.dim(a, b) else None
             got = self._hammocks[key] = got or _NO_OBJECTS
+            form = self._closed_forms.get(key)
+            if form is not None and form[0] == got:
+                self._closed_forms[key] = (got, form[1])
         return got
 
     def closed_form(self, a: int, b: int, classify) -> tuple:
@@ -512,12 +516,18 @@ class MeshHomEngine:
 
         Like H(a, b) it depends only on the pair, not on the tilting that
         reaches it, so classify() runs once per pair, on first use; an entry
-        whose classify() raises is not stored.
+        whose classify() raises is not stored.  Vertices equal to a stored
+        H(a, b) are kept as the hammock table's frozenset, whichever of the
+        two was computed first; neither computation reads the other.
         """
         key = a * self._n + b
         got = self._closed_forms.get(key)
         if got is None:
-            got = self._closed_forms[key] = classify()
+            vertices, shape = classify()
+            exact = self._hammocks.get(key)
+            if exact == vertices:
+                vertices = exact
+            got = self._closed_forms[key] = (vertices, shape)
         return got
 
     def _sweep(self, a: int, b: int) -> frozenset:

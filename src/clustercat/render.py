@@ -10,6 +10,7 @@ full verification run (modules with pd classes and hammock memberships).
 """
 
 import json
+import weakref
 from dataclasses import dataclass
 
 from .cluster import ClusterCategory
@@ -203,6 +204,41 @@ def _ints(values, pad):
     return _array([str(v) for v in values], pad)
 
 
+class _ExportText:
+    """The text of one category's exports that no single tilting owns.
+
+    pairs maps the cids (a, b) of (T_i[1], T_j[1]), as a * |cids| + b, to
+    the "shape" and "vertices" members of H(i,j) and the close of its
+    object; dims maps a dimension vector to its array.  labels(k) gives,
+    per label pair (i, j) of k summands in label order, the object's head
+    up to its "i" and "j" members and the [i, j] array that fills in_hij.
+    All three are filled on first use; family and orientation are the
+    meta strings.
+    """
+
+    __slots__ = ("pairs", "dims", "_labels", "family", "orientation")
+
+    def __init__(self, cc: ClusterCategory):
+        self.pairs = {}
+        self.dims = {}
+        self._labels = {}
+        self.family = json.dumps(cc.quiver.family)
+        self.orientation = json.dumps(_orientation_name(cc.quiver))
+
+    def labels(self, k):
+        got = self._labels.get(k)
+        if got is None:
+            got = self._labels[k] = [
+                ('{\n      "i": %s,\n      "j": %s,\n      ' % (i, j),
+                 _ints((i, j), " " * 8))
+                for i in range(1, k + 1) for j in range(1, k + 1)]
+        return got
+
+
+# category -> its _ExportText; an entry is freed with its category
+_TEXTS = weakref.WeakKeyDictionary()
+
+
 def export_json(cc: ClusterCategory, tilting: TiltingObject,
                 orientation: str | None = None) -> str:
     """Byte-stable JSON document for a verification run over one tilting.
@@ -218,36 +254,52 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
     an empty array.  The stdlib encoder is pure Python once it indents;
     only the two free strings, family and orientation, go through it, so
     their escaping is the stdlib's.
+
+    H(i,j) and its shape depend only on the pair (T_i[1], T_j[1]), so the
+    text of a pair, like that of a dimension vector, is rendered once per
+    category and kept in its _ExportText; hij_closed_form runs only for a
+    pair not rendered yet, and a pair whose closed form raises keeps no
+    text.
     """
     report = verify_main_theorem(cc, tilting)
+    text = _TEXTS.get(cc)
+    if text is None:
+        text = _TEXTS[cc] = _ExportText(cc)
+    pairs, dims, width = text.pairs, text.dims, len(cc.indecs)
+    shifts = [cc.shift(s) for s in tilting.summands]
+    p6 = " " * 6
     in_hij = {m: [] for m in report.modules}
-    for (i, j), h in report.hij.items():
-        pair = _ints((i, j), " " * 8)
+    hammocks = []
+    for (head, label), ((i, j), h) in zip(text.labels(len(shifts)),
+                                           report.hij.items()):
         for m in h:
             if m in in_hij:
-                in_hij[m].append(pair)
-    p6 = " " * 6
-    modules = [
-        '{\n      "cid": %s,\n      "dim_vector": %s,\n'
-        '      "in_hij": %s,\n      "pd": "%s"\n    }'
-        % (m, _ints(dims, p6), _array(in_hij[m], p6), pd.value)
-        for m, (dims, _syzygies, pd) in report.modules.items()
-    ]
-    hammocks = [
-        '{\n      "i": %s,\n      "j": %s,\n      "shape": "%s",\n'
-        '      "vertices": %s\n    }'
-        % (i, j, hij_closed_form(cc, tilting, i, j).shape,
-           _ints(sorted(h), p6))
-        for (i, j), h in report.hij.items()
-    ]
+                in_hij[m].append(label)
+        key = shifts[i - 1] * width + shifts[j - 1]
+        pair = pairs.get(key)
+        if pair is None:
+            pair = pairs[key] = (
+                '"shape": "%s",\n      "vertices": %s\n    }'
+                % (hij_closed_form(cc, tilting, i, j).shape,
+                   _ints(sorted(h), p6)))
+        hammocks.append(head + pair)
+    modules = []
+    for m, (dv, _syzygies, pd) in report.modules.items():
+        dim_vector = dims.get(dv)
+        if dim_vector is None:
+            dim_vector = dims[dv] = _ints(dv, p6)
+        modules.append(
+            '{\n      "cid": %s,\n      "dim_vector": %s,\n'
+            '      "in_hij": %s,\n      "pd": "%s"\n    }'
+            % (m, dim_vector, _array(in_hij[m], p6), pd.value))
     return (
         '{\n  "agreement": %s,\n  "hammocks": %s,\n  "meta": {\n'
         '    "family": %s,\n    "orientation": %s,\n    "rank": %s,\n'
         '    "tilting": %s\n  },\n  "modules": %s\n}\n'
         % ("true" if report.agreement else "false",
            _array(hammocks, "  "),
-           json.dumps(cc.quiver.family),
-           json.dumps(orientation or _orientation_name(cc.quiver)),
+           text.family,
+           json.dumps(orientation) if orientation else text.orientation,
            cc.quiver.rank,
            _ints(tilting.summands, "    "),
            _array(modules, "  ")))

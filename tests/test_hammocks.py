@@ -7,6 +7,7 @@ import pytest
 
 import clustercat.algebra as algebra
 import clustercat.hammocks as hammocks
+from clustercat import render
 from clustercat.algebra import PdClass, build_algebra, module_of, pd_class
 from clustercat.cluster import ClusterCategory, MeshConsistencyError
 from clustercat.dynkin import build_quiver
@@ -26,6 +27,7 @@ from clustercat.hammocks import (
 from clustercat.meshhom import CoverFunctor, MeshHomEngine
 from clustercat.polygon import diagonal_of
 from clustercat.presets import cycle_d6_tilting
+from clustercat.render import export_json
 from clustercat.tilting import (
     TiltingObject,
     enumerate_tiltings,
@@ -228,28 +230,41 @@ def test_closed_form_table_equals_a_cold_classification(category, family,
     """The shared category's table, filled by every tilting in turn, gives
     what a fresh category classifies for the tilting at hand.  The table
     keeps one entry per pair of cids, and a pair reached under other labels
-    returns the caller's (i, j)."""
+    returns the caller's (i, j).  Its vertex sets are the hammock table's
+    frozensets, whether H(i, j) is computed after the closed form (the
+    fresh categories) or before it (the cold one)."""
     cc = category(family, rank, arrows)
     labels = range(1, rank + 1)
     by_pair = {}
-    for t in enumerate_tiltings(cc):
+    tiltings = enumerate_tiltings(cc)
+    for t in tiltings:
         fresh = ClusterCategory(build_quiver(family, rank, arrows))
         for i in labels:
             for j in labels:
                 warm = hij_closed_form(cc, t, i, j)
                 assert warm == hij_closed_form(fresh, t, i, j), (t, i, j)
                 assert (warm.i, warm.j) == (i, j)
+                exact = hij(fresh, t, i, j)
+                assert hij_closed_form(fresh, t, i, j).vertices is exact
                 pair = (shifted_summand(cc, t, i), shifted_summand(cc, t, j))
                 by_pair.setdefault(pair, set()).add((i, j))
     assert len(cc._get_engine()._closed_forms) == len(by_pair)
     assert any(len(seen) > 1 for seen in by_pair.values())
+    cold = ClusterCategory(build_quiver(family, rank, arrows))
+    for i in labels:
+        for j in labels:
+            exact = hij(cold, tiltings[-1], i, j)
+            assert hij_closed_form(cold, tiltings[-1], i, j).vertices is exact
 
 
 def test_unclassifiable_shape_is_not_stored(monkeypatch):
     """A classification that raises leaves no entry: it raises again on the
-    next call, and the true shape is found once the fault is gone."""
+    next call, and the true shape is found once the fault is gone.  The
+    export keeps no text for the pair either: it raises again, and once the
+    fault is gone it reads as on a fresh category."""
     cc = ClusterCategory(build_quiver("D", 6))
     t = cycle_d6_tilting(cc)
+    a, b = shifted_summand(cc, t, 3), shifted_summand(cc, t, 2)
 
     def three_routes(_cc, a, b):
         return [([a], [b])] * 3
@@ -259,7 +274,12 @@ def test_unclassifiable_shape_is_not_stored(monkeypatch):
         for _ in range(2):
             with pytest.raises(UnclassifiableShapeError):
                 hij_closed_form(cc, t, 3, 2)
+            with pytest.raises(UnclassifiableShapeError):
+                export_json(cc, t)
+            assert a * len(cc.indecs) + b not in render._TEXTS[cc].pairs
     assert hij_closed_form(cc, t, 3, 2).shape is Shape.SWING
+    fresh = ClusterCategory(build_quiver("D", 6))
+    assert export_json(cc, t) == export_json(fresh, cycle_d6_tilting(fresh))
 
 
 def hom_ii_nonzero(cc, t, i):

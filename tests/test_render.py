@@ -1,13 +1,15 @@
 """Diagram emitters and the JSON report document."""
 
+import gc
 import hashlib
 import json
 import re
+import weakref
 
 import pytest
 
 import clustercat.hammocks as hammocks
-from clustercat import presets
+from clustercat import presets, render as render_module
 from clustercat.cli import _parse_orientation
 from clustercat.cluster import ClusterCategory
 from clustercat.dynkin import build_quiver
@@ -222,3 +224,41 @@ def test_second_export_reads_the_closed_form_table(monkeypatch):
                  "right_hammock"):
         monkeypatch.setattr(hammocks, name, computed_again)
     assert export_json(cc, t) == first
+
+
+def test_categories_of_one_type_never_share_export_text():
+    """Two orientations of D4 name their objects by the same cids.  A
+    tilting of both, exported on the second after the first exported it,
+    reads as on a fresh category of the second orientation; for most such
+    tiltings the two orientations give different hammocks."""
+    arrows = ((1, 3), (3, 2), (4, 3))
+    first = ClusterCategory(build_quiver("D", 4))
+    second = ClusterCategory(build_quiver("D", 4, arrows))
+    fresh = ClusterCategory(build_quiver("D", 4, arrows))
+    common = sorted({t.summands for t in enumerate_tiltings(first)}
+                    & {t.summands for t in enumerate_tiltings(second)})
+    differ = 0
+    for summands in common:
+        t = TiltingObject(summands)
+        other = export_json(first, t)
+        doc = export_json(second, t)
+        assert doc == export_json(fresh, t), summands
+        differ += json.loads(doc)["hammocks"] != json.loads(other)["hammocks"]
+    assert (len(common), differ) == (19, 17)
+    for cc, name in ((first, "default"), (second, "custom:1-3,3-2,4-3")):
+        doc = export_json(cc, TiltingObject(common[0]))
+        assert json.loads(doc)["meta"]["orientation"] == name
+
+
+def test_export_text_goes_with_its_category():
+    """The category's export text is weakly keyed by the category: collecting
+    the category frees it, and nothing is kept per process."""
+    cc = ClusterCategory(build_quiver("A", 3))
+    export_json(cc, initial_tilting(cc))
+    assert render_module._TEXTS.get(cc) is not None
+    gc.collect()  # categories other tests left to the collector go first
+    held, ref = len(render_module._TEXTS), weakref.ref(cc)
+    del cc
+    gc.collect()
+    assert ref() is None
+    assert len(render_module._TEXTS) == held - 1
