@@ -25,18 +25,19 @@ memoized per algebra by content (dimension vector and live blocks): the
 cover, its row reductions and every guard run once per distinct module,
 and a module equal block for block to one seen before gets the stored
 syzygy back.  The memo and the covers stay with the algebra: keyed by the
-cids of the cover's summands, only 30% of the syzygy contents of all D7
-tiltings repeat across tiltings.  The work repeats at the step instead:
-the action block of one label pair on the kernel of a cover depends on
-six things only (see _kernel_block), and an exhaustive D7 verify reads
-124,707 such blocks of 384 distinct inputs.  So the blocks, and the
-moving forms of the projectives' blocks that the covers are made of, are
-kept in tables of the category, filled here on first use and read by
-every tilting; an input that raises stores nothing.  classify_modules
+cids of the cover's summands, few syzygy contents repeat across tiltings.
+The work repeats at the step instead: the action block of one label pair
+on the kernel of a cover depends on six things only (see _kernel_block),
+and an exhaustive verify meets few distinct inputs of it (README gives
+the counts).  So the blocks, and the moving forms of the projectives'
+blocks that the covers are made of, are kept in tables of the category,
+filled here on first use and read by every tilting; an input that raises
+stores nothing.  classify_modules
 empties the memo when it is done, so the algebra is freed at once.
 Hom_C(T, M) is read from the category's tables too: its dimension vector
 from the summands' dimension rows, its blocks from the tilting's product
-rows.  The row reductions
+rows, whose missing rows the category fills one target summand at a
+time.  The row reductions
 beneath them (the top and the kernel of the cover, label by label, and the
 identity blocks) are reads of the category's table of quotients,
 MeshHomEngine.quotient, shared by every tilting of the category; a pivot
@@ -95,9 +96,10 @@ class ClusterTiltedAlgebra:
         self.pairs = tuple(p for p, d in self.hom_dims.items() if d)
         self._ends = (tuple(i - 1 for i, _j in self.pairs),
                       tuple(j - 1 for _i, j in self.pairs))
-        # pair (i, j) -> the category's product row of (T_i, T_j)
-        self._rows = {(i, j): eng.product_row(s[i], s[j])
-                      for i, j in self.pairs}
+        # pair (i, j) -> the category's product row of (T_i, T_j), all read
+        # in one call, which fills the missing rows target by target
+        self._rows = dict(zip(self.pairs, eng.product_rows(
+            [(s[i], s[j]) for i, j in self.pairs])))
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
         self._proj: dict[int, tuple] = {}  # k -> (P_k, its moving blocks)
         self._covers: dict[tuple[int, ...], tuple] = {}

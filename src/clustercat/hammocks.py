@@ -9,13 +9,13 @@ T_i[1] -> T_j[1] factors through M.  This module computes the supports
     _jH    = { X : Hom_C(X, T_j[1]) != 0 }          (right hammock)
     H(i,j) = { X : some nonzero T_i[1] -> T_j[1] factors through X }
 
-exactly in the mesh category (H(i,j) from Hom(T_i[1], -) alone, by a
-backward sweep of its cover window), classifies each nonempty H(i,j)
-into one of three closed forms (sectional path, swing, full intersection),
-both kept once per pair of cids (T_i[1], T_j[1]) by the category, and
-cross-checks the factorization criterion, membership in the union of
-the H(i,j), against the syzygy computation of projdim for every
-indecomposable.  classify_by_location gives the classes a third way,
+exactly in the mesh category (H(i,j) by a backward sweep of the cover
+window of Hom(r, -), r the tau-orbit representative of T_i[1]), classifies
+each nonempty H(i,j) into one of three closed forms (sectional path, swing,
+full intersection), both kept once per pair of cids (T_i[1], T_j[1]) by
+the category, and cross-checks the factorization criterion, membership in
+the union of the H(i,j), against the syzygy computation of projdim for
+every indecomposable.  classify_by_location gives the classes a third way,
 from the closed forms alone.
 """
 
@@ -92,11 +92,12 @@ def hij(cc, tilting, i, j) -> frozenset:
     """Exact H(i,j): the cids x with some nonzero T_i[1] -> x -> T_j[1].
 
     H(i,j) depends only on the pair (a, b) = (T_i[1], T_j[1]), not on the
-    rest of the tilting, so it is a read of the category's hammock table.
-    An entry is filled on first use by one backward sweep over the cover
-    window of Hom(a, -) (MeshHomEngine.hammock): it reads that functor's
-    arrow matrices and the additive counts Hom(x, b), builds no functor
-    of a middle object x, and stores no product.
+    rest of the tilting, so it is a read of the category's hammock table
+    (MeshHomEngine.hammock).  An entry is filled on first use by one
+    backward sweep over the cover window of Hom(r, -), r the tau-orbit
+    representative of a, moved along tau: it reads that functor's arrow
+    matrices and the additive counts, builds no functor of a middle object
+    x, and stores no product.
     """
     return cc._get_engine().hammock(shifted_summand(cc, tilting, i),
                                     shifted_summand(cc, tilting, j))
@@ -135,7 +136,9 @@ def sectional_path(cc, x, y):
     Sectional: no step may continue an arrow u -> v by v -> tau^{-1}(u).
     The search runs in the covering, where sectional paths are globally
     unique; candidates are capped by the Hom support window, and the found
-    path must compose to a nonzero morphism.
+    path must compose to a nonzero morphism, which is checked on the
+    functor of the tau-orbit representative of x
+    (MeshHomEngine.nonzero_path).
     """
     if x == y:
         return [x]
@@ -162,9 +165,7 @@ def sectional_path(cc, x, y):
             "sectional path from %d to %d is not unique" % (x, y)
         )
     path = found[0]
-    # the composite of its arrows: the seed of Hom(x, -) pushed along them
-    fx = cc._get_engine().functor(x)
-    if fx.apply_path(zip(path, path[1:]), x, 0, (1,)) is None:
+    if not cc._get_engine().nonzero_path(path):
         raise MeshConsistencyError(
             "sectional path composite vanished between %d and %d" % (x, y)
         )
@@ -289,12 +290,15 @@ def verify_main_theorem(cc, tilting) -> TheoremReport:
     """Check (I_M != 0) <=> (projdim M infinite) for every module M.
 
     I_M != 0 exactly when M lies in some H(i,j), so the n^2 exact sets are
-    computed once and kept on the report.  Runs over all indecomposables
+    read once from the category's hammock table, at the n shifted cids,
+    and kept on the report.  Runs over all indecomposables
     outside add T[1]; any disagreement is recorded in the report, never
     silently dropped.
     """
-    labels = range(1, len(tilting.summands) + 1)
-    sets = {(i, j): hij(cc, tilting, i, j) for i in labels for j in labels}
+    shifts = [cc.shift(s) for s in tilting.summands]
+    hammock = cc._get_engine().hammock
+    sets = {(i, j): hammock(a, b) for i, a in enumerate(shifts, 1)
+            for j, b in enumerate(shifts, 1)}
     union = frozenset().union(*sets.values())
     rows = []
     modules = {}

@@ -16,21 +16,20 @@ compose walks whole paths and is the reference the two tables below are
 tested against.
 
 MeshHomEngine.product_row tabulates the composites of basis elements once
-per category, one dict per row (x, y, -) from z to the entry of (x, y, z):
-F_y's records are walked once in knit order, and the image of each under a
-unit vector of F_x is one arrow matrix of F_x applied to the image of its
-prefix.  An entry is column-major, the coordinate tuple of g . f per pair
-of basis elements (f, g), which is the order the walk produces them in.
-products(x, y, z) reads one entry.  The algebra reads its modules, entry
-M of each of its rows, and its structure constants from there, and the
-dimension vectors of its modules from dim_row, dim Hom(x, -) for one
-object x as a tuple over the cids.  MeshHomEngine.hammock
+per category, one dict per row (x, y, -) from z to the entry of (x, y, z).
+product_rows fills the missing rows of one target together: F_y's
+records become one step list, in knit order, and the image of each record
+under a unit vector of F_x is one arrow matrix of F_x applied to the image
+of its prefix.  An entry is column-major, the coordinate tuple of g . f per
+pair of basis elements (f, g), the order the walk produces them in;
+products(x, y, z) reads one entry.  The algebra reads its modules and
+structure constants from its rows, and their dimension vectors from
+dim_row, dim Hom(x, -) as a tuple over the cids.  MeshHomEngine.hammock
 keeps H(a, b), the objects that a nonzero a -> b factors through, once per
-pair.  It is decided from F_a alone, by one sweep from the top of its
-window down that tracks which functionals some arrow path carries to a
-lift of b, so it builds no functor of a middle object and reads no
-product.  MeshHomEngine.closed_form keeps the closed-form shape of H(a, b)
-beside it, once per pair, computed by the hammocks module on first use; a
+pair, by one sweep of F_a from the top of its window down that tracks
+which functionals some arrow path carries to a lift of b: it builds no
+functor of a middle object and reads no product.  MeshHomEngine.closed_form
+keeps the closed-form shape of H(a, b) beside it, once per pair; a
 closed-form vertex set equal to H(a, b) is kept as the same frozenset.
 
 Knitting stops early: the mesh at height g reads only heights g - 1 (the
@@ -46,6 +45,8 @@ cid r.  tau is an automorphism of the category (ClusterCategory checks
 that it carries the arrows and their cover offsets along), so F_x for
 x = tau^m r is F_r with every cover vertex, path record and act key moved
 by tau^m; CoverFunctor.moved builds it so and shares the arrow matrices.
+Hammocks and path composites read F_r itself: H(tau^m r, b) is
+tau^m H(r, tau^-m b), so only representatives are ever swept.
 
 All coordinates are exact integers.  Every row reduction of the category,
 the mesh cokernels and those of its algebras, is read from
@@ -249,8 +250,7 @@ class MeshHomEngine:
     fills two more tables, read by every tilting as well: the moving form
     of a product entry on a projective (ClusterTiltedAlgebra._projective),
     and the action block of a label pair on the kernel of a cover, once
-    per distinct input of algebra._kernel_block.  After every tilting of
-    D7 they hold 4 and 384 entries.
+    per distinct input of algebra._kernel_block.
     """
 
     def __init__(self, cc: ClusterCategory):
@@ -408,45 +408,46 @@ class MeshHomEngine:
 
     def product_row(self, x: int, y: int) -> dict:
         """z -> products(x, y, z) for every z with Hom(y, z) and Hom(x, z)
-        nonzero, filled by _fill_row on the first read of the row and read
-        by every tilting of the category; empty when Hom(x, y) = 0.  Its
-        readers do not change it."""
-        key = x * self._n + y
-        got = self._rows.get(key)
-        if got is None:
-            if not self.dim(x, y):
-                return {}
-            got = self._rows[key] = self._fill_row(x, y)
+        nonzero, filled on the first read of the row (see product_rows) and
+        read by every tilting of the category; empty when Hom(x, y) = 0.
+        Its readers do not change it."""
+        return self.product_rows(((x, y),))[0]
+
+    def product_rows(self, pairs) -> list:
+        """product_row(x, y) for every pair (x, y) of cids, in order.  The
+        missing rows are filled one target y at a time, from one step list
+        of F_y (_steps) built for all of them and then dropped; a step list
+        that raises stores no row of its target."""
+        n, rows = self._n, self._rows
+        got = [rows.get(x * n + y) for x, y in pairs]
+        if None in got:
+            missing = {}  # target y -> the indices of its missing rows
+            for k, (x, y) in enumerate(pairs):
+                if got[k] is None:
+                    if self.dim(x, y):
+                        missing.setdefault(y, []).append(k)
+                    else:
+                        got[k] = {}
+            for y, ks in missing.items():
+                steps = self._steps(y)
+                for k in ks:
+                    x = pairs[k][0]
+                    got[k] = rows[x * n + y] = self._fill_row(x, y, steps)
         return got
 
-    def _fill_row(self, x: int, y: int) -> dict:
-        """products(x, y, z) for every z with Hom(y, z) and Hom(x, z)
-        nonzero, in one pass over the path records of F_y per unit vector.
-
-        A unit vector e of F_x at a lift (y, k) is the image of the seed
-        record.  Every other record of F_y, at (c, l), is the record of a
-        predecessor (p, l') followed by the arrow p -> c, so its image is
-        the arrow matrix of F_x at (p, k + l') applied to the image of that
-        prefix.  Records are visited in knit order, which puts every prefix
-        first; the image of the record of basis element g of Hom(y, z) is
-        column g of the matrix of e, and the columns are stored as they are.
+    def _steps(self, y: int) -> list:
+        """The path records of F_y in knit order, one step per record: the
+        index of its prefix (-1 for the seed), the tail and F_y level of
+        its last arrow, and where its image goes: the end c, its F_y level
+        l and its column in Hom(y, c).  Knit order puts every prefix first.
         """
-        fx, fy = self.functor(x), self.functor(y)
-        act, offsets = fx.act, self.cc.arrow_offsets
-        # the targets z, with F_x's starts at their lifts, the zero column
-        # of Hom(x, z), and the matrices of the unit vectors done so far
-        starts = {z: self._starts(x, z) for z in fy.levels if z in fx.levels}
-        zeros = {z: (0,) * self.dim(x, z) for z in starts}
-        mats = {z: [] for z in starts}
-        # per record of F_y in knit order: the index of its prefix (-1 for
-        # the seed), the tail and F_y level of its last arrow, and where its
-        # image goes: the end c, its F_y level l and its column in Hom(y, c)
+        fy, offsets = self.functor(y), self.cc.arrow_offsets
+        starts = {c: self._starts(y, c) for c in fy.levels}
         steps, index = [], {}
         for (c, l), recs in fy.basis.items():
             if not recs:
                 continue
-            col = self._starts(y, c)[l] if c in starts else 0
-            for i, rec in enumerate(recs, col):
+            for i, rec in enumerate(recs, starts[c][l]):
                 index[rec] = len(steps)
                 if not rec:
                     steps.append((-1, None, None, c, l, i))
@@ -459,6 +460,26 @@ class MeshHomEngine:
         if len(steps) != sum(d for lv in fy.levels.values() for _k, d in lv):
             raise MeshConsistencyError(
                 f"path records of Hom({y}, -) do not match its levels")
+        return steps
+
+    def _fill_row(self, x: int, y: int, steps: list) -> dict:
+        """products(x, y, z) for every z with Hom(y, z) and Hom(x, z)
+        nonzero, in one walk of the steps of F_y per unit vector of F_x.
+
+        A unit vector e of F_x at a lift (y, k) is the image of the seed
+        record.  Every other record of F_y, at (c, l), is the record of a
+        predecessor (p, l') followed by the arrow p -> c, so its image is
+        the arrow matrix of F_x at (p, k + l') applied to the image of that
+        prefix.  The image of the record of basis element g of Hom(y, z) is
+        column g of the matrix of e, and the columns are stored as they are.
+        """
+        fx, fy = self.functor(x), self.functor(y)
+        act = fx.act
+        # the targets z, with F_x's starts at their lifts, the zero column
+        # of Hom(x, z), and the matrices of the unit vectors done so far
+        starts = {z: self._starts(x, z) for z in fy.levels if z in fx.levels}
+        zeros = {z: (0,) * self.dim(x, z) for z in starts}
+        mats = {z: [] for z in starts}
         for k, dk in fx.levels[y]:
             for a in range(dk):
                 images = []  # per record: its image at (c, k + l), or None
@@ -491,24 +512,47 @@ class MeshHomEngine:
     def hammock(self, a: int, b: int) -> frozenset:
         """H(a, b): the cids x with some nonzero composite a -> x -> b.
 
-        Decided from F_a = Hom(a, -) alone, by one sweep over its knitted
-        cover vertices from the top down.  R(v) is the row span of the
-        functionals on F_a(v) that some arrow path carries to a lift of b:
-        all of them at a lift of b, elsewhere the span of R(w) . act[v -> w]
-        over the arrows v -> w.  Arrow paths span every Hom space of the
-        mesh category, so x belongs exactly when R is nonzero at some lift
-        of x.  A vertex c with Hom(c, b) = 0 has R = 0 and is skipped, and
-        an empty Hom(a, b) gives the empty set without a sweep.
+        Swept from F_a (_sweep) for a the representative r of its tau-orbit,
+        else read as H(tau^m r, b) = tau^m H(r, tau^-m b), rebuilt in cid
+        order like a sweep, with Hom(a, b) checked against the mesh count
+        of Hom(r, tau^-m b).  An empty Hom(a, b) gives the empty set.
         """
         key = a * self._n + b
         got = self._hammocks.get(key)
         if got is None:
-            got = self._sweep(a, b) if self.dim(a, b) else None
+            r, m = self._orbit[a]
+            if m:
+                br = self._untau(b, m)
+                d, expect = self.dim(r, br), self.cc.hom_dim_c(a, b)
+                if d != expect:
+                    raise MeshConsistencyError(
+                        f"mesh basis of Hom({r},{br}) has {d} elements, "
+                        f"additive count of Hom({a},{b}) gives {expect}")
+                move = self._move(m)
+                got = frozenset(sorted([move[x][0]
+                                        for x in self.hammock(r, br)]))
+            else:
+                got = self._sweep(a, b) if self.dim(a, b) else None
             got = self._hammocks[key] = got or _NO_OBJECTS
             form = self._closed_forms.get(key)
             if form is not None and form[0] == got:
                 self._closed_forms[key] = (got, form[1])
         return got
+
+    def nonzero_path(self, path) -> bool:
+        """Whether the arrows of path (a list of cids) compose to nonzero,
+        read on F_r for path[0] = tau^m r as the tau^-m image of the path."""
+        r, m = self._orbit[path[0]]
+        back = [self._untau(v, m) for v in path]
+        return self.functor(r).apply_path(
+            zip(back, back[1:]), r, 0, (1,)) is not None
+
+    def _untau(self, y: int, m: int) -> int:
+        """tau^-m y."""
+        tau_inv = self.cc.tau_inv
+        for _ in range(m):
+            y = tau_inv[y]
+        return y
 
     def closed_form(self, a: int, b: int, classify) -> tuple:
         """(vertices, shape) of the closed form of H(a, b), see
@@ -531,8 +575,13 @@ class MeshHomEngine:
         return got
 
     def _sweep(self, a: int, b: int) -> frozenset:
-        """The cids with R != 0, see hammock.  R(v) is an integer echelon
-        basis, kept only for the sweep."""
+        """H(a, b) swept over the knitted cover vertices of F_a, top down.
+        R(v) is the row span of the functionals on F_a(v) that some arrow
+        path carries to a lift of b: all of them at a lift of b, elsewhere
+        the span of R(w) . act[v -> w] over the arrows v -> w.  Arrow paths
+        span every Hom space of the mesh category, so x belongs exactly when
+        R != 0 at some lift of x.  A vertex c with Hom(c, b) = 0 is skipped.
+        R(v) is an integer echelon basis, kept only for the sweep."""
         fa, cc = self.functor(a), self.cc
         basis, act = fa.basis, fa.act
         dim, succ, offsets = cc.hom_dim_c, cc.succ, cc.arrow_offsets

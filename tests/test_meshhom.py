@@ -5,9 +5,10 @@ import pytest
 from clustercat.algebra import build_algebra
 from clustercat.cluster import ClusterCategory, MeshConsistencyError
 from clustercat.dynkin import build_quiver
-from clustercat.hammocks import verify_main_theorem
+from clustercat.hammocks import sectional_path, verify_main_theorem
 from clustercat.linalg import quotient_basis, unit_quotient_basis
 from clustercat.meshhom import CoverFunctor
+from clustercat.render import export_json
 from clustercat.tilting import enumerate_tiltings, initial_tilting, mutate
 from test_linalg import ref_nullspace
 
@@ -80,6 +81,21 @@ def test_mesh_dimension_is_checked_against_the_additive_count(monkeypatch):
     monkeypatch.setattr(cc, "hom_dim_c", lambda x, y: count(x, y) + 1)
     with pytest.raises(MeshConsistencyError, match="additive count"):
         cc._get_engine().dim(0, 0)
+
+
+def test_orbit_read_checks_the_additive_count(monkeypatch):
+    """H(a, b) read from the representative of a still checks dim Hom(a, b)
+    against the additive count, and stores nothing when they differ."""
+    cc = ClusterCategory(build_quiver("A", 3))
+    eng = cc._get_engine()
+    a = next(x for x in cc.cids() if eng._orbit[x][1])
+    b = next(y for y in cc.cids() if cc.hom_dim_c(a, y))
+    count = cc.hom_dim_c
+    monkeypatch.setattr(cc, "hom_dim_c",
+                        lambda x, y: count(x, y) + ((x, y) == (a, b)))
+    with pytest.raises(MeshConsistencyError, match="additive count"):
+        eng.hammock(a, b)
+    assert a * len(cc.indecs) + b not in eng._hammocks
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -181,16 +197,70 @@ def test_knitting_runs_once_per_tau_orbit(monkeypatch, family, rank,
 
 
 # every tilting of D6 and A6 takes seconds, so those two run with the sweeps
-@pytest.mark.parametrize("family,rank,orientation", [
-    pytest.param(*case, marks=pytest.mark.sweep) if case[1] > 5 else case
-    for case in RELABELLED], ids=RELABELLED_IDS)
-def test_relabelled_bases_give_the_knitted_reports(
-        category, family, rank, orientation):
-    """verify_main_theorem on every tilting, against every F_x knitted."""
-    cc = category(family, rank, orientation)
+SWEPT_ABOVE_5 = [pytest.param(*case, marks=pytest.mark.sweep)
+                 if case[1] > 5 else case for case in RELABELLED]
+
+
+def knitted_category(family, rank, orientation):
+    """A fresh category whose engine holds a knitted F_x for every x, so
+    that its functor(x) reads no representative."""
     direct = ClusterCategory(build_quiver(family, rank, orientation))
     direct._get_engine()._functors.update(
         (x, CoverFunctor(direct, x)) for x in direct.cids())
+    return direct
+
+
+def arrow_paths(cc, x, length):
+    """Every arrow path of at most length arrows out of x, as cid lists."""
+    paths, last = [], [[x]]
+    for _ in range(length):
+        last = [p + [w] for p in last for w in cc.succ[p[-1]]]
+        paths.extend(last)
+    return paths
+
+
+@pytest.mark.parametrize("family,rank,orientation", SWEPT_ABOVE_5,
+                         ids=RELABELLED_IDS)
+def test_orbit_reads_equal_a_direct_sweep(family, rank, orientation):
+    """H(a, b) read from the tau-orbit representative of a is the sweep of
+    a knitted F_a, in the same iteration order, for every pair (a, b); a
+    sectional path composes to nonzero on the knitted F_x, and every arrow
+    path of up to four arrows is zero on the representative exactly when
+    it is zero on the knitted F_x; no other functor is built."""
+    cc = ClusterCategory(build_quiver(family, rank, orientation))
+    eng = cc._get_engine()
+    direct = knitted_category(family, rank, orientation)
+    oracle = direct._get_engine()
+    for a in cc.cids():
+        for b in cc.cids():
+            want = oracle._sweep(a, b)
+            assert eng.hammock(a, b) == want, (a, b)
+            assert list(eng.hammock(a, b)) == list(want), (a, b)
+    for x in cc.cids():
+        fx = oracle.functor(x)
+        for y in cc.cids():
+            path = sectional_path(cc, x, y)
+            if path is not None:
+                assert fx.apply_path(zip(path, path[1:]), x, 0, (1,)), (x, y)
+        for path in arrow_paths(cc, x, 4):
+            assert eng.nonzero_path(path) == (
+                fx.apply_path(zip(path, path[1:]), x, 0, (1,)) is not None
+            ), path
+    assert set(eng._functors) <= {eng._orbit[x][0] for x in cc.cids()}
+
+
+@pytest.mark.parametrize("family,rank,orientation", SWEPT_ABOVE_5,
+                         ids=RELABELLED_IDS)
+def test_relabelled_bases_give_the_knitted_reports(
+        category, family, rank, orientation):
+    """verify_main_theorem on every tilting, against every F_x knitted.
+
+    Only the product rows read the knitted functors of the second
+    category: its hammocks are read from tau-orbit representatives as on
+    the first, which test_orbit_reads_equal_a_direct_sweep checks against
+    the sweep of each knitted F_a."""
+    cc = category(family, rank, orientation)
+    direct = knitted_category(family, rank, orientation)
     tiltings = enumerate_tiltings(cc)
     assert [t.summands for t in tiltings] == \
         [t.summands for t in enumerate_tiltings(direct)]
@@ -256,28 +326,63 @@ def test_product_rows_reject_a_corrupted_functor(family, rank, orientation,
         match = "lost track|do not match its levels"
     with pytest.raises(MeshConsistencyError, match=match):
         eng.products(y, y, y)
+    with pytest.raises(MeshConsistencyError, match=match):
+        eng.product_rows([(x, y) for x in cc.cids()])
+    if part == "basis":  # the step list of F_y raises: no row is stored
+        n = len(cc.indecs)
+        assert not [key for key in eng._rows if key % n == y]
 
 
-@pytest.mark.parametrize("family,rank,orientation,word", [
-    ("D", 8, "default", (3, 5, 4, 6, 2, 3, 7, 5)),
-    ("A", 10, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (6, 7), (8, 7),
-               (8, 9), (10, 9)), (2, 3, 5, 4, 7, 6, 9, 8, 3)),
-], ids=["D8-default", "A10-2-1,2-3,4-3,4-5,6-5,6-7,8-7,8-9,10-9"])
+@pytest.mark.parametrize("family,rank,orientation", ORIENTED,
+                         ids=[oriented_id(c) for c in ORIENTED])
+def test_rows_filled_in_one_batch_equal_rows_filled_one_at_a_time(
+        family, rank, orientation):
+    """On fresh categories: every row (x, y) filled in one batch equals the
+    row filled alone, entry for entry and in the same order, and a second
+    batch reads the stored rows."""
+    batch, alone = (ClusterCategory(build_quiver(family, rank, orientation))
+                    ._get_engine() for _ in range(2))
+    pairs = [(x, y) for x in batch.cc.cids() for y in batch.cc.cids()]
+    rows = batch.product_rows(pairs)
+    for (x, y), row in zip(pairs, rows):
+        assert list(row.items()) == list(alone.product_row(x, y).items())
+    for first, again in zip(rows, batch.product_rows(pairs)):
+        assert again is first or again == first == {}
+    assert batch._rows == alone._rows
+
+
+A10_CUSTOM = ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (6, 7), (8, 7), (8, 9),
+              (10, 9))
+
+
+@pytest.mark.parametrize("family,rank,orientation,word,report", [
+    ("D", 8, "default", (3, 5, 4, 6, 2, 3, 7, 5), verify_main_theorem),
+    ("D", 8, "default", (3, 5, 4, 6, 2, 3, 7, 5), export_json),
+    ("A", 10, A10_CUSTOM, (2, 3, 5, 4, 7, 6, 9, 8, 3), verify_main_theorem),
+], ids=["D8-default", "D8-default-export",
+        "A10-2-1,2-3,4-3,4-5,6-5,6-7,8-7,8-9,10-9"])
 def test_cold_verify_builds_only_the_functors_it_reads(family, rank,
-                                                       orientation, word):
-    """A fresh category's verify knits Hom(x, -) for x in add T, add T[1]
-    and their tau-orbit representatives only, and stores no product with
-    its source in add T[1]: H(i, j) is a sweep of Hom(T_i[1], -)."""
+                                                       orientation, word,
+                                                       report):
+    """A fresh category's verify or export knits Hom(x, -) for x in add T
+    and for tau-orbit representatives only: H(i, j) and the sectional
+    paths of the closed forms are read on the representative of their
+    source, and no product is stored with its source in add T[1]."""
     cc = ClusterCategory(build_quiver(family, rank, orientation))
     t = initial_tilting(cc)
     for k in word:
         t = mutate(cc, t, k)
-    report = verify_main_theorem(cc, t)
-    assert report.agreement and report.infinite_cids()
+    if report is verify_main_theorem:
+        got = verify_main_theorem(cc, t)
+        assert got.agreement and got.infinite_cids()
+    else:
+        assert '"agreement": true' in export_json(cc, t)
     eng = cc._get_engine()
     shifted = {cc.shift(s) for s in t.summands}
-    read = set(t.summands) | shifted
-    allowed = read | {eng._orbit[x][0] for x in read}
+    # a summand and its shift lie in one tau-orbit; the closed forms' swing
+    # routes also read sectional paths out of wide-mesh middles
+    sources = t.summands if report is verify_main_theorem else cc.cids()
+    allowed = set(t.summands) | {eng._orbit[x][0] for x in sources}
     assert set(eng._functors) <= allowed
     n = len(cc.indecs)
     assert eng._rows  # keyed x * n + y, one row of products per (x, y)
