@@ -199,29 +199,28 @@ class ClusterCategory:
 
     # -- Hom dimensions (derived-category route) ----------------------------
 
+    def hom_parts_c(self, x: int, y: int) -> tuple[int, int]:
+        """(dim Hom_D(X, Y), dim Hom_D(X, FY)): the parts of Hom_C(X, Y) of
+        F-degree 0 and 1, for X and Y in the fundamental domain."""
+        X, Y = self.indecs[x], self.indecs[y]
+        mod = self.mod
+        up = mod.tau_inv.get(Y.mid)  # tau^-1 Y; None if Y is injective or P[1]
+        if X.kind == "mod" and Y.kind == "mod":
+            return (mod.hom_dim(X.mid, Y.mid),
+                    0 if up is None else mod.ext_dim(X.mid, up))
+        if X.kind == "mod":
+            return mod.ext_dim(X.mid, mod.proj_mid[Y.vertex]), 0
+        if Y.kind == "mod":
+            return 0, (0 if up is None else mod.dim(up)[X.vertex - 1])
+        return mod.dim(mod.proj_mid[Y.vertex])[X.vertex - 1], 0
+
     def hom_dim_c(self, x: int, y: int) -> int:
         """dim Hom_C(X, Y) = dim Hom_D(X, Y) + dim Hom_D(X, FY)."""
         key = (x, y)
         got = self._hom_memo.get(key)
-        if got is not None:
-            return got
-        X, Y = self.indecs[x], self.indecs[y]
-        mod = self.mod
-        if X.kind == "mod" and Y.kind == "mod":
-            total = mod.hom_dim(X.mid, Y.mid)
-            if Y.mid in mod.tau_inv:
-                total += mod.ext_dim(X.mid, mod.tau_inv[Y.mid])
-        elif X.kind == "mod":
-            total = mod.ext_dim(X.mid, mod.proj_mid[Y.vertex])
-        elif Y.kind == "mod":
-            if Y.mid in mod.tau_inv:
-                total = mod.dim(mod.tau_inv[Y.mid])[X.vertex - 1]
-            else:
-                total = 0
-        else:
-            total = mod.dim(mod.proj_mid[Y.vertex])[X.vertex - 1]
-        self._hom_memo[key] = total
-        return total
+        if got is None:
+            got = self._hom_memo[key] = sum(self.hom_parts_c(x, y))
+        return got
 
     def ext1_c(self, x: int, y: int) -> int:
         """dim Ext^1_C(X, Y) = dim Hom_C(X, Y[1])."""

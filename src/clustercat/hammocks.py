@@ -12,11 +12,12 @@ T_i[1] -> T_j[1] factors through M.  This module computes the supports
 exactly in the mesh category (H(i,j) by a backward sweep of the cover
 window of Hom(r, -), r the tau-orbit representative of T_i[1]), classifies
 each nonempty H(i,j) into one of three closed forms (sectional path, swing,
-full intersection), both kept once per pair of cids (T_i[1], T_j[1]) by
-the category, and cross-checks the factorization criterion, membership in
-the union of the H(i,j), against the syzygy computation of projdim for
-every indecomposable.  classify_by_location gives the classes a third way,
-from the closed forms alone.
+full intersection: H_i & _jH refined by F-degree) from the pair of cids
+(T_i[1], T_j[1]) alone, keeps both once per pair in the category, and
+cross-checks the factorization criterion, membership in the union of the
+H(i,j), against the syzygy computation of projdim for every indecomposable.
+classify_by_location gives the classes a third way, from the closed forms
+alone.
 """
 
 import enum
@@ -198,7 +199,7 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
     Case order: no map at all gives the empty set; a sectional path
     T_i[1] -> T_j[1] carries the whole hammock; otherwise (type D only)
     two wide-middle routes form the swing, and the remaining boundary
-    configuration is the full intersection of H_i with _jH.  In particular
+    configuration is the full intersection (see _classify).  In particular
     Hom(T_i[1], T_i) != 0 forces the swing, but the swing also occurs in
     boundary-orbit configurations where that Hom vanishes, so the routes
     themselves are the discriminator.
@@ -206,22 +207,29 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
     Like H(i,j) the answer depends only on the pair (T_i[1], T_j[1]), so
     after the family and the labels are checked it is a read of the
     category's table of closed forms (MeshHomEngine.closed_form), filled
-    on first use by the case analysis above; the labels of the returned
-    set are the caller's.
+    on first use by _classify; the labels of the returned set are the
+    caller's.
     """
     family = cc.quiver.family
     if family not in ("A", "D"):
         raise ValueError("closed forms are defined for families A and D only")
-    a = shifted_summand(cc, tilting, i)
-    b = shifted_summand(cc, tilting, j)
     vertices, shape = cc._get_engine().closed_form(
-        a, b, lambda: _classify(cc, tilting, i, j, a, b))
+        shifted_summand(cc, tilting, i), shifted_summand(cc, tilting, j),
+        _classify)
     return HammockSet(i, j, vertices, shape)
 
 
-def _classify(cc, tilting, i, j, a, b):
-    """(vertices, shape) of H(i,j) for a = T_i[1], b = T_j[1], in the case
-    order of hij_closed_form; errors name the labels (i, j)."""
+def _classify(cc, a, b):
+    """(vertices, shape) of the closed form of H(a, b), in the case order
+    of hij_closed_form; errors name the cids a and b.
+
+    Hom_C(X, Y) = Hom_D(X, Y) + Hom_D(X, FY), F = tau^-1 [1], has parts of
+    F-degree 0 and 1 (hom_parts_c), and a composite of parts of degrees p
+    and q lands in degree p + q.  So the full intersection keeps x only
+    when Hom(a, x), Hom(x, b) and Hom(a, b) have nonzero parts of degrees
+    p, q and p + q: H_a & _bH refined by F-degree, which the pair tests
+    find exact through D11.  H_a & _bH alone is too large from D7 on.
+    """
     if cc.hom_dim_c(a, b) == 0:
         return frozenset(), Shape.EMPTY
     path = sectional_path(cc, a, b)
@@ -229,8 +237,8 @@ def _classify(cc, tilting, i, j, a, b):
         return frozenset(path), Shape.SECTIONAL_PATH
     if cc.quiver.family == "A":
         raise UnclassifiableShapeError(
-            "type A hammock (%d,%d) is nonempty but has no sectional path"
-            % (i, j)
+            "type A hammock H(%d, %d) is nonempty but has no sectional path"
+            % (a, b)
         )
     routes = _swing_routes(cc, a, b)
     if len(routes) == 2:
@@ -241,10 +249,13 @@ def _classify(cc, tilting, i, j, a, b):
         return frozenset(verts), Shape.SWING
     if routes:
         raise UnclassifiableShapeError(
-            "hammock (%d,%d): %d wide-middle routes, expected 0 or 2"
-            % (i, j, len(routes))
+            "hammock H(%d, %d): %d wide-middle routes, expected 0 or 2"
+            % (a, b, len(routes))
         )
-    inter = left_hammock(cc, tilting, i) & right_hammock(cc, tilting, j)
+    parts, ab = cc.hom_parts_c, cc.hom_parts_c(a, b)
+    fits = [(p, q) for p in (0, 1) for q in (0, 1) if p + q < 2 and ab[p + q]]
+    inter = frozenset(x for x in cc.cids() if any(
+        parts(a, x)[p] and parts(x, b)[q] for p, q in fits))
     return inter, Shape.FULL_INTERSECTION
 
 
@@ -253,20 +264,19 @@ def classify_by_location(cc, tilting) -> dict:
 
     The location theorem read as a classifier: pd 0 for M in add T, pd
     infinite for M in the closed form of some H(i,j), and pd 1 otherwise.
-    It reads the category's table of closed forms (hij_closed_form) and
-    nothing else: no module, syzygy, product table or hammock sweep, so
-    it is a route of its own to the classes that verify_main_theorem
-    finds by syzygies.
+    It reads the category's table of closed forms at the n^2 pairs of
+    shifted cids and nothing else: no module, syzygy, product table or
+    hammock sweep, so it is a route of its own to the classes that
+    verify_main_theorem finds by syzygies.
     """
-    labels = range(1, len(tilting.summands) + 1)
-    located = frozenset().union(*(
-        hij_closed_form(cc, tilting, i, j).vertices
-        for i in labels for j in labels))
+    shifts = {cc.shift(s) for s in tilting.summands}
+    closed_form = cc._get_engine().closed_form
+    located = frozenset().union(*(closed_form(a, b, _classify)[0]
+                                  for a in shifts for b in shifts))
     summands = set(tilting.summands)
-    shifted = {cc.shift(s) for s in tilting.summands}
     return {m: PdClass.ZERO if m in summands
             else PdClass.INFINITE if m in located else PdClass.ONE
-            for m in cc.cids() if m not in shifted}
+            for m in cc.cids() if m not in shifts}
 
 
 @dataclass

@@ -559,15 +559,15 @@ class MeshHomEngine:
         hammocks.hij_closed_form.
 
         Like H(a, b) it depends only on the pair, not on the tilting that
-        reaches it, so classify() runs once per pair, on first use; an entry
-        whose classify() raises is not stored.  Vertices equal to a stored
-        H(a, b) are kept as the hammock table's frozenset, whichever of the
-        two was computed first; neither computation reads the other.
+        reaches it, so classify(cc, a, b) runs once per pair, on first use;
+        an entry whose classify raises is not stored.  Vertices equal to a
+        stored H(a, b) are kept as the hammock table's frozenset, whichever
+        of the two was computed first; neither computation reads the other.
         """
         key = a * self._n + b
         got = self._closed_forms.get(key)
         if got is None:
-            vertices, shape = classify()
+            vertices, shape = classify(self.cc, a, b)
             exact = self._hammocks.get(key)
             if exact == vertices:
                 vertices = exact

@@ -213,14 +213,18 @@ def test_5_hom_oracles_agree(category):
         q = build_quiver(family, rank)
         ar = knit(q)
         reps = {m.mid: indecomposable_rep(q, m.dim) for m in ar.indecs}
+        cc = category(family, rank)
+        cid = cc.module_cid
         for x in ar.indecs:
             for y in ar.indecs:
-                assert ar.hom_dim(x.mid, y.mid) == \
+                # Hom_D(X, Y), the part of F-degree 0 of Hom_C(X, Y)
+                part = cc.hom_parts_c(cid(x.mid), cid(y.mid))[0]
+                assert ar.hom_dim(x.mid, y.mid) == part == \
                     brute_force_hom_dim(reps[x.mid], reps[y.mid])
-        cc = category(family, rank)
         for x in cc.cids():
             for y in cc.cids():
-                assert len(cc.hom_basis(x, y)) == cc.hom_dim_c(x, y)
+                assert len(cc.hom_basis(x, y)) == cc.hom_dim_c(x, y) == \
+                    sum(cc.hom_parts_c(x, y))
     for rank in (2, 3, 4, 5):
         cc = category("A", rank)
         for x in cc.cids():

@@ -1,5 +1,6 @@
 """Hammock sets, shape closed forms, and the factorization criterion."""
 
+import itertools
 from collections import Counter
 from functools import cache
 
@@ -152,52 +153,74 @@ def test_type_a_left_hammock_rectangle(category):
                 assert len(sinks) == 1
 
 
+def oriented_id(family, rank, orientation):
+    if not isinstance(orientation, str):
+        orientation = ",".join(f"{s}{t}" for s, t in orientation)
+    return f"{family}{rank}-{orientation}"
+
+
+def compatible_pairs(cc):
+    """The pairs (a, b) that some tilting reaches: Ext^1(a, b) = 0."""
+    return [(a, b) for a in cc.cids() for b in cc.cids()
+            if not cc.ext1_c(a, b)]
+
+
+# the closed-form table's and the location route's categories
+LOCATED = [
+    ("A", 5, "default"),
+    ("D", 5, "default"),
+    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5))),
+]
+CUSTOM_D7 = ((1, 3), (3, 2), (4, 3), (4, 5), (6, 5), (6, 7))
+PAIRED = ([("A", rank, "default") for rank in range(2, 9)]
+          + [("D", rank, "default") for rank in range(4, 9)]
+          + [("D", 7, CUSTOM_D7), ("D", 8, CUSTOM_D7 + ((8, 7),)),
+             ("A", 7, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (6, 7)))])
+
+
+@pytest.mark.parametrize("family,rank,orientation", [
+    pytest.param(*case, id=oriented_id(*case)) for case in PAIRED] + [
+    pytest.param("D", rank, "default", id=f"D{rank}-default",
+                 marks=pytest.mark.sweep) for rank in (9, 10, 11)])
+def test_closed_forms_on_every_pair(category, family, rank, orientation):
+    """On every pair that a tilting reaches, the closed form of H(a, b) has
+    exactly the vertices of the hammock sweep.  The census of the nonempty
+    shapes, as measured: rank sectional-path pairs per object, and on D_n
+    n((n - 2)(n - 3)/2 + 2) swings and 2n(n - 4) full intersections."""
+    cc = category(family, rank, orientation)
+    census = Counter()
+    for a, b in compatible_pairs(cc):
+        vertices, shape = hammocks._classify(cc, a, b)
+        assert vertices == cc._get_engine().hammock(a, b), (a, b)
+        census[shape] += 1
+    del census[Shape.EMPTY]
+    n = rank
+    expected = Counter({Shape.SECTIONAL_PATH: n * len(cc.indecs)})
+    if family == "D":
+        expected[Shape.SWING] = n * ((n - 2) * (n - 3) // 2 + 2)
+        expected[Shape.FULL_INTERSECTION] = 2 * n * (n - 4)
+    assert census == expected
+
+
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_closed_form_exact_type_a(category, rank):
+    """A sectional hammock of type A fills the whole support intersection
+    H_a & _bH; the pair test above finds no other nonempty shape."""
     cc = category("A", rank)
-    for t in enumerate_tiltings(cc):
-        for i in range(1, rank + 1):
-            for j in range(1, rank + 1):
-                exact = hij(cc, t, i, j)
-                pred = hij_closed_form(cc, t, i, j)
-                assert exact == pred.vertices
-                assert pred.shape in (Shape.EMPTY, Shape.SECTIONAL_PATH)
-                if pred.shape is Shape.SECTIONAL_PATH:
-                    # sectional hammocks fill the whole support intersection
-                    inter = left_hammock(cc, t, i) & right_hammock(cc, t, j)
-                    assert exact == inter
+    for a, b in compatible_pairs(cc):
+        if hammocks._classify(cc, a, b)[1] is Shape.SECTIONAL_PATH:
+            assert cc._get_engine().hammock(a, b) == {
+                x for x in cc.cids()
+                if cc.hom_dim_c(a, x) and cc.hom_dim_c(x, b)}, (a, b)
 
 
 def test_closed_form_exact_d4_exhaustive(category):
     cc = category("D", 4)
-    census = Counter()
-    for t in enumerate_tiltings(cc):
-        for i in range(1, 5):
-            for j in range(1, 5):
-                exact = hij(cc, t, i, j)
-                pred = hij_closed_form(cc, t, i, j)
-                assert exact == pred.vertices, (t.summands, i, j)
-                census[pred.shape] += 1
-    assert census == {
-        Shape.SECTIONAL_PATH: 416,
-        Shape.EMPTY: 336,
-        Shape.SWING: 48,
-    }
-
-
-def test_closed_form_exact_d5_d6_sampled(category):
-    seen = Counter()
-    for rank, count in ((5, 12), (6, 8)):
-        cc = category("D", rank)
-        for t in sample_tiltings(cc, count, seed=2):
-            for i in range(1, rank + 1):
-                for j in range(1, rank + 1):
-                    exact = hij(cc, t, i, j)
-                    pred = hij_closed_form(cc, t, i, j)
-                    assert exact == pred.vertices, (t.summands, i, j)
-                    seen[pred.shape] += 1
-    assert seen[Shape.SWING] > 0
-    assert seen[Shape.FULL_INTERSECTION] > 0
+    census = Counter(hij_closed_form(cc, t, i, j).shape
+                     for t in enumerate_tiltings(cc)
+                     for i in range(1, 5) for j in range(1, 5))
+    assert census == {Shape.SECTIONAL_PATH: 416, Shape.EMPTY: 336,
+                      Shape.SWING: 48}
 
 
 def test_swing_proper_inclusion_witness(category):
@@ -215,46 +238,37 @@ def test_swing_proper_inclusion_witness(category):
 def test_swing_equals_exact_hammock(category):
     cc = category("D", 6)
     t = TiltingObject((30, 1, 29, 3, 4, 5))
-    pred = hij_closed_form(cc, t, 3, 2)
-    assert pred.shape is Shape.SWING
-    assert pred.vertices == hij(cc, t, 3, 2)
+    assert hij_closed_form(cc, t, 3, 2) == HammockSet(
+        3, 2, hij(cc, t, 3, 2), Shape.SWING)
 
 
-@pytest.mark.parametrize("family,rank,arrows", [
-    ("A", 5, "default"),
-    ("D", 5, "default"),
-    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5))),
-], ids=["A5-default", "D5-default", "D5-31,32,43,45"])
-def test_closed_form_table_equals_a_cold_classification(category, family,
-                                                        rank, arrows):
-    """The shared category's table, filled by every tilting in turn, gives
-    what a fresh category classifies for the tilting at hand.  The table
-    keeps one entry per pair of cids, and a pair reached under other labels
-    returns the caller's (i, j).  Its vertex sets are the hammock table's
-    frozensets, whether H(i, j) is computed after the closed form (the
-    fresh categories) or before it (the cold one)."""
-    cc = category(family, rank, arrows)
-    labels = range(1, rank + 1)
+@pytest.mark.parametrize("family,rank,arrows", LOCATED, ids=[
+    oriented_id(*case) for case in LOCATED])
+def test_closed_form_table_equals_a_cold_classification(family, rank, arrows):
+    """A table filled by every tilting in turn keeps one entry per pair of
+    cids reached, and a pair reached under other labels returns the
+    caller's (i, j).  Each entry is what a fresh category classifies for
+    the pair, and its vertex set is the hammock table's frozenset, whether
+    H(a, b) is computed after the closed form or before it."""
+    warm, after, before = (ClusterCategory(build_quiver(family, rank, arrows))
+                           for _ in range(3))
     by_pair = {}
-    tiltings = enumerate_tiltings(cc)
-    for t in tiltings:
-        fresh = ClusterCategory(build_quiver(family, rank, arrows))
-        for i in labels:
-            for j in labels:
-                warm = hij_closed_form(cc, t, i, j)
-                assert warm == hij_closed_form(fresh, t, i, j), (t, i, j)
-                assert (warm.i, warm.j) == (i, j)
-                exact = hij(fresh, t, i, j)
-                assert hij_closed_form(fresh, t, i, j).vertices is exact
-                pair = (shifted_summand(cc, t, i), shifted_summand(cc, t, j))
-                by_pair.setdefault(pair, set()).add((i, j))
-    assert len(cc._get_engine()._closed_forms) == len(by_pair)
+    for t in enumerate_tiltings(warm):
+        shifts = list(enumerate(map(warm.shift, t.summands), 1))
+        for (i, a), (j, b) in itertools.product(shifts, repeat=2):
+            got = hij_closed_form(warm, t, i, j)
+            assert (got.i, got.j) == (i, j)
+            by_pair.setdefault((a, b), set()).add((i, j))
+    table, classify = warm._get_engine()._closed_forms, hammocks._classify
+    assert len(table) == len(by_pair)
     assert any(len(seen) > 1 for seen in by_pair.values())
-    cold = ClusterCategory(build_quiver(family, rank, arrows))
-    for i in labels:
-        for j in labels:
-            exact = hij(cold, tiltings[-1], i, j)
-            assert hij_closed_form(cold, tiltings[-1], i, j).vertices is exact
+    first, second = after._get_engine(), before._get_engine()
+    for a, b in by_pair:
+        cold = first.closed_form(a, b, classify)
+        assert table[a * len(warm.indecs) + b] == cold, (a, b)
+        # H(a, b) after the closed form on the first, before it on the second
+        assert first.hammock(a, b) is first.closed_form(a, b, classify)[0]
+        assert second.hammock(a, b) is second.closed_form(a, b, classify)[0]
 
 
 def test_unclassifiable_shape_is_not_stored(monkeypatch):
@@ -555,8 +569,7 @@ ORIENTED = [
 
 
 @pytest.mark.parametrize("family,rank,orientation", ORIENTED, ids=[
-    f"{f}{r}-" + (o if isinstance(o, str) else ",".join(f"{s}{t}" for s, t in o))
-    for f, r, o in ORIENTED])
+    oriented_id(*case) for case in ORIENTED])
 def test_report_table_equals_hij_and_witnesses(category, family, rank,
                                                orientation):
     """report.hij is the n^2 hij calls; a witness exists exactly on its union.
@@ -588,8 +601,7 @@ def composing_hammock(cc, a, b):
 
 
 @pytest.mark.parametrize("family,rank,orientation", ORIENTED, ids=[
-    f"{f}{r}-" + (o if isinstance(o, str) else ",".join(f"{s}{t}" for s, t in o))
-    for f, r, o in ORIENTED])
+    oriented_id(*case) for case in ORIENTED])
 def test_hammock_table_equals_composing_every_pair(category, family, rank,
                                                    orientation):
     """Every entry of the category's H(a, b) table, over all pairs of cids."""
@@ -621,16 +633,8 @@ def test_empty_hammocks_are_one_object(category, orientation):
     assert empty and all(h is empty[0] for h in empty)
 
 
-LOCATED = [
-    ("A", 5, "default"),
-    ("D", 5, "default"),
-    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5))),
-]
-
-
 @pytest.mark.parametrize("family,rank,orientation", LOCATED, ids=[
-    f"{f}{r}-" + (o if isinstance(o, str) else ",".join(f"{s}{t}" for s, t in o))
-    for f, r, o in LOCATED])
+    oriented_id(*case) for case in LOCATED])
 def test_location_route_agrees_with_the_syzygy_route(family, rank, orientation,
                                                      monkeypatch):
     """classify_by_location gives every module the class of the report.

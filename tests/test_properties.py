@@ -12,7 +12,7 @@ tables against an independent route:
 - the directly written export against the standard library's rendering of
   the document it parses to, with orientation names that need escaping;
 - the closed form of every H(i, j) against the exact set, on tiltings
-  reached by a mutation word;
+  reached by a mutation word, over D7 as well;
 - mutating twice at one label gives the tilting back;
 - the syzygy-route classes and the sets H(i, j) of tau T and tau^-1 T
   are those of T moved by tau and tau^-1 (on A5, D5 and D6 only).
@@ -156,7 +156,7 @@ def test_smallest_export_is_the_stdlib_rendering(category):
 
 
 @SETTINGS
-@hypothesis.given(case=oriented_types(), data=st.data())
+@hypothesis.given(case=oriented_types(TYPES + [("D", 7)]), data=st.data())
 def test_closed_forms_have_the_exact_vertices(category, case, data):
     """On a tilting reached by a mutation word, the closed form of every
     H(i, j), read from the shared category's table or classified there on

@@ -212,7 +212,7 @@ def test_d6_preset_export_is_byte_stable(category):
 
 def test_second_export_reads_the_closed_form_table(monkeypatch):
     """The shapes of a tilting are classified on its first export only: the
-    second walks no sectional path or swing route and reads no support."""
+    second runs no classification of a pair."""
     cc = ClusterCategory(build_quiver("D", 6))
     t = presets.cycle_d6_tilting(cc)
     first = export_json(cc, t)
@@ -220,9 +220,7 @@ def test_second_export_reads_the_closed_form_table(monkeypatch):
     def computed_again(*_args):
         raise AssertionError("a closed form was computed twice")
 
-    for name in ("sectional_path", "_swing_routes", "left_hammock",
-                 "right_hammock"):
-        monkeypatch.setattr(hammocks, name, computed_again)
+    monkeypatch.setattr(hammocks, "_classify", computed_again)
     assert export_json(cc, t) == first
 
 
