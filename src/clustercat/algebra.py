@@ -30,34 +30,47 @@ The work repeats at the step instead: the action block of one label pair
 on the kernel of a cover depends on six things only (see _kernel_block),
 and an exhaustive verify meets few distinct inputs of it (README gives
 the counts).  So the blocks, and the moving forms of the projectives'
-blocks that the covers are made of, are kept in tables of the category,
-filled here on first use and read by every tilting; an input that raises
-stores nothing.  classify_modules
-empties the memo when it is done, so the algebra is freed at once.
+blocks that the covers are made of, are kept in two tables of the
+category, filled on first use and read by every tilting; an input that
+raises stores nothing.  classify_modules empties the memo when it is
+done, so the algebra is freed at once.
 Hom_C(T, M) is read from the category's tables too: its dimension vector
 from the summands' dimension rows, its blocks from the tilting's product
 rows, whose missing rows the category fills one target summand at a
 time.  The row reductions
 beneath them (the top and the kernel of the cover, label by label, and the
 identity blocks) are reads of the category's table of quotients,
-MeshHomEngine.quotient, shared by every tilting of the category; a pivot
+MeshHomEngine._quotients, shared by every tilting of the category; a pivot
 other than +-1 raises MeshConsistencyError, so every action matrix stays
 integral.  Syzygies decide the projective dimension class: 0, 1, or
 infinite; a finite dimension of 2 or more cannot occur and is guarded by an
 assertion on the third syzygy.
+
+This module declares the syzygy route's moving forms and kernel blocks,
+per category in _TABLES, and each algebra's live pairs and written blocks:
+cluster.Tables, whose entries depend on their keys alone.  The covers,
+projectives, syzygies and radical powers read the algebra, so a method
+fills each of their tables on a miss.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from itertools import compress
 from operator import add, itemgetter, mul
 
-from .cluster import ClusterCategory, MeshConsistencyError
+from .cluster import ClusterCategory, MeshConsistencyError, Table
 from .tilting import TiltingObject
 
 _ONE = 1
 _FIRST = itemgetter(0)
+# category -> (moving forms, kernel blocks), the syzygy route's tables of
+# the category: (product entry, whether the pair is (i, i)) -> its moving
+# form, see ClusterTiltedAlgebra._projective, and the inputs of one kernel
+# action block -> the block, see _kernel_block.  An entry is freed with its
+# category.
+_TABLES = weakref.WeakKeyDictionary()
 
 
 class PdClass(enum.Enum):
@@ -82,8 +95,13 @@ class ClusterTiltedAlgebra:
         self.labels = tuple(range(1, self.n + 1))
         self.summand = {i: tilting[i - 1] for i in self.labels}
         self._engine = eng = cc._get_engine()
-        self._quotient = eng.quotient
-        self._kernel_blocks = eng._kernel_blocks
+        self._quotients = quotients = eng._quotients
+        tables = _TABLES.get(cc)
+        if tables is None:
+            tables = _TABLES[cc] = (
+                Table(lambda key: _moving_form(*key)),
+                Table(lambda key: _block_on_kernel(quotients, *key)))
+        self._moving_forms, self._kernel_blocks = tables
         s = self.summand
         # dim Hom(T_i, y) per summand, over every cid y
         self._dim_rows = tuple(map(eng.dim_row, tilting.summands))
@@ -93,9 +111,9 @@ class ClusterTiltedAlgebra:
         self.dim = sum(self.hom_dims.values())
         # the label pairs (i, j) with Hom(T_i, T_j) != 0, in label order,
         # and the indices i - 1 and j - 1 of each in a dimension vector
-        self.pairs = tuple(p for p, d in self.hom_dims.items() if d)
-        self._ends = (tuple(i - 1 for i, _j in self.pairs),
-                      tuple(j - 1 for _i, j in self.pairs))
+        self.pairs = pairs = tuple(p for p, d in self.hom_dims.items() if d)
+        starts = tuple(i - 1 for i, _j in pairs)
+        ends = tuple(j - 1 for _i, j in pairs)
         # pair (i, j) -> the category's product row of (T_i, T_j), all read
         # in one call, which fills the missing rows target by target
         self._rows = dict(zip(self.pairs, eng.product_rows(
@@ -103,10 +121,16 @@ class ClusterTiltedAlgebra:
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
         self._proj: dict[int, tuple] = {}  # k -> (P_k, its moving blocks)
         self._covers: dict[tuple[int, ...], tuple] = {}
-        # dim vector -> its live pairs; (pair, di, dj) -> written block;
+        # dim vector dv -> its live pairs: the pairs (i, j) with dv[i - 1]
+        # and dv[j - 1] nonzero, in label order, the blocks a module of
+        # dimension vector dv stores
+        self._live = Table(lambda dv: tuple(compress(pairs, map(
+            mul, map(dv.__getitem__, starts), map(dv.__getitem__, ends)))))
+        # (pair, di, dj) -> its written block, see _written_block
+        hom_dims = self.hom_dims
+        self._written_blocks = Table(
+            lambda key: _written_block(hom_dims, quotients, *key))
         # (dim vector, live blocks) -> syzygy
-        self._live: dict[tuple, tuple] = {}
-        self._written_blocks: dict[tuple, tuple] = {}
         self._syzygies: dict[tuple, AlgebraModule] = {}
 
     def hom_dim(self, i: int, j: int) -> int:
@@ -117,33 +141,6 @@ class ClusterTiltedAlgebra:
         from Hom(T_j, T_k) to Hom(T_i, T_k); a read of the category's table."""
         s = self.summand
         return self._engine.products(s[i], s[j], s[k])
-
-    def _written(self, pair, di, dj):
-        """The block of pair (i, j) on a syzygy of dimensions di at i and dj
-        at j when the pair acts by zero on every summand of the cover: zero
-        matrices, but for the identity of End(T_i).  One tuple per key is
-        shared by every syzygy of the algebra."""
-        key = pair, di, dj
-        got = self._written_blocks.get(key)
-        if got is None:
-            i, j = pair
-            zero = ((0,) * di,) * dj
-            d = self.hom_dims[pair]
-            # the identity is the quotient of no rows
-            got = self._written_blocks[key] = (
-                (self._quotient((), di)[1],) + (zero,) * (d - 1)
-                if i == j else (zero,) * d)
-        return got
-
-    def _live_pairs(self, dv):
-        """The pairs (i, j) with dv[i - 1] and dv[j - 1] nonzero, in label
-        order: the blocks a module of dimension vector dv stores."""
-        got = self._live.get(dv)
-        if got is None:
-            at = dv.__getitem__
-            got = self._live[dv] = tuple(compress(self.pairs, map(
-                mul, map(at, self._ends[0]), map(at, self._ends[1]))))
-        return got
 
     def radical_power_spans(self, m: int):
         """Spanning vectors of (rad^m)_{(i,j)} in hom coordinates, per (i,j)."""
@@ -195,7 +192,7 @@ class ClusterTiltedAlgebra:
                 if i == j:
                     # quotient by the identity line as well, leaving rad/rad^2
                     span.append(tuple(_ONE if t == 0 else 0 for t in range(d)))
-                mult = len(self._quotient(tuple(span), d)[0])
+                mult = len(self._quotients[tuple(span), d][0])
                 if mult > 0:
                     arrows.append((i, j, mult))
         return arrows
@@ -211,7 +208,7 @@ class ClusterTiltedAlgebra:
             d = self.hom_dim(j, i)
             if i == j:
                 span.append(tuple(_ONE if t == 0 else 0 for t in range(d)))
-            free, _ = self._quotient(tuple(span), d)
+            free, _ = self._quotients[tuple(span), d]
             if len(free) != mult:
                 raise MeshConsistencyError("arrow count and complement disagree")
             basis = self.cc.hom_basis(s[j], s[i])
@@ -281,16 +278,13 @@ class ClusterTiltedAlgebra:
         if got is None:
             mod = module_of(self, self.summand[k])
             for i, d in mod.dims.items():
-                if d and mod.act[(i, i)][0] != self._quotient((), d)[1]:
+                if d and mod.act[(i, i)][0] != self._quotients[(), d][1]:
                     raise MeshConsistencyError(
                         f"the identity of End(T_{i}) does not act as the "
                         f"identity on P_{k}")
-            forms, moving = self._engine._moving_forms, []
+            forms, moving = self._moving_forms, []
             for pair, mats in mod.act.items():
-                key = mats, pair[0] == pair[1]
-                form = forms.get(key)
-                if form is None:
-                    form = forms[key] = _moving_form(*key)
+                form = forms[mats, pair[0] == pair[1]]
                 if any(form):
                     moving.append((pair, mod.dims[pair[1]], form))
             got = self._proj[k] = mod, tuple(moving)
@@ -342,12 +336,12 @@ class AlgebraModule:
                 cols = spans.setdefault(i, [])
                 for mat in mats:
                     cols.extend(filter(any, mat))
-        quotient, lifts = self.alg._quotient, []
+        quotients, lifts = self.alg._quotients, []
         # a zero label has no top; skipping it saves a quotient per label
         for k, d in self.dims.items():
             if d:
                 span = spans.get(k)
-                for f in quotient(tuple(span), d)[0] if span else range(d):
+                for f in quotients[tuple(span), d][0] if span else range(d):
                     lifts.append((k, f))
         return lifts
 
@@ -359,7 +353,7 @@ class AlgebraModule:
         algebra; a call that raises keeps nothing.
         """
         alg, dv = self.alg, self._dv
-        key = (dv, tuple(map(self.act.__getitem__, alg._live_pairs(dv))))
+        key = (dv, tuple(map(self.act.__getitem__, alg._live[dv])))
         got = alg._syzygies.get(key)
         if got is None:
             got = alg._syzygies[key] = self._syzygy()
@@ -383,7 +377,7 @@ class AlgebraModule:
         empty block is not stored.
         """
         alg = self.alg
-        act, quotient = self.act, alg._quotient
+        act, quotients = self.act, alg._quotients
         lifts = self.top_lifts()
         if not lifts:
             if not self.is_zero():
@@ -393,7 +387,7 @@ class AlgebraModule:
         kernels, dims = {}, {}
         for (i, n), di in zip(ncols.items(), self.dims.values()):
             if not di:  # the whole of the cover at i is the kernel
-                kernels[i] = quotient((), n) if n else ((), ())
+                kernels[i] = quotients[(), n] if n else ((), ())
                 dims[i] = n
                 continue
             # one column per lift (k, f) and basis element b of Hom(T_i, T_k)
@@ -403,21 +397,36 @@ class AlgebraModule:
                 if mats:
                     for mat in mats:
                         cols.append(mat[f])
-            kernels[i] = free, _basis = quotient(tuple(zip(*cols)), n)
+            kernels[i] = free, _basis = quotients[tuple(zip(*cols)), n]
             dims[i] = len(free)
             if n - dims[i] != di:
                 raise MeshConsistencyError("projective cover is not surjective")
         out = {}
-        for pair in alg._live_pairs(tuple(dims.values())):
+        for pair in alg._live[tuple(dims.values())]:
             terms = moving.get(pair)
             if terms is None:
-                out[pair] = alg._written(pair, dims[pair[0]], dims[pair[1]])
+                out[pair] = alg._written_blocks[
+                    pair, dims[pair[0]], dims[pair[1]]]
             else:
                 out[pair] = _kernel_block(alg, pair, terms, kernels, ncols)
         for (i, j), terms in moving.items():
             if dims[j] and not dims[i]:
                 _kernel_block(alg, (i, j), terms, kernels, ncols)
         return AlgebraModule(alg, dims, out)
+
+
+def _written_block(hom_dims, quotients, pair, di, dj):
+    """The block of pair (i, j) on a syzygy of dimensions di at i and dj at
+    j when the pair acts by zero on every summand of the cover: zero
+    matrices, but for the identity of End(T_i).  hom_dims and quotients
+    are the algebra's; one tuple per key is shared by every syzygy of the
+    algebra."""
+    zero = ((0,) * di,) * dj
+    d = hom_dims[pair]
+    if pair[0] != pair[1]:
+        return (zero,) * d
+    # the identity is the quotient of no rows
+    return (quotients[(), di][1],) + (zero,) * (d - 1)
 
 
 def _moving_form(mats, diagonal):
@@ -436,15 +445,11 @@ def _kernel_block(alg, pair, terms, kernels, ncols):
     table, keyed by all that _block_on_kernel reads, and filled on first
     use; a key whose block raises is not stored."""
     i, j = pair
-    key = (alg.hom_dims[pair], i == j, terms, kernels[i], kernels[j][1],
-           ncols[i])
-    got = alg._kernel_blocks.get(key)
-    if got is None:
-        got = alg._kernel_blocks[key] = _block_on_kernel(alg._quotient, *key)
-    return got
+    return alg._kernel_blocks[alg.hom_dims[pair], i == j, terms, kernels[i],
+                              kernels[j][1], ncols[i]]
 
 
-def _block_on_kernel(quotient, d, diagonal, terms, kernel, basis_j, n):
+def _block_on_kernel(quotients, d, diagonal, terms, kernel, basis_j, n):
     """The block of a pair (i, j) with d basis elements on the kernel of a
     cover: kernel = (free, basis) is the kernel at i, basis_j the kernel
     basis at j, n the dimension of the cover at i.
@@ -459,7 +464,7 @@ def _block_on_kernel(quotient, d, diagonal, terms, kernel, basis_j, n):
     mats = []
     for b in range(d):
         if diagonal and not b:
-            mats.append(quotient((), len(free))[1])
+            mats.append(quotients[(), len(free)][1])
             continue
         cols = []
         for w in basis_j:
@@ -504,7 +509,7 @@ def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     # act[(i, j)][b][g] is g . (basis element b), for g in Hom(T_j, M)
     rows = alg._rows
     return AlgebraModule(alg, dict(zip(alg.labels, dv)), {
-        pair: rows[pair][m_cid] for pair in alg._live_pairs(dv)})
+        pair: rows[pair][m_cid] for pair in alg._live[dv]})
 
 
 def _syzygy_chain(module: AlgebraModule):

@@ -29,6 +29,23 @@ class MeshConsistencyError(RuntimeError):
     """Cross-engine disagreement or exhausted cover window; always a bug."""
 
 
+class Table(dict):
+    """A memo table whose entry depends on its key alone: reading a missing
+    key stores and returns fill(key), and a fill that raises stores
+    nothing.  `in` and get() read without filling.  A fill refers to no
+    owner of the table, so a table never keeps its owner alive."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        got = self[key] = self.fill(key)
+        return got
+
+
 class ClusterIndec:
     __slots__ = ("cid", "kind", "mid", "vertex", "dim")
 

@@ -205,17 +205,12 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
     themselves are the discriminator.
 
     Like H(i,j) the answer depends only on the pair (T_i[1], T_j[1]), so
-    after the family and the labels are checked it is a read of the
-    category's table of closed forms (MeshHomEngine.closed_form), filled
-    on first use by _classify; the labels of the returned set are the
-    caller's.
+    after the labels are checked it is a read of the category's table of
+    closed forms (MeshHomEngine.closed_form), filled on first use by
+    _classify; the labels of the returned set are the caller's.
     """
-    family = cc.quiver.family
-    if family not in ("A", "D"):
-        raise ValueError("closed forms are defined for families A and D only")
     vertices, shape = cc._get_engine().closed_form(
-        shifted_summand(cc, tilting, i), shifted_summand(cc, tilting, j),
-        _classify)
+        shifted_summand(cc, tilting, i), shifted_summand(cc, tilting, j))
     return HammockSet(i, j, vertices, shape)
 
 
@@ -271,7 +266,7 @@ def classify_by_location(cc, tilting) -> dict:
     """
     shifts = {cc.shift(s) for s in tilting.summands}
     closed_form = cc._get_engine().closed_form
-    located = frozenset().union(*(closed_form(a, b, _classify)[0]
+    located = frozenset().union(*(closed_form(a, b)[0]
                                   for a in shifts for b in shifts))
     summands = set(tilting.summands)
     return {m: PdClass.ZERO if m in summands

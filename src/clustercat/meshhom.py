@@ -15,12 +15,12 @@ composition is path application through the stored arrow matrices;
 compose walks whole paths and is the reference the two tables below are
 tested against.
 
-MeshHomEngine.product_row tabulates the composites of basis elements once
-per category, one dict per row (x, y, -) from z to the entry of (x, y, z).
-product_rows fills the missing rows of one target together: F_y's
-records become one step list, in knit order, and the image of each record
-under a unit vector of F_x is one arrow matrix of F_x applied to the image
-of its prefix.  An entry is column-major, the coordinate tuple of g . f per
+MeshHomEngine.product_rows tabulates the composites of basis elements once
+per category, one dict per row (x, y, -) from z to the entry of (x, y, z),
+and fills the missing rows of one target together: F_y's records become
+one step list, in knit order, and the image of each record under a unit
+vector of F_x is one arrow matrix of F_x applied to the image of its
+prefix.  An entry is column-major, the coordinate tuple of g . f per
 pair of basis elements (f, g), the order the walk produces them in;
 products(x, y, z) reads one entry.  The algebra reads its modules and
 structure constants from its rows, and their dimension vectors from
@@ -49,8 +49,8 @@ Hammocks and path composites read F_r itself: H(tau^m r, b) is
 tau^m H(r, tau^-m b), so only representatives are ever swept.
 
 All coordinates are exact integers.  Every row reduction of the category,
-the mesh cokernels and those of its algebras, is read from
-MeshHomEngine.quotient and accepts only pivots +-1, so the action matrices
+the mesh cokernels and those of its algebras, is read from the table
+MeshHomEngine._quotients and accepts only pivots +-1, so the action matrices
 stay integral (entries in {-1, 0, 1} on types A and D); any other pivot
 raises MeshConsistencyError rather than falling back to Fractions.
 Basis order is deterministic: cover vertices by (height, cid), mesh
@@ -65,6 +65,12 @@ the tests, the witness search and the quiver presets; the algebra and the
 hammock code read the integer tables.  Both tables are exact: the product
 rows are integer matrix products, and the sweep keeps its spans as integer
 echelon bases.
+
+The engine declares its tables here: cover functors, Hom dimensions and
+rows, product rows, hammocks, closed forms and quotients.  Only a quotient
+depends on its key alone, so only _quotients is a cluster.Table; every
+other fill reads the engine, so a method fills its table on a miss.  The
+algebra module declares the syzygy route's moving forms and kernel blocks.
 """
 
 from __future__ import annotations
@@ -73,7 +79,7 @@ from bisect import insort
 from math import gcd
 from operator import mul
 
-from .cluster import ClusterCategory, MeshConsistencyError
+from .cluster import ClusterCategory, MeshConsistencyError, Table
 from .linalg import matvec, unit_quotient_basis
 
 
@@ -81,11 +87,12 @@ class CoverFunctor:
     """Hom(X, -) on the cover window, with path representatives.
 
     levels[y] lists the (level, dimension) pairs of the nonzero lifts of y,
-    sorted by level.
+    sorted by level; arrow_offsets are the category's, which apply_path
+    reads.
     """
 
     def __init__(self, cc: ClusterCategory, src: int):
-        self.cc = cc
+        self.arrow_offsets = cc.arrow_offsets
         self.src = src
         h = cc.quiver.coxeter_number()
         H = cc.winding
@@ -101,7 +108,7 @@ class CoverFunctor:
         self.basis: dict[tuple[int, int], list[tuple]] = {}
         self.act: dict[tuple[int, int, int], tuple] = {}
         basis, act, height, tau = self.basis, self.act, cc.height, cc.tau
-        quotient = cc._get_engine().quotient
+        quotients = cc._get_engine()._quotients
         last = g0  # highest height with a nonzero vertex so far
         for g, c, k in (
                 (g, c, (g - height[c]) // H)
@@ -129,7 +136,7 @@ class CoverFunctor:
                     if bp:
                         col.extend([row[j] for row in act[(w, p, kw)]])
                 span.append(tuple(col))
-            free, proj = quotient(tuple(span), amb)
+            free, proj = quotients[tuple(span), amb]
             recs = []
             for f in free:
                 for p, kp, bp, o in blocks:
@@ -161,11 +168,11 @@ class CoverFunctor:
         tau^m lifts to the cover as (c, k) -> (tau^m c, k + s_m(c)), and
         ClusterCategory checks that it maps arrows to arrows with their
         offsets.  Shifted to keep the seed at level 0, every vertex, path
-        record and act key of rep is relabelled; the arrow matrices and the
-        level dimensions are shared.
+        record and act key of rep is relabelled; the arrow matrices, the
+        level dimensions and the arrow offsets are shared.
         """
         self = cls.__new__(cls)
-        self.cc = rep.cc
+        self.arrow_offsets = rep.arrow_offsets
         self.src, s0 = move[rep.src]
         lift = {c: (d, s - s0) for c, (d, s) in move.items()}
         self.basis = {}
@@ -188,7 +195,7 @@ class CoverFunctor:
 
         Returns (end_vertex, end_level, vec) or None when the result is zero.
         """
-        act, offsets = self.act, self.cc.arrow_offsets
+        act, offsets = self.act, self.arrow_offsets
         cur, lvl, v = start, level, tuple(vec)
         for a, b in path:
             if a != cur:
@@ -237,20 +244,15 @@ def zero_products(dxy: int, dyz: int, dxz: int):
 
 class MeshHomEngine:
     """Hom spaces of one category, and its tables of Hom dimensions, basis
-    products, hammocks, their closed forms and quotients, and the two
-    tables of the syzygy route.
+    products, hammocks, their closed forms and quotients.
 
     dim(x, y) is filled once per pair and dim_row(x) once per object,
-    product_row(x, y) once per row (x, y, -), hammock(a, b) and
-    closed_form(a, b, ...) once per pair, quotient(rows, n) once per
-    distinct query, and all are read by every tilting of the category;
-    identical matrices are shared through one intern map.  The tables of
-    cids are keyed by one int per object or pair, which takes less memory
-    than a tuple key.  The algebra module
-    fills two more tables, read by every tilting as well: the moving form
-    of a product entry on a projective (ClusterTiltedAlgebra._projective),
-    and the action block of a label pair on the kernel of a cover, once
-    per distinct input of algebra._kernel_block.
+    product_rows once per row (x, y, -), hammock(a, b) and
+    closed_form(a, b) once per pair, _quotients[rows, n] once per distinct
+    query, and all are read by every tilting of the category; identical
+    matrices are shared through one intern map.  The tables of cids are
+    keyed by one int per object or pair, which takes less memory than a
+    tuple key.
     """
 
     def __init__(self, cc: ClusterCategory):
@@ -271,13 +273,9 @@ class MeshHomEngine:
         self._interned: dict[tuple, tuple] = {}
         self._hammocks: dict[int, frozenset] = {}  # a * n + b -> H(a, b)
         self._closed_forms: dict[int, tuple] = {}  # a * n + b -> (H, shape)
-        self._quotients: dict[tuple, tuple] = {}  # (rows, n) -> quotient
-        # the algebra module's tables, filled there: (product entry, whether
-        # the pair is (i, i)) -> its moving form, see
-        # ClusterTiltedAlgebra._projective; the inputs of one kernel action
-        # block -> the block, see algebra._kernel_block
-        self._moving_forms: dict[tuple, tuple] = {}
-        self._kernel_blocks: dict[tuple, tuple] = {}
+        # (rows, n) -> unit_quotient_basis(rows, n), for a tuple of integer
+        # row tuples; a query that raises is not stored
+        self._quotients = Table(lambda key: unit_quotient_basis(*key))
 
     def functor(self, x: int) -> CoverFunctor:
         """F_x, built once; its basis of End(x) must start with the identity.
@@ -398,26 +396,22 @@ class MeshHomEngine:
         The matrix maps Hom(y, z) to Hom(x, z) in hom_basis coordinates and
         is stored column-major: products(x, y, z)[f][g] is the coordinate
         tuple of g . f in Hom(x, z), the layout of a module action.  It is
-        entry z of product_row(x, y); a triple with a zero Hom space has no
-        entry, its matrices are zero, of the shape the dimensions give.
+        entry z of the row of (x, y), see product_rows; a triple with a zero
+        Hom space has no entry, its matrices are zero, of the shape the
+        dimensions give.
         """
         dxy, dyz, dxz = self.dim(x, y), self.dim(y, z), self.dim(x, z)
         if not (dxy and dyz and dxz):
             return zero_products(dxy, dyz, dxz)
-        return self.product_row(x, y)[z]
-
-    def product_row(self, x: int, y: int) -> dict:
-        """z -> products(x, y, z) for every z with Hom(y, z) and Hom(x, z)
-        nonzero, filled on the first read of the row (see product_rows) and
-        read by every tilting of the category; empty when Hom(x, y) = 0.
-        Its readers do not change it."""
-        return self.product_rows(((x, y),))[0]
+        return self.product_rows(((x, y),))[0][z]
 
     def product_rows(self, pairs) -> list:
-        """product_row(x, y) for every pair (x, y) of cids, in order.  The
-        missing rows are filled one target y at a time, from one step list
-        of F_y (_steps) built for all of them and then dropped; a step list
-        that raises stores no row of its target."""
+        """The row of each pair (x, y) of cids, in order: z -> products(x,
+        y, z) for every z with Hom(y, z) and Hom(x, z) nonzero, read by
+        every tilting and changed by no reader.  The missing rows are filled
+        one target y at a time, from one step list of F_y (_steps) built for
+        all of them and then dropped; a step list that raises stores no row
+        of its target."""
         n, rows = self._n, self._rows
         got = [rows.get(x * n + y) for x, y in pairs]
         if None in got:
@@ -554,20 +548,23 @@ class MeshHomEngine:
             y = tau_inv[y]
         return y
 
-    def closed_form(self, a: int, b: int, classify) -> tuple:
+    def closed_form(self, a: int, b: int) -> tuple:
         """(vertices, shape) of the closed form of H(a, b), see
         hammocks.hij_closed_form.
 
         Like H(a, b) it depends only on the pair, not on the tilting that
-        reaches it, so classify(cc, a, b) runs once per pair, on first use;
-        an entry whose classify raises is not stored.  Vertices equal to a
-        stored H(a, b) are kept as the hammock table's frozenset, whichever
-        of the two was computed first; neither computation reads the other.
+        reaches it, so hammocks._classify(cc, a, b) runs once per pair, on
+        first use; an entry whose classification raises is not stored.
+        Vertices equal to a stored H(a, b) are kept as the hammock table's
+        frozenset, whichever of the two was computed first; neither
+        computation reads the other.
         """
         key = a * self._n + b
         got = self._closed_forms.get(key)
         if got is None:
-            vertices, shape = classify(self.cc, a, b)
+            from .hammocks import _classify
+
+            vertices, shape = _classify(self.cc, a, b)
             exact = self._hammocks.get(key)
             if exact == vertices:
                 vertices = exact
@@ -616,16 +613,6 @@ class MeshHomEngine:
         # filled in cid order: a set's iteration order can depend on the
         # order it was filled in, and the reports print these sets
         return frozenset(x for x in cc.cids() if x in found)
-
-    def quotient(self, rows: tuple, n: int):
-        """unit_quotient_basis(rows, n) for a tuple of integer row tuples,
-        reduced once per distinct query; a query that raises is not stored.
-        """
-        key = rows, n
-        got = self._quotients.get(key)
-        if got is None:
-            got = self._quotients[key] = unit_quotient_basis(rows, n)
-        return got
 
     def _intern(self, value):
         return self._interned.setdefault(value, value)

@@ -13,7 +13,7 @@ import json
 import weakref
 from dataclasses import dataclass
 
-from .cluster import ClusterCategory
+from .cluster import ClusterCategory, Table
 from .dynkin import build_quiver
 from .hammocks import hij, hij_closed_form, verify_main_theorem
 from .tilting import TiltingObject
@@ -209,30 +209,24 @@ class _ExportText:
 
     pairs maps the cids (a, b) of (T_i[1], T_j[1]), as a * |cids| + b, to
     the "shape" and "vertices" members of H(i,j) and the close of its
-    object; dims maps a dimension vector to its array.  labels(k) gives,
-    per label pair (i, j) of k summands in label order, the object's head
-    up to its "i" and "j" members and the [i, j] array that fills in_hij.
-    All three are filled on first use; family and orientation are the
-    meta strings.
+    object, filled by export_json from the category's tables; dims maps a
+    dimension vector to its array.  labels[k] gives, per label pair (i, j)
+    of k summands in label order, the object's head up to its "i" and "j"
+    members and the [i, j] array that fills in_hij.  All three are filled
+    on first use; family and orientation are the meta strings.
     """
 
-    __slots__ = ("pairs", "dims", "_labels", "family", "orientation")
+    __slots__ = ("pairs", "dims", "labels", "family", "orientation")
 
     def __init__(self, cc: ClusterCategory):
         self.pairs = {}
-        self.dims = {}
-        self._labels = {}
+        self.dims = Table(lambda dv: _ints(dv, " " * 6))
+        self.labels = Table(lambda k: [
+            ('{\n      "i": %s,\n      "j": %s,\n      ' % (i, j),
+             _ints((i, j), " " * 8))
+            for i in range(1, k + 1) for j in range(1, k + 1)])
         self.family = json.dumps(cc.quiver.family)
         self.orientation = json.dumps(_orientation_name(cc.quiver))
-
-    def labels(self, k):
-        got = self._labels.get(k)
-        if got is None:
-            got = self._labels[k] = [
-                ('{\n      "i": %s,\n      "j": %s,\n      ' % (i, j),
-                 _ints((i, j), " " * 8))
-                for i in range(1, k + 1) for j in range(1, k + 1)]
-        return got
 
 
 # category -> its _ExportText; an entry is freed with its category
@@ -270,7 +264,7 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
     p6 = " " * 6
     in_hij = {m: [] for m in report.modules}
     hammocks = []
-    for (head, label), ((i, j), h) in zip(text.labels(len(shifts)),
+    for (head, label), ((i, j), h) in zip(text.labels[len(shifts)],
                                            report.hij.items()):
         for m in h:
             if m in in_hij:
@@ -285,13 +279,10 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
         hammocks.append(head + pair)
     modules = []
     for m, (dv, _syzygies, pd) in report.modules.items():
-        dim_vector = dims.get(dv)
-        if dim_vector is None:
-            dim_vector = dims[dv] = _ints(dv, p6)
         modules.append(
             '{\n      "cid": %s,\n      "dim_vector": %s,\n'
             '      "in_hij": %s,\n      "pd": "%s"\n    }'
-            % (m, dim_vector, _array(in_hij[m], p6), pd.value))
+            % (m, dims[dv], _array(in_hij[m], p6), pd.value))
     return (
         '{\n  "agreement": %s,\n  "hammocks": %s,\n  "meta": {\n'
         '    "family": %s,\n    "orientation": %s,\n    "rank": %s,\n'

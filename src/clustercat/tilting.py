@@ -63,15 +63,11 @@ def first_ext_violation(cc: ClusterCategory, summands):
     return None
 
 
-def is_rigid(cc: ClusterCategory, summands) -> bool:
-    return first_ext_violation(cc, summands) is None
-
-
 def is_cluster_tilting(cc: ClusterCategory, summands) -> bool:
     s = tuple(summands)
     if len(s) != cc.n or len(set(s)) != cc.n:
         return False
-    if not is_rigid(cc, s):
+    if first_ext_violation(cc, s) is not None:
         return False
     # maximality, checked directly rather than trusted from the count
     chosen = set(s)
@@ -184,11 +180,10 @@ def sample_tiltings(cc: ClusterCategory, count: int, seed: int = 0):
     which only happens when fewer than `count` distinct objects exist.
     """
     seen = {}
-    for steps_budget in (4 * count, 16 * count):
-        for t in mutation_walk(cc, steps_budget, seed):
-            seen.setdefault(t.key(), t)
-            if len(seen) >= count:
-                return list(seen.values())
+    for t in mutation_walk(cc, 16 * count, seed):
+        seen.setdefault(t.key(), t)
+        if len(seen) >= count:
+            return list(seen.values())
     for t in enumerate_tiltings(cc):
         seen.setdefault(t.key(), t)
     return list(seen.values())

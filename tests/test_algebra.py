@@ -243,7 +243,7 @@ def corrupt_table(monkeypatch, cc, triple, corrupt):
     cc must be built for the test: the patch sits on its engine's row.
     """
     x, y, z = triple
-    row = cc._get_engine().product_row(x, y)
+    row = cc._get_engine().product_rows([(x, y)])[0]
     monkeypatch.setitem(row, z, corrupt(row[z]))
 
 
@@ -299,7 +299,7 @@ def test_a_stored_kernel_block_never_masks_a_fault(monkeypatch):
     cc = ClusterCategory(build_quiver("D", 4))
     for t in enumerate_tiltings(cc):
         assert verify_main_theorem(cc, t).agreement
-    blocks = cc._get_engine()._kernel_blocks
+    blocks = algebra._TABLES[cc][1]
     assert blocks
     alg = build_algebra(cc, TiltingObject((0, 1, 3, 8)))
     mod = module_of(alg, 2)

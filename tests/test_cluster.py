@@ -4,7 +4,7 @@ from operator import add
 
 import pytest
 
-from clustercat.cluster import ClusterCategory, MeshConsistencyError
+from clustercat.cluster import ClusterCategory, MeshConsistencyError, Table
 from clustercat.dynkin import build_quiver
 from clustercat.polygon import diagonal_of, ext_dim_by_crossing
 
@@ -300,3 +300,26 @@ def test_tau_must_be_a_quiver_automorphism(monkeypatch, stage, corrupt,
     monkeypatch.setattr(ClusterCategory, stage, corrupted)
     with pytest.raises(MeshConsistencyError, match=message):
         ClusterCategory(build_quiver("D", 5))
+
+
+def test_table_fills_each_key_once_and_stores_no_raise():
+    """A Table calls its fill once per key and hands back the stored entry;
+    a fill that raises stores nothing and raises again on the next read;
+    `in` and get() read without filling."""
+    calls = []
+
+    def fill(key):
+        calls.append(key)
+        if key < 0:
+            raise MeshConsistencyError(f"no entry for {key}")
+        return (key,)
+
+    table = Table(fill)
+    assert 1 not in table and table.get(1) is None and not calls
+    first = table[1]
+    assert first == (1,) and table[1] is first and calls == [1]
+    for _ in range(2):
+        with pytest.raises(MeshConsistencyError, match="no entry for -1"):
+            table[-1]
+        assert -1 not in table and table.get(-1) is None
+    assert calls == [1, -1, -1] and dict(table) == {1: (1,)}

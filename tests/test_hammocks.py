@@ -259,16 +259,16 @@ def test_closed_form_table_equals_a_cold_classification(family, rank, arrows):
             got = hij_closed_form(warm, t, i, j)
             assert (got.i, got.j) == (i, j)
             by_pair.setdefault((a, b), set()).add((i, j))
-    table, classify = warm._get_engine()._closed_forms, hammocks._classify
+    table = warm._get_engine()._closed_forms
     assert len(table) == len(by_pair)
     assert any(len(seen) > 1 for seen in by_pair.values())
     first, second = after._get_engine(), before._get_engine()
     for a, b in by_pair:
-        cold = first.closed_form(a, b, classify)
+        cold = first.closed_form(a, b)
         assert table[a * len(warm.indecs) + b] == cold, (a, b)
         # H(a, b) after the closed form on the first, before it on the second
-        assert first.hammock(a, b) is first.closed_form(a, b, classify)[0]
-        assert second.hammock(a, b) is second.closed_form(a, b, classify)[0]
+        assert first.hammock(a, b) is first.closed_form(a, b)[0]
+        assert second.hammock(a, b) is second.closed_form(a, b)[0]
 
 
 def test_unclassifiable_shape_is_not_stored(monkeypatch):
@@ -655,7 +655,7 @@ def test_location_route_agrees_with_the_syzygy_route(family, rank, orientation,
     monkeypatch.setattr(algebra.AlgebraModule, "_syzygy", forbidden)
     monkeypatch.setattr(hammocks, "_pairing_witness", forbidden)
     monkeypatch.setattr(MeshHomEngine, "hammock", forbidden)
-    for accessor in ("products", "product_row", "_fill_row"):
+    for accessor in ("products", "product_rows", "_fill_row"):
         monkeypatch.setattr(MeshHomEngine, accessor, forbidden)
     for t, report in zip(tiltings, reports):
         got = hammocks.classify_by_location(cc, t)

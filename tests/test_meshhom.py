@@ -2,6 +2,7 @@
 
 import pytest
 
+from clustercat import algebra
 from clustercat.algebra import build_algebra
 from clustercat.cluster import ClusterCategory, MeshConsistencyError
 from clustercat.dynkin import build_quiver
@@ -278,7 +279,7 @@ def arrow_inside_support(f):
         for rec in recs:
             if rec:
                 c = rec[-1][0]
-                k = kw - f.cc.arrow_offsets[(c, w)]
+                k = kw - f.arrow_offsets[(c, w)]
                 if f.basis.get((c, k)):
                     return c, w, k, kw
     raise AssertionError("no arrow between two nonzero vertices")
@@ -345,7 +346,8 @@ def test_rows_filled_in_one_batch_equal_rows_filled_one_at_a_time(
     pairs = [(x, y) for x in batch.cc.cids() for y in batch.cc.cids()]
     rows = batch.product_rows(pairs)
     for (x, y), row in zip(pairs, rows):
-        assert list(row.items()) == list(alone.product_row(x, y).items())
+        assert list(row.items()) == \
+            list(alone.product_rows([(x, y)])[0].items())
     for first, again in zip(rows, batch.product_rows(pairs)):
         assert again is first or again == first == {}
     assert batch._rows == alone._rows
@@ -419,9 +421,9 @@ def test_engine_quotients_equal_the_unit_reduction():
         n = len(rows[0])
         eng._quotients.pop((rows, n), None)
         want = unit_quotient_basis(rows, n)
-        cold = eng.quotient(rows, n)
+        cold = eng._quotients[rows, n]
         assert cold == want and all_ints(cold)
-        assert eng.quotient(rows, n) is cold  # warm: the stored entry
+        assert eng._quotients[rows, n] is cold  # warm: the stored entry
         assert list(cold[1]) == ref_nullspace(rows)
 
     check()
@@ -431,7 +433,7 @@ def test_a_pivot_other_than_one_raises_and_is_not_stored():
     eng = ClusterCategory(build_quiver("A", 3))._get_engine()
     for rows in (((2, 1, 0),), ((1, 1, 0), (1, -1, 1))):
         with pytest.raises(MeshConsistencyError, match="pivot -?2"):
-            eng.quotient(rows, 3)
+            eng._quotients[rows, 3]
         assert (rows, 3) not in eng._quotients
 
 
@@ -442,8 +444,8 @@ def d5_sweep():
     kernel blocks."""
     cc = ClusterCategory(build_quiver("D", 5))
     reports = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
-    eng = cc._get_engine()
-    return cc, reports, dict(eng._quotients), dict(eng._kernel_blocks)
+    return (cc, reports, dict(cc._get_engine()._quotients),
+            dict(algebra._TABLES[cc][1]))
 
 
 def test_every_quotient_after_a_d5_sweep_is_exact(d5_sweep):
@@ -465,7 +467,7 @@ def test_a_second_d5_sweep_adds_no_quotient(d5_sweep):
     cc, reports, table, blocks = d5_sweep
     again = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
     assert cc._get_engine()._quotients == table
-    assert cc._get_engine()._kernel_blocks == blocks
+    assert algebra._TABLES[cc][1] == blocks
     assert again == reports
 
 
@@ -476,10 +478,10 @@ def test_a_second_category_starts_with_no_quotients(d5_sweep):
     cc, reports, table, blocks = d5_sweep
     other = ClusterCategory(build_quiver("D", 5))
     eng = other._get_engine()
-    assert eng._quotients == {} and eng._kernel_blocks == {}
+    assert eng._quotients == {} and other not in algebra._TABLES
     first = enumerate_tiltings(other)[0]
     assert verify_main_theorem(other, first) == reports[0]
     assert eng._quotients and eng._quotients.keys() <= table.keys()
-    assert eng._kernel_blocks.items() <= blocks.items()
+    assert algebra._TABLES[other][1].items() <= blocks.items()
     assert cc._get_engine()._quotients == table
-    assert cc._get_engine()._kernel_blocks == blocks
+    assert algebra._TABLES[cc][1] == blocks
