@@ -9,8 +9,10 @@ successors of its translate.
 
 Hom dimensions come from the orbit-category sum Hom(X, Y) + Hom(X, FY) in the
 derived category with F = tau^{-1} [1]; only those two summands survive for a
-hereditary Dynkin algebra.  Explicit morphism spaces live in meshhom, reached
-through hom_basis/compose here; a morphism is its coordinate tuple.
+hereditary Dynkin algebra.  They are counted a row Hom(X, -) at a time, and
+Ext^1 = 0 is kept per object as a bit mask of cids (compatible), which
+tilting reads.  Explicit morphism spaces live in meshhom, reached through
+hom_basis/compose here; a morphism is its coordinate tuple.
 
 The integer grading ("height") makes every arrow raise the height by exactly
 1 and tau lower it by 2.  On the finite quotient the height is only defined
@@ -94,7 +96,15 @@ class ClusterCategory:
         self._build_arrows()
         self._build_heights()
         self._check_tau_is_automorphism()
+        # per cid Y: the module Y (None for a P_v[1]), and the module Z with
+        # Z[1] the summand of Y + FY one shift up in D: tau^-1 Y (None for
+        # an injective Y), or P_v for Y = P_v[1]
+        self._hom_keys = [
+            (Y.mid, self.mod.tau_inv.get(Y.mid)) if Y.kind == "mod"
+            else (None, self.mod.proj_mid[Y.vertex]) for Y in self.indecs]
         self._hom_memo: dict[tuple[int, int], int] = {}
+        self._hom_rows: dict[int, tuple] = {}  # x -> dim Hom_C(X, Y) per cid Y
+        self._compatible: dict[int, int] = {}  # x -> compatible(x)
         self._engine = None
 
     # -- structure ----------------------------------------------------------
@@ -231,17 +241,62 @@ class ClusterCategory:
             return 0, (0 if up is None else mod.dim(up)[X.vertex - 1])
         return mod.dim(mod.proj_mid[Y.vertex])[X.vertex - 1], 0
 
-    def hom_dim_c(self, x: int, y: int) -> int:
-        """dim Hom_C(X, Y) = dim Hom_D(X, Y) + dim Hom_D(X, FY)."""
-        key = (x, y)
-        got = self._hom_memo.get(key)
+    def hom_row_c(self, x: int) -> tuple:
+        """dim Hom_C(X, Y) for every cid Y in turn, the sums of hom_parts_c,
+        built once per x in one pass over the Hom rows of mod kQ and their
+        transpose; each entry is stored once in hom_dim_c's memo too.
+
+        With Z[1] the summand of Y + FY one shift up (see _hom_keys), the sum
+        is Hom(X, Y) + Ext^1(X, Z) for a module X, Ext^1(X, Z) = D Hom(Z,
+        tau X) by the Auslander-Reiten formula, and Hom(P_v, Z) for X =
+        P_v[1]."""
+        got = self._hom_rows.get(x)
         if got is None:
-            got = self._hom_memo[key] = sum(self.hom_parts_c(x, y))
+            mod, X = self.mod, self.indecs[x]
+            rows = mod._rows()
+            if X.kind == "shift":
+                pv = rows[mod.proj_mid[X.vertex]]
+                row = [0 if z is None else pv[z] for _m, z in self._hom_keys]
+            else:
+                r = rows[X.mid]
+                row = [0 if m is None else r[m] for m, _z in self._hom_keys]
+                t = mod.tau.get(X.mid)  # None for a projective X
+                if t is not None:
+                    col = [rz[t] for rz in rows]  # Hom(-, tau X)
+                    for y, (_m, z) in enumerate(self._hom_keys):
+                        if z is not None:
+                            row[y] += col[z]
+            got = self._hom_rows[x] = tuple(row)
+            memo = self._hom_memo
+            for y, d in enumerate(got):
+                memo[(x, y)] = d
+        return got
+
+    def hom_dim_c(self, x: int, y: int) -> int:
+        """dim Hom_C(X, Y) = dim Hom_D(X, Y) + dim Hom_D(X, FY); a miss
+        fills the whole row of x (hom_row_c)."""
+        got = self._hom_memo.get((x, y))
+        if got is None:
+            got = self.hom_row_c(x)[y]
         return got
 
     def ext1_c(self, x: int, y: int) -> int:
         """dim Ext^1_C(X, Y) = dim Hom_C(X, Y[1])."""
         return self.hom_dim_c(x, self.shift(y))
+
+    def compatible(self, x: int) -> int:
+        """The int bit mask of the cids y with Ext^1_C(X, Y) = 0: bit y is
+        set when hom_row_c(x)[tau y] = 0, as Y[1] = tau Y.  Built once per
+        x; bit x is set exactly when X is rigid."""
+        got = self._compatible.get(x)
+        if got is None:
+            row, tau = self.hom_row_c(x), self.tau
+            got = 0
+            for y in self.cids():
+                if not row[tau[y]]:
+                    got |= 1 << y
+            self._compatible[x] = got
+        return got
 
     # -- morphism spaces (mesh-category route) ------------------------------
 
@@ -255,7 +310,7 @@ class ClusterCategory:
     def hom_basis(self, x: int, y: int):
         """Unit coordinate vectors of Hom_C(X, Y); hom_basis(x, x)[0] is 1_X.
 
-        Cardinality is checked against hom_dim_c (once per pair, since the
+        Cardinality is checked against hom_row_c (once per row, since the
         mesh levels never change); disagreement raises MeshConsistencyError.
         """
         return self._get_engine().hom_basis(x, y)

@@ -61,14 +61,15 @@ def shifted_summand(cc: ClusterCategory, tilting: TiltingObject, k: int) -> int:
 
 def left_hammock(cc, tilting, i) -> frozenset:
     """H_i: the cids X with Hom_C(T_i[1], X) != 0."""
-    a = shifted_summand(cc, tilting, i)
-    return frozenset(x for x in cc.cids() if cc.hom_dim_c(a, x) > 0)
+    row = cc.hom_row_c(shifted_summand(cc, tilting, i))
+    return frozenset(x for x in cc.cids() if row[x] > 0)
 
 
 def right_hammock(cc, tilting, j) -> frozenset:
-    """_jH: the cids X with Hom_C(X, T_j[1]) != 0."""
-    b = shifted_summand(cc, tilting, j)
-    return frozenset(x for x in cc.cids() if cc.hom_dim_c(x, b) > 0)
+    """_jH: the cids X with Hom_C(X, T_j[1]) != 0, read from the row of
+    T_j[1] as Hom_C(T_j[1], tau^2 X) by Serre duality."""
+    row, tau = cc.hom_row_c(shifted_summand(cc, tilting, j)), cc.tau
+    return frozenset(x for x in cc.cids() if row[tau[tau[x]]] > 0)
 
 
 def _pairing_witness(cc, x, a, b):

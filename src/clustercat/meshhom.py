@@ -66,7 +66,7 @@ hammock code read the integer tables.  Both tables are exact: the product
 rows are integer matrix products, and the sweep keeps its spans as integer
 echelon bases.
 
-The engine declares its tables here: cover functors, Hom dimensions and
+The engine declares its tables here: cover functors, Hom dimension
 rows, product rows, hammocks, closed forms and quotients.  Only a quotient
 depends on its key alone, so only _quotients is a cluster.Table; every
 other fill reads the engine, so a method fills its table on a miss.  The
@@ -246,7 +246,7 @@ class MeshHomEngine:
     """Hom spaces of one category, and its tables of Hom dimensions, basis
     products, hammocks, their closed forms and quotients.
 
-    dim(x, y) is filled once per pair and dim_row(x) once per object,
+    dim_row(x) is filled once per object and dim(x, y) reads it,
     product_rows once per row (x, y, -), hammock(a, b) and
     closed_form(a, b) once per pair, _quotients[rows, n] once per distinct
     query, and all are read by every tilting of the category; identical
@@ -267,7 +267,6 @@ class MeshHomEngine:
                 self._orbit[x] = (r, m)
                 x, m = cc.tau[x], m + 1
         self._moves = [{c: (c, 0) for c in cc.cids()}]  # m -> tau^m on the cover
-        self._dims: dict[int, int] = {}  # x * n + y -> dim Hom(x, y)
         self._dim_rows: dict[int, tuple] = {}  # x -> dim Hom(x, y) per cid y
         self._rows: dict[int, dict] = {}  # x * n + y -> {z: products(x, y, z)}
         self._interned: dict[tuple, tuple] = {}
@@ -318,27 +317,32 @@ class MeshHomEngine:
         return at
 
     def dim(self, x: int, y: int) -> int:
-        """dim Hom(x, y) from the mesh levels, checked against the additive count."""
-        key = x * self._n + y
-        got = self._dims.get(key)
+        """dim Hom(x, y), read from dim_row(x)."""
+        got = self._dim_rows.get(x)
         if got is None:
-            got = sum(d for _k, d in self.levels(x, y))
-            expect = self.cc.hom_dim_c(x, y)
-            if got != expect:
-                raise MeshConsistencyError(
-                    f"mesh basis of Hom({x},{y}) has {got} elements, "
-                    f"additive count gives {expect}")
-            self._dims[key] = got
-        return got
+            got = self.dim_row(x)
+        return got[y]
 
     def dim_row(self, x: int) -> tuple:
-        """dim(x, y) for every cid y in turn, built once per x; the algebra
+        """dim Hom(x, y) for every cid y in turn, summed from the mesh levels
+        of F_x in one pass and checked as a whole against the additive row
+        cc.hom_row_c(x); built once per x.  A row that differs raises,
+        naming its first differing pair, and is not stored.  The algebra
         reads the dimension vectors of its modules from the rows of its
         summands."""
         got = self._dim_rows.get(x)
         if got is None:
-            got = self._dim_rows[x] = tuple([self.dim(x, y)
-                                             for y in self.cc.cids()])
+            row = [0] * self._n
+            for y, lv in self.functor(x).levels.items():
+                row[y] = sum(d for _k, d in lv)
+            expect = self.cc.hom_row_c(x)
+            if tuple(row) != expect:
+                y = next(y for y, d in enumerate(row) if d != expect[y])
+                raise MeshConsistencyError(
+                    f"mesh basis of Hom({x},{y}) has {row[y]} elements, "
+                    f"additive count gives {expect[y]}")
+            # equal, so the category's tuple is kept rather than a second one
+            got = self._dim_rows[x] = expect
         return got
 
     def hom_basis(self, x: int, y: int):
@@ -577,18 +581,21 @@ class MeshHomEngine:
         path carries to a lift of b: all of them at a lift of b, elsewhere
         the span of R(w) . act[v -> w] over the arrows v -> w.  Arrow paths
         span every Hom space of the mesh category, so x belongs exactly when
-        R != 0 at some lift of x.  A vertex c with Hom(c, b) = 0 is skipped.
+        R != 0 at some lift of x.  A vertex c with Hom(c, b) = 0 is skipped;
+        that count is read as dim Hom(b, tau^2 c) from the one row of b, by
+        Serre duality Hom(X, Y) = D Hom(Y, X[2]) with [1] = tau on objects.
         R(v) is an integer echelon basis, kept only for the sweep."""
         fa, cc = self.functor(a), self.cc
         basis, act = fa.basis, fa.act
-        dim, succ, offsets = cc.hom_dim_c, cc.succ, cc.arrow_offsets
+        to_b, tau = cc.hom_row_c(b), cc.tau
+        succ, offsets = cc.succ, cc.arrow_offsets
         spans = {}
         found = set()
         # every arrow of the cover raises the height, and knit order (which
         # CoverFunctor.moved keeps) ascends it, so reversed it is top down
         for (c, k), recs in reversed(basis.items()):
             d = len(recs)
-            if not d or not dim(c, b):
+            if not d or not to_b[tau[tau[c]]]:
                 continue
             if c == b:
                 span = [(i, tuple(int(i == j) for j in range(d)))

@@ -54,11 +54,15 @@ class TiltingObject:
 
 
 def first_ext_violation(cc: ClusterCategory, summands):
-    """First (cid, cid) pair with nonvanishing Ext^1, in scan order, or None."""
+    """First (cid, cid) pair with nonvanishing Ext^1, in scan order, or None.
+
+    Both directions are read from the masks of ClusterCategory.compatible,
+    so no symmetry of Ext^1 is assumed."""
     s = tuple(summands)
     for a in range(len(s)):
+        mask = cc.compatible(s[a])
         for b in range(a, len(s)):
-            if cc.ext1_c(s[a], s[b]) or cc.ext1_c(s[b], s[a]):
+            if not (mask >> s[b] & 1 and cc.compatible(s[b]) >> s[a] & 1):
                 return (s[a], s[b])
     return None
 
@@ -69,12 +73,11 @@ def is_cluster_tilting(cc: ClusterCategory, summands) -> bool:
         return False
     if first_ext_violation(cc, s) is not None:
         return False
-    # maximality, checked directly rather than trusted from the count
-    chosen = set(s)
+    # maximality, checked directly rather than trusted from the count: no z
+    # outside s has Ext^1(z, t) = 0 for every summand t
+    chosen = sum(1 << t for t in s)
     for z in cc.cids():
-        if z in chosen:
-            continue
-        if all(cc.ext1_c(z, t) == 0 for t in s):
+        if not chosen >> z & 1 and cc.compatible(z) & chosen == chosen:
             return False
     return True
 
@@ -88,17 +91,13 @@ def initial_tilting(cc: ClusterCategory) -> TiltingObject:
 def enumerate_tiltings(cc: ClusterCategory):
     """All cluster-tilting objects, as sorted-summand TiltingObjects.
 
-    Max-clique search over the Ext-compatibility graph; every indecomposable
-    is rigid here, so cliques of size n are exactly the tilting objects.
+    Max-clique search over the Ext-compatibility graph, whose adjacency is
+    ClusterCategory.compatible; every indecomposable is rigid here, so
+    cliques of size n are exactly the tilting objects.
     """
     m = len(cc.indecs)
-    adj = []
-    for x in cc.cids():
-        bits = 0
-        for y in cc.cids():
-            if y != x and cc.ext1_c(x, y) == 0:
-                bits |= 1 << y
-        adj.append(bits)
+    # bit y of adj[y] is never read: y has left cand when adj[y] masks it
+    adj = [cc.compatible(x) for x in cc.cids()]
 
     out = []
     n = cc.n
@@ -136,15 +135,16 @@ def tilting_count(family: str, rank: int) -> int:
 
 
 def completions(cc: ClusterCategory, rest):
-    """All indecomposables completing the given n-1 summands to a tilting."""
+    """All indecomposables completing the given n-1 summands to a tilting.
+
+    z completes them when Ext^1(z, t) = 0 for every t in rest, read as bit
+    z of compatible(t): Ext^1_C is symmetric in the 2-Calabi-Yau cluster
+    category."""
     rest = tuple(rest)
-    found = []
-    for z in cc.cids():
-        if z in rest:
-            continue
-        if all(cc.ext1_c(z, t) == 0 for t in rest):
-            found.append(z)
-    return found
+    mask = (1 << len(cc.indecs)) - 1
+    for t in rest:
+        mask &= cc.compatible(t)
+    return [z for z in cc.cids() if mask >> z & 1 and z not in rest]
 
 
 def mutate(cc: ClusterCategory, tilting: TiltingObject, k: int) -> TiltingObject:

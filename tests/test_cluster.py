@@ -123,6 +123,53 @@ def test_hom_dimension_bounds(category, family, rank):
         assert top <= 2
 
 
+# every rank up to 10, and the custom D7 and A7 of the closed-form pair test
+ROWED = ([("A", rank, "default") for rank in range(2, 11)]
+         + [("D", rank, "default") for rank in range(4, 11)]
+         + [("D", 7, ((1, 3), (3, 2), (4, 3), (4, 5), (6, 5), (6, 7))),
+            ("A", 7, ((2, 1), (2, 3), (4, 3), (4, 5), (6, 5), (6, 7)))])
+ROWED_IDS = [f"{f}{r}-" + (o if isinstance(o, str)
+                           else ",".join(f"{s}{t}" for s, t in o))
+             for f, r, o in ROWED]
+
+
+@pytest.mark.parametrize("family,rank,orientation", ROWED, ids=ROWED_IDS)
+def test_hom_row_is_the_sum_of_the_parts(category, family, rank, orientation):
+    """The additive row of x, built in one pass, equals hom_parts_c pair by
+    pair, and so does every entry of hom_dim_c's memo."""
+    cc = category(family, rank, orientation)
+    for x in cc.cids():
+        row = cc.hom_row_c(x)
+        assert len(row) == len(cc.indecs)
+        for y in cc.cids():
+            assert row[y] == sum(cc.hom_parts_c(x, y)), (x, y)
+            assert cc.hom_dim_c(x, y) == row[y]
+
+
+@pytest.mark.parametrize("family,rank,orientation", ROWED, ids=ROWED_IDS)
+def test_two_calabi_yau_identities(category, family, rank, orientation):
+    """Serre duality Hom(c, b) = D Hom(b, tau^2 c), which the hammock sweep
+    and right_hammock read, and the symmetry of Ext^1, which completions
+    reads."""
+    cc = category(family, rank, orientation)
+    tau = cc.tau
+    for c in cc.cids():
+        for b in cc.cids():
+            assert cc.hom_dim_c(c, b) == cc.hom_dim_c(b, tau[tau[c]]), (c, b)
+            assert cc.ext1_c(c, b) == cc.ext1_c(b, c), (c, b)
+
+
+@pytest.mark.parametrize("family,rank,orientation", ROWED, ids=ROWED_IDS)
+def test_compatible_masks_read_ext1(category, family, rank, orientation):
+    """Bit y of compatible(x) is set exactly when Ext^1(x, y) = 0."""
+    cc = category(family, rank, orientation)
+    for x in cc.cids():
+        mask = cc.compatible(x)
+        assert mask >> len(cc.indecs) == 0
+        for y in cc.cids():
+            assert bool(mask >> y & 1) == (cc.ext1_c(x, y) == 0), (x, y)
+
+
 @pytest.mark.parametrize("family,rank", [("A", 3), ("A", 4), ("D", 4)])
 def test_mesh_basis_matches_additive_counts(category, family, rank):
     cc = category(family, rank)

@@ -77,11 +77,21 @@ def test_projective_actions_equal_direct_composition(
 
 
 def test_mesh_dimension_is_checked_against_the_additive_count(monkeypatch):
+    """The mesh row of x is checked against the additive row as a whole: a
+    read of Hom(0, 0) fails on a wrong count of another pair of the row,
+    the error names that pair, and no row is stored."""
     cc = ClusterCategory(build_quiver("A", 3))
-    count = cc.hom_dim_c
-    monkeypatch.setattr(cc, "hom_dim_c", lambda x, y: count(x, y) + 1)
-    with pytest.raises(MeshConsistencyError, match="additive count"):
-        cc._get_engine().dim(0, 0)
+    y = next(y for y in cc.cids() if y and cc.hom_dim_c(0, y))
+    row = list(cc.hom_row_c(0))
+    row[y] += 1
+    count = cc.hom_row_c
+    monkeypatch.setattr(cc, "hom_row_c",
+                        lambda x: tuple(row) if x == 0 else count(x))
+    eng = cc._get_engine()
+    with pytest.raises(MeshConsistencyError,
+                       match=rf"Hom\(0,{y}\).*additive count"):
+        eng.dim(0, 0)
+    assert not eng._dim_rows
 
 
 def test_orbit_read_checks_the_additive_count(monkeypatch):

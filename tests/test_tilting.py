@@ -144,3 +144,74 @@ def test_mutate_label_out_of_range(category):
 def test_duplicate_summands_rejected():
     with pytest.raises(ValueError):
         TiltingObject((1, 1, 2))
+
+
+def ext_table(cc):
+    """dim Ext^1(z, t) for every pair, read pair by pair."""
+    return [[cc.ext1_c(z, t) for t in cc.cids()] for z in cc.cids()]
+
+
+def pair_scan_completions(cc, ext, rest):
+    """completions by its definition: every z outside rest with
+    Ext^1(z, t) = 0 for every t in rest."""
+    return [z for z in cc.cids()
+            if z not in rest and not any(ext[z][t] for t in rest)]
+
+
+def pair_scan_tiltings(cc):
+    """enumerate_tiltings' clique search on an adjacency read pair by pair:
+    bit y of adj[x] is set when y != x and Ext^1(x, y) = 0."""
+    adj = [sum(1 << y for y in cc.cids() if y != x and not cc.ext1_c(x, y))
+           for x in cc.cids()]
+    out = []
+
+    def extend(cand, chosen):
+        while cand and cand.bit_count() >= cc.n - len(chosen):
+            low = cand & -cand
+            y = low.bit_length() - 1
+            cand ^= low
+            chosen.append(y)
+            if len(chosen) == cc.n:
+                out.append(tuple(chosen))
+            else:
+                extend(cand & adj[y], chosen)
+            chosen.pop()
+
+    extend((1 << len(cc.indecs)) - 1, [])
+    return out
+
+
+CUSTOM_D6 = ((1, 3), (3, 2), (4, 3), (4, 5), (6, 5))
+SCANNED = [
+    pytest.param("A", 6, "default", id="A6"),
+    pytest.param("D", 6, "default", id="D6"),
+    pytest.param("D", 6, CUSTOM_D6, id="D6-13,32,43,45,65"),
+    pytest.param("D", 7, "default", id="D7", marks=pytest.mark.sweep),
+    pytest.param("A", 8, "default", id="A8", marks=pytest.mark.sweep),
+]
+
+
+@pytest.mark.parametrize("family,rank,orientation", SCANNED)
+def test_completions_and_mutate_equal_the_pair_scan(category, family, rank,
+                                                    orientation):
+    """At every tilting and label, the masks of completions give the
+    completions of the pair scan, and mutate puts the one other completion
+    in place of the label's summand."""
+    cc = category(family, rank, orientation)
+    ext = ext_table(cc)
+    for t in enumerate_tiltings(cc):
+        for k in range(1, cc.n + 1):
+            rest = t.summands[:k - 1] + t.summands[k:]
+            expect = pair_scan_completions(cc, ext, rest)
+            assert completions(cc, rest) == expect, (t, k)
+            [new] = [z for z in expect if z != t[k - 1]]
+            assert mutate(cc, t, k).summands == \
+                t.summands[:k - 1] + (new,) + t.summands[k:], (t, k)
+
+
+@pytest.mark.parametrize("family,rank,orientation", SCANNED)
+def test_enumeration_equals_the_pair_scan_in_order(category, family, rank,
+                                                   orientation):
+    cc = category(family, rank, orientation)
+    assert [t.summands for t in enumerate_tiltings(cc)] == \
+        pair_scan_tiltings(cc)
