@@ -10,26 +10,30 @@ An arrow i -> j of the Gabriel quiver corresponds to an irreducible morphism
 T_j -> T_i; with that convention the hereditary case T = kQ gives back Q
 itself.  Multiplicities are dim rad/rad^2 in the matching Hom component.
 
-Modules are plain coordinate data: a dimension per label and one block per
-live label pair (i, j), the tuple over the basis elements f of Hom(T_i, T_j)
-of the matrices by which f acts V_j -> V_i by precomposition.  Every matrix
-is column-major, the image in V_i of each basis vector of V_j in turn: the
+Modules are flat records of coordinate data: a dimension vector, a tuple
+in label order, and one block per live label pair (i, j), in label-pair
+order, the tuple over the basis elements f of Hom(T_i, T_j) of the
+matrices by which f acts V_j -> V_i by precomposition.  Every matrix is
+column-major, the image in V_i of each basis vector of V_j in turn: the
 layout of the category's product table.  A pair is live when
 Hom(T_i, T_j), V_i and V_j are all nonzero; any other basis element acts
 by the empty matrix that the dimension vector already fixes, so no block
 is stored for it.  Hom_C(T, M) is such a module, its blocks the category's
-product table entries as they are; projectives are Hom_C(T, T_k), and
-syzygies are kernels of minimal projective covers with the restricted
-action, their blocks built and written in the same layout.  Syzygies are
-memoized per algebra by content (dimension vector and live blocks): the
-cover, its row reductions and every guard run once per distinct module,
-and a module equal block for block to one seen before gets the stored
-syzygy back.  The memo and the covers stay with the algebra: keyed by the
-cids of the cover's summands, few syzygy contents repeat across tiltings.
-The work repeats at the step instead: the action block of one label pair
-on the kernel of a cover depends on six things only (see _kernel_block),
-and an exhaustive verify meets few distinct inputs of it (README gives
-the counts).  So the blocks, and the moving forms of the projectives'
+product table entries as they are, one per product row of the tilting
+that holds M; projectives are Hom_C(T, T_k), and syzygies are kernels of
+minimal projective covers with the restricted action, their blocks built
+and written in the same layout, one walk of the algebra's pairs deciding
+for each whether its block is written, computed, or read only to check
+the kernel.  Syzygies are memoized per algebra by content (the dimension
+vector and the blocks in their order): the cover, its row reductions and
+every guard run once per distinct module, and a module equal block for
+block to one seen before gets the stored syzygy back.  The memo and the
+covers stay with the algebra: keyed by the cids of the cover's summands,
+few syzygy contents repeat across tiltings.  The work repeats at the step
+instead: the action block of one label pair on the kernel of a cover
+depends on six things only (see AlgebraModule._syzygy), and an
+exhaustive verify meets few distinct inputs of it (README gives the
+counts).  So the blocks, and the moving forms of the projectives'
 blocks that the covers are made of, are kept in two tables of the
 category, filled on first use and read by every tilting; an input that
 raises stores nothing.  classify_modules empties the memo when it is
@@ -47,8 +51,8 @@ infinite; a finite dimension of 2 or more cannot occur and is guarded by an
 assertion on the third syzygy.
 
 This module declares the syzygy route's moving forms and kernel blocks,
-per category in _TABLES, and each algebra's live pairs and written blocks:
-cluster.Tables, whose entries depend on their keys alone.  The covers,
+per category in _TABLES, and each algebra's written blocks: cluster.Tables,
+whose entries depend on their keys alone.  The covers,
 projectives, syzygies and radical powers read the algebra, so a method
 fills each of their tables on a miss.
 """
@@ -57,8 +61,8 @@ from __future__ import annotations
 
 import enum
 import weakref
-from itertools import compress
 from operator import add, itemgetter, mul
+from types import MappingProxyType
 
 from .cluster import ClusterCategory, MeshConsistencyError, Table
 from .tilting import TiltingObject
@@ -68,8 +72,8 @@ _FIRST = itemgetter(0)
 # category -> (moving forms, kernel blocks), the syzygy route's tables of
 # the category: (product entry, whether the pair is (i, i)) -> its moving
 # form, see ClusterTiltedAlgebra._projective, and the inputs of one kernel
-# action block -> the block, see _kernel_block.  An entry is freed with its
-# category.
+# action block -> the block, see AlgebraModule._syzygy.  An entry is freed
+# with its category.
 _TABLES = weakref.WeakKeyDictionary()
 
 
@@ -109,28 +113,23 @@ class ClusterTiltedAlgebra:
                          for i, row in zip(self.labels, self._dim_rows)
                          for j in self.labels}
         self.dim = sum(self.hom_dims.values())
-        # the label pairs (i, j) with Hom(T_i, T_j) != 0, in label order,
-        # and the indices i - 1 and j - 1 of each in a dimension vector
+        # the label pairs (i, j) with Hom(T_i, T_j) != 0, in label order
         self.pairs = pairs = tuple(p for p, d in self.hom_dims.items() if d)
-        starts = tuple(i - 1 for i, _j in pairs)
-        ends = tuple(j - 1 for _i, j in pairs)
+        # (pair, i - 1, j - 1) per pair: where a dimension vector holds the
+        # dimensions at i and j, which decide whether the pair is live
+        self._index = tuple((p, p[0] - 1, p[1] - 1) for p in pairs)
         # pair (i, j) -> the category's product row of (T_i, T_j), all read
         # in one call, which fills the missing rows target by target
-        self._rows = dict(zip(self.pairs, eng.product_rows(
-            [(s[i], s[j]) for i, j in self.pairs])))
+        self._rows = dict(zip(pairs, eng.product_rows(
+            [(s[i], s[j]) for i, j in pairs])))
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
         self._proj: dict[int, tuple] = {}  # k -> (P_k, its moving blocks)
         self._covers: dict[tuple[int, ...], tuple] = {}
-        # dim vector dv -> its live pairs: the pairs (i, j) with dv[i - 1]
-        # and dv[j - 1] nonzero, in label order, the blocks a module of
-        # dimension vector dv stores
-        self._live = Table(lambda dv: tuple(compress(pairs, map(
-            mul, map(dv.__getitem__, starts), map(dv.__getitem__, ends)))))
         # (pair, di, dj) -> its written block, see _written_block
         hom_dims = self.hom_dims
         self._written_blocks = Table(
             lambda key: _written_block(hom_dims, quotients, *key))
-        # (dim vector, live blocks) -> syzygy
+        # (dim vector, its blocks in label-pair order) -> syzygy
         self._syzygies: dict[tuple, AlgebraModule] = {}
 
     def hom_dim(self, i: int, j: int) -> int:
@@ -238,11 +237,12 @@ class ClusterTiltedAlgebra:
         """The projective sum of P_k, k in tops: its dimensions and moving
         blocks.
 
-        ncols gives the dimension of the sum at each label.  moving maps a
-        pair (i, j) to the (row offset, column offset, width, block) of
-        every summand P_k whose block of (i, j) has a nonzero radical
-        matrix, the block as _projective keeps it; a pair that moving lacks
-        acts on the sum by zero, but for the identity of End(T_i).
+        ncols gives the dimension of the sum at each label, in label order
+        like a dimension vector.  moving maps a pair (i, j) to the (row
+        offset, column offset, width, block) of every summand P_k whose
+        block of (i, j) has a nonzero radical matrix, the block as
+        _projective keeps it; a pair that moving lacks acts on the sum by
+        zero, but for the identity of End(T_i).
         """
         got = self._covers.get(tops)
         if got is None:
@@ -253,9 +253,9 @@ class ClusterTiltedAlgebra:
                 for pair, dk, mats in blocks:
                     moving.setdefault(pair, []).append(
                         (off[pair[0] - 1], off[pair[1] - 1], dk, mats))
-                off = tuple(map(add, off, mod.dim_vector()))
+                off = tuple(map(add, off, mod._dv))
             # tuples, which key the category's table of kernel blocks
-            got = self._covers[tops] = dict(zip(self.labels, off)), {
+            got = self._covers[tops] = off, {
                 pair: tuple(terms) for pair, terms in moving.items()}
         return got
 
@@ -277,7 +277,7 @@ class ClusterTiltedAlgebra:
         got = self._proj.get(k)
         if got is None:
             mod = module_of(self, self.summand[k])
-            for i, d in mod.dims.items():
+            for i, d in zip(self.labels, mod._dv):
                 if d and mod.act[(i, i)][0] != self._quotients[(), d][1]:
                     raise MeshConsistencyError(
                         f"the identity of End(T_{i}) does not act as the "
@@ -286,34 +286,52 @@ class ClusterTiltedAlgebra:
             for pair, mats in mod.act.items():
                 form = forms[mats, pair[0] == pair[1]]
                 if any(form):
-                    moving.append((pair, mod.dims[pair[1]], form))
+                    moving.append((pair, mod._dv[pair[1] - 1], form))
             got = self._proj[k] = mod, tuple(moving)
         return got
 
 
 class AlgebraModule:
-    """Coordinate module: dims per label, one block per live label pair.
+    """Coordinate module: a flat record of a dimension vector and one block
+    per live label pair.
 
+    The dimension vector is the tuple _dv, in label order; dims is a
+    read-only view of it, label -> dimension, built on each read.
     act[(i, j)] is the block of Hom(T_i, T_j): the tuple over its basis
     elements b of the matrix of precomposition with b, mapping the label-j
     component to the label-i component, each matrix column-major: column q
     of act[(i, j)][b] is the image of basis vector q of V_j in V_i.  For
-    Hom_C(T, M) it is the product table's entry itself.  syzygy hashes
-    the blocks to find a module it has seen.  act holds exactly the live
-    pairs, those with Hom(T_i, T_j), dims[i] and dims[j] nonzero; every
-    other basis element acts by the empty matrix its dimensions fix.  A
-    module is not changed once built: its dimension vector is kept.
+    Hom_C(T, M) it is the product table's entry itself.  act holds exactly
+    the live pairs, those with Hom(T_i, T_j), dims[i] and dims[j] nonzero,
+    in label-pair order, so the dimension vector and the blocks as act
+    lists them are the module's content, which syzygy hashes to find a
+    module it has seen; every other basis element acts by the empty matrix
+    its dimensions fix.  The constructor checks that act has a block for
+    every live pair and for no other, and puts the blocks in that order;
+    module_of and syzygies build the record directly, already in it.  A
+    module is not changed once built.
     """
 
-    __slots__ = ("alg", "dims", "act", "_dv")
+    __slots__ = ("alg", "_dv", "act")
 
     def __init__(self, alg: ClusterTiltedAlgebra, dims, act):
-        self.alg = alg
-        # in label order, which the dimension vector follows
-        self.dims = (dims if tuple(dims) == alg.labels
-                     else {i: dims[i] for i in alg.labels})
-        self._dv = tuple(self.dims.values())
-        self.act = act
+        dv = tuple([dims[i] for i in alg.labels])
+        blocks = {}
+        for pair, i, j in alg._index:
+            if dv[i] and dv[j]:
+                if pair not in act:
+                    raise ValueError(f"no block for the live pair {pair}")
+                blocks[pair] = act[pair]
+        for pair in act:
+            if pair not in blocks:
+                raise ValueError(
+                    f"a block for the pair {pair}, which is not live")
+        self.alg, self._dv, self.act = alg, dv, blocks
+
+    @property
+    def dims(self):
+        """Label -> dimension, a read-only view of the dimension vector."""
+        return MappingProxyType(dict(zip(self.alg.labels, self._dv)))
 
     def is_zero(self) -> bool:
         return not any(self._dv)
@@ -338,7 +356,7 @@ class AlgebraModule:
                     cols.extend(filter(any, mat))
         quotients, lifts = self.alg._quotients, []
         # a zero label has no top; skipping it saves a quotient per label
-        for k, d in self.dims.items():
+        for k, d in zip(self.alg.labels, self._dv):
             if d:
                 span = spans.get(k)
                 for f in quotients[tuple(span), d][0] if span else range(d):
@@ -352,11 +370,11 @@ class AlgebraModule:
         action, so it is computed once per distinct content and kept on the
         algebra; a call that raises keeps nothing.
         """
-        alg, dv = self.alg, self._dv
-        key = (dv, tuple(map(self.act.__getitem__, alg._live[dv])))
-        got = alg._syzygies.get(key)
+        syzygies = self.alg._syzygies
+        key = (self._dv, tuple(self.act.values()))
+        got = syzygies.get(key)
         if got is None:
-            got = alg._syzygies[key] = self._syzygy()
+            got = syzygies[key] = self._syzygy()
         return got
 
     def _syzygy(self) -> "AlgebraModule":
@@ -366,15 +384,16 @@ class AlgebraModule:
         column f of mat = act[(i, k)][b], which is mat[f].  One row
         reduction per label gives the rank of the cover and a kernel basis
         that is the identity on the free columns, so a kernel vector's
-        coordinates are its entries there.  Two kinds of matrix are
-        written, not computed: the identity of End(T_i) acts as the
-        identity (projective_module checks it on every summand), and a
-        basis element that acts by zero on every summand acts by zero, an
-        image that lies in every kernel.  Any
-        other builds the image of each kernel vector and rebuilds it from
-        its coordinates, which checks that it lies in the kernel; where the
-        kernel at label i is zero, that check asks for a zero image and the
-        empty block is not stored.
+        coordinates are its entries there.  One walk of the algebra's pairs
+        then settles each block.  Two kinds of matrix are written, not
+        computed: the identity of End(T_i) acts as the identity
+        (projective_module checks it on every summand), and a basis element
+        that acts by zero on every summand acts by zero, an image that lies
+        in every kernel.  Any other builds the image of each kernel vector
+        and rebuilds it from its coordinates, which checks that it lies in
+        the kernel (see _block_on_kernel); where the kernel at label i is
+        zero, that check asks for a zero image, and the block is read for
+        the check alone and not stored.
         """
         alg = self.alg
         act, quotients = self.act, alg._quotients
@@ -382,13 +401,15 @@ class AlgebraModule:
         if not lifts:
             if not self.is_zero():
                 raise MeshConsistencyError("nonzero module with zero top")
-            return AlgebraModule(alg, {i: 0 for i in alg.labels}, {})
+            return _record(alg, (0,) * alg.n, {})
         ncols, moving = alg._cover(tuple(map(_FIRST, lifts)))
-        kernels, dims = {}, {}
-        for (i, n), di in zip(ncols.items(), self.dims.values()):
+        # per label, in label order: the kernel (free columns, basis) and
+        # its dimension
+        kernels, dims = [], []
+        for i, n, di in zip(alg.labels, ncols, self._dv):
             if not di:  # the whole of the cover at i is the kernel
-                kernels[i] = quotients[(), n] if n else ((), ())
-                dims[i] = n
+                kernels.append(quotients[(), n] if n else ((), ()))
+                dims.append(n)
                 continue
             # one column per lift (k, f) and basis element b of Hom(T_i, T_k)
             cols = []
@@ -397,22 +418,36 @@ class AlgebraModule:
                 if mats:
                     for mat in mats:
                         cols.append(mat[f])
-            kernels[i] = free, _basis = quotients[tuple(zip(*cols)), n]
-            dims[i] = len(free)
-            if n - dims[i] != di:
+            kernels.append(kernel := quotients[tuple(zip(*cols)), n])
+            dims.append(d := len(kernel[0]))
+            if n - d != di:
                 raise MeshConsistencyError("projective cover is not surjective")
-        out = {}
-        for pair in alg._live[tuple(dims.values())]:
+        # the block of pair (i, j) on the kernel of the cover: a read of the
+        # category's table, keyed by all that _block_on_kernel reads
+        out, blocks, hom_dims = {}, alg._kernel_blocks, alg.hom_dims
+        for pair, i, j in alg._index:
+            if not dims[j]:  # no kernel vector at j to act on
+                continue
             terms = moving.get(pair)
-            if terms is None:
-                out[pair] = alg._written_blocks[
-                    pair, dims[pair[0]], dims[pair[1]]]
-            else:
-                out[pair] = _kernel_block(alg, pair, terms, kernels, ncols)
-        for (i, j), terms in moving.items():
-            if dims[j] and not dims[i]:
-                _kernel_block(alg, (i, j), terms, kernels, ncols)
-        return AlgebraModule(alg, dims, out)
+            if terms is not None:
+                got = blocks[hom_dims[pair], i == j, terms, kernels[i],
+                             kernels[j][1], ncols[i]]
+                if dims[i]:
+                    out[pair] = got
+            elif dims[i]:
+                out[pair] = alg._written_blocks[pair, dims[i], dims[j]]
+        return _record(alg, tuple(dims), out)
+
+
+_new = object.__new__
+
+
+def _record(alg, dv, act):
+    """An AlgebraModule built directly, as module_of and _syzygy build it:
+    act holds exactly the live blocks of dv, in label-pair order."""
+    mod = _new(AlgebraModule)
+    mod.alg, mod._dv, mod.act = alg, dv, act
+    return mod
 
 
 def _written_block(hom_dims, quotients, pair, di, dj):
@@ -437,16 +472,6 @@ def _moving_form(mats, diagonal):
     return tuple([tuple(zip(*mat))
                   if (b or not diagonal) and any(map(any, mat)) else None
                   for b, mat in enumerate(mats)])
-
-
-def _kernel_block(alg, pair, terms, kernels, ncols):
-    """The block of pair (i, j) on the kernel of a cover, from its moving
-    terms (see ClusterTiltedAlgebra._cover): a read of the category's
-    table, keyed by all that _block_on_kernel reads, and filled on first
-    use; a key whose block raises is not stored."""
-    i, j = pair
-    return alg._kernel_blocks[alg.hom_dims[pair], i == j, terms, kernels[i],
-                              kernels[j][1], ncols[i]]
 
 
 def _block_on_kernel(quotients, d, diagonal, terms, kernel, basis_j, n):
@@ -501,15 +526,18 @@ def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     The dimension vector is entry M of the summands' dimension rows, and
     the block of each live pair (i, j) is entry M of the category's
     product row of (T_i, T_j), products(T_i, T_j, M), stored as it is.
+    That row holds M exactly when Hom(T_i, M) and Hom(T_j, M) are both
+    nonzero, so the rows that hold M are the live pairs, in label-pair
+    order like the rows.
     """
     dv = tuple([row[m_cid] for row in alg._dim_rows])
     if not any(dv):
         raise ValueError(
             "Hom_C(T, M) = 0: M lies in the shift of the tilting object")
     # act[(i, j)][b][g] is g . (basis element b), for g in Hom(T_j, M)
-    rows = alg._rows
-    return AlgebraModule(alg, dict(zip(alg.labels, dv)), {
-        pair: rows[pair][m_cid] for pair in alg._live[dv]})
+    return _record(alg, dv, {pair: row[m_cid]
+                             for pair, row in alg._rows.items()
+                             if m_cid in row})
 
 
 def _syzygy_chain(module: AlgebraModule):
@@ -524,7 +552,7 @@ def _syzygy_chain(module: AlgebraModule):
     cur = module
     for pd in (PdClass.ZERO, PdClass.ONE, None):
         cur = cur.syzygy()
-        dims.append(dv := cur.dim_vector())
+        dims.append(dv := cur._dv)
         if not any(dv):
             if pd is None:
                 raise MeshConsistencyError(

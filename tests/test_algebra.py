@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -496,6 +498,81 @@ def test_content_equal_module_gets_the_same_syzygy(category):
                 turned = AlgebraModule(alg, m.dims,
                                        dict(reversed(m.act.items())))
                 assert turned.syzygy() is m.syzygy()
+
+
+def test_constructor_checks_the_live_pairs_and_orders_the_blocks():
+    """AlgebraModule(alg, dims, act) takes a block for every live pair and
+    for no other, and keeps the blocks in label-pair order.
+
+    Over the D4 tilting (0, 1, 2, 3), M = cid 9 has dimension vector
+    (1, 1, 1, 0): (1, 1) is live, (4, 1) is not (nothing at label 4) and
+    neither is (1, 2) (Hom(T_1, T_2) = 0).
+    """
+    cc = ClusterCategory(build_quiver("D", 4))
+    alg = build_algebra(cc, TiltingObject((0, 1, 2, 3)))
+    mod = module_of(alg, 9)
+    assert mod.dim_vector() == (1, 1, 1, 0)
+    missing = {pair: mats for pair, mats in mod.act.items() if pair != (1, 1)}
+    with pytest.raises(ValueError, match=re.escape("live pair (1, 1)")):
+        AlgebraModule(alg, mod.dims, missing)
+    for pair in ((4, 1), (1, 2)):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"pair {pair}, which is not live")):
+            AlgebraModule(alg, mod.dims, {**mod.act, pair: (((0,),),)})
+    turned = AlgebraModule(alg, mod.dims, dict(reversed(mod.act.items())))
+    assert list(turned.act) == sorted(mod.act) == list(mod.act)
+    assert turned.act == mod.act and turned.dims == mod.dims
+
+
+def live_pairs(alg, dv):
+    """The label-ordered pairs (i, j) with Hom(T_i, T_j), dv[i - 1] and
+    dv[j - 1] all nonzero."""
+    return [(i, j) for i in alg.labels for j in alg.labels
+            if alg.hom_dim(i, j) and dv[i - 1] and dv[j - 1]]
+
+
+@pytest.mark.parametrize("family,rank,orientation", [
+    ("A", 5, "default"), ("D", 5, "default"),
+    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5)))],
+    ids=["A5", "D5", "D5-31,32,43,45"])
+def test_modules_hold_exactly_their_live_pairs(
+        category, family, rank, orientation):
+    """module_of and every syzygy along each chain store a block for
+    exactly the live pairs of their dimension vector, in label-pair order."""
+    cc = category(family, rank, orientation)
+    for t in enumerate_tiltings(cc):
+        alg = build_algebra(cc, t)
+        shifted = {cc.shift(c) for c in t.summands}
+        for m in cc.cids():
+            if m not in shifted:
+                for mod in syzygy_chain(module_of(alg, m)):
+                    assert list(mod.act) == live_pairs(
+                        alg, mod.dim_vector()), (t.summands, m)
+
+
+# sha256 of the repr of every tilting's summands with its modules (cid,
+# dimension vector, syzygy dimension vectors, pd class), over every tilting
+# in enumeration order.  Syzygy dimension vectors do not depend on the
+# choice of kernel basis, so these hold whatever bases the route picks.
+RESULT_DIGESTS = [
+    ("D", 5, "default",
+     "1fc14dda11846d2fd21f0eec1f28e9a0bbca40bf7248486b4d65cb939f29600a"),
+    ("A", 6, "default",
+     "e22036cdad91738c9b2a99784e8cd26476be97e78969ec8c43c40e0645f28c47"),
+    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5)),
+     "57b91e17b44db84669a7524f53cc15ff10950bba2480d6d540062a7f1e10a6f4"),
+]
+
+
+@pytest.mark.parametrize("family,rank,orientation,digest", RESULT_DIGESTS,
+                         ids=["D5", "A6", "D5-31,32,43,45"])
+def test_public_results_are_pinned(category, family, rank, orientation,
+                                   digest):
+    cc = category(family, rank, orientation)
+    results = [(t.summands, [(m, dv, syz, pd.value) for m, (dv, syz, pd)
+                             in verify_main_theorem(cc, t).modules.items()])
+               for t in enumerate_tiltings(cc)]
+    assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
 
 
 def block(mod, key):
