@@ -33,10 +33,11 @@ few syzygy contents repeat across tiltings.  The work repeats at the step
 instead: the action block of one label pair on the kernel of a cover
 depends on six things only (see AlgebraModule._syzygy), and an
 exhaustive verify meets few distinct inputs of it (README gives the
-counts).  So the blocks, and the moving forms of the projectives'
-blocks that the covers are made of, are kept in two tables of the
-category, filled on first use and read by every tilting; an input that
-raises stores nothing.  classify_modules empties the memo when it is
+counts).  So the blocks, the written blocks (those of a pair that acts by
+zero on every summand of the cover), and the moving forms of the
+projectives' blocks that the covers are made of, are kept in three tables
+of the category, filled on first use and read by every tilting; an input
+that raises stores nothing.  classify_modules empties the memo when it is
 done, so the algebra is freed at once.
 Hom_C(T, M) is read from the category's tables too: its dimension vector
 from the summands' dimension rows, its blocks from the tilting's product
@@ -50,9 +51,9 @@ integral.  Syzygies decide the projective dimension class: 0, 1, or
 infinite; a finite dimension of 2 or more cannot occur and is guarded by an
 assertion on the third syzygy.
 
-This module declares the syzygy route's moving forms and kernel blocks,
-per category in _TABLES, and each algebra's written blocks: cluster.Tables,
-whose entries depend on their keys alone.  The covers,
+This module declares the syzygy route's moving forms, kernel blocks and
+written blocks, per category in _TABLES: cluster.Tables, whose entries
+depend on their keys alone.  The covers,
 projectives, syzygies and radical powers read the algebra, so a method
 fills each of their tables on a miss.
 """
@@ -69,12 +70,23 @@ from .tilting import TiltingObject
 
 _ONE = 1
 _FIRST = itemgetter(0)
-# category -> (moving forms, kernel blocks), the syzygy route's tables of
-# the category: (product entry, whether the pair is (i, i)) -> its moving
-# form, see ClusterTiltedAlgebra._projective, and the inputs of one kernel
-# action block -> the block, see AlgebraModule._syzygy.  An entry is freed
-# with its category.
+# category -> the syzygy route's tables of the category, each from the
+# key of one fill to its value: moving forms (see _moving_form), kernel
+# blocks (_block_on_kernel) and written blocks (_written_block).  An entry
+# is freed with its category.
 _TABLES = weakref.WeakKeyDictionary()
+
+
+def _tables(cc: ClusterCategory):
+    """The syzygy route's tables of cc; their fills read its quotients."""
+    got = _TABLES.get(cc)
+    if got is None:
+        quotients = cc._get_engine()._quotients
+        got = _TABLES[cc] = (
+            Table(lambda key: _moving_form(*key)),
+            Table(lambda key: _block_on_kernel(quotients, *key)),
+            Table(lambda key: _written_block(quotients, *key)))
+    return got
 
 
 class PdClass(enum.Enum):
@@ -99,13 +111,9 @@ class ClusterTiltedAlgebra:
         self.labels = tuple(range(1, self.n + 1))
         self.summand = {i: tilting[i - 1] for i in self.labels}
         self._engine = eng = cc._get_engine()
-        self._quotients = quotients = eng._quotients
-        tables = _TABLES.get(cc)
-        if tables is None:
-            tables = _TABLES[cc] = (
-                Table(lambda key: _moving_form(*key)),
-                Table(lambda key: _block_on_kernel(quotients, *key)))
-        self._moving_forms, self._kernel_blocks = tables
+        self._quotients = eng._quotients
+        (self._moving_forms, self._kernel_blocks,
+         self._written_blocks) = _tables(cc)
         s = self.summand
         # dim Hom(T_i, y) per summand, over every cid y
         self._dim_rows = tuple(map(eng.dim_row, tilting.summands))
@@ -125,10 +133,6 @@ class ClusterTiltedAlgebra:
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
         self._proj: dict[int, tuple] = {}  # k -> (P_k, its moving blocks)
         self._covers: dict[tuple[int, ...], tuple] = {}
-        # (pair, di, dj) -> its written block, see _written_block
-        hom_dims = self.hom_dims
-        self._written_blocks = Table(
-            lambda key: _written_block(hom_dims, quotients, *key))
         # (dim vector, its blocks in label-pair order) -> syzygy
         self._syzygies: dict[tuple, AlgebraModule] = {}
 
@@ -435,7 +439,8 @@ class AlgebraModule:
                 if dims[i]:
                     out[pair] = got
             elif dims[i]:
-                out[pair] = alg._written_blocks[pair, dims[i], dims[j]]
+                out[pair] = alg._written_blocks[hom_dims[pair], i == j,
+                                                dims[i], dims[j]]
         return _record(alg, tuple(dims), out)
 
 
@@ -450,15 +455,14 @@ def _record(alg, dv, act):
     return mod
 
 
-def _written_block(hom_dims, quotients, pair, di, dj):
-    """The block of pair (i, j) on a syzygy of dimensions di at i and dj at
-    j when the pair acts by zero on every summand of the cover: zero
-    matrices, but for the identity of End(T_i).  hom_dims and quotients
-    are the algebra's; one tuple per key is shared by every syzygy of the
-    algebra."""
+def _written_block(quotients, d, diagonal, di, dj):
+    """The block of a pair (i, j) with d basis elements on a syzygy of
+    dimensions di at i and dj at j when the pair acts by zero on every
+    summand of the cover: zero matrices, but for the identity of End(T_i)
+    (diagonal is whether i == j).  quotients is the category's table; one
+    tuple per key is shared by every syzygy of the category."""
     zero = ((0,) * di,) * dj
-    d = hom_dims[pair]
-    if pair[0] != pair[1]:
+    if not diagonal:
         return (zero,) * d
     # the identity is the quotient of no rows
     return (quotients[(), di][1],) + (zero,) * (d - 1)

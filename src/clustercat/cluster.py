@@ -310,8 +310,8 @@ class ClusterCategory:
     def hom_basis(self, x: int, y: int):
         """Unit coordinate vectors of Hom_C(X, Y); hom_basis(x, x)[0] is 1_X.
 
-        Cardinality is checked against hom_row_c (once per row, since the
-        mesh levels never change); disagreement raises MeshConsistencyError.
+        Cardinality is checked against hom_row_c (once per functor Hom(X,
+        -), when it is built); disagreement raises MeshConsistencyError.
         """
         return self._get_engine().hom_basis(x, y)
 

@@ -13,19 +13,24 @@ exactly in the mesh category (H(i,j) by a backward sweep of the cover
 window of Hom(r, -), r the tau-orbit representative of T_i[1]), classifies
 each nonempty H(i,j) into one of three closed forms (sectional path, swing,
 full intersection: H_i & _jH refined by F-degree) from the pair of cids
-(T_i[1], T_j[1]) alone, keeps both once per pair in the category, and
-cross-checks the factorization criterion, membership in the union of the
-H(i,j), against the syzygy computation of projdim for every indecomposable.
-classify_by_location gives the classes a third way, from the closed forms
-alone.
+(T_i[1], T_j[1]) alone, keeps H(i,j) in the mesh engine and its closed
+form here, each once per pair of cids, and cross-checks the factorization
+criterion, membership in the union of the H(i,j), against the syzygy
+computation of projdim for every indecomposable.  classify_by_location
+gives the classes a third way, from the closed forms alone.
 """
 
 import enum
+import weakref
 from dataclasses import dataclass
 
 from .algebra import PdClass, classify_modules
 from .cluster import ClusterCategory, MeshConsistencyError
 from .tilting import TiltingObject
+
+# category -> {a * |cids| + b: (vertices, shape)}, see _closed_form; an
+# entry is freed with its category
+_CLOSED_FORMS = weakref.WeakKeyDictionary()
 
 
 class UnclassifiableShapeError(RuntimeError):
@@ -207,12 +212,33 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
 
     Like H(i,j) the answer depends only on the pair (T_i[1], T_j[1]), so
     after the labels are checked it is a read of the category's table of
-    closed forms (MeshHomEngine.closed_form), filled on first use by
-    _classify; the labels of the returned set are the caller's.
+    closed forms (_closed_form); the labels of the returned set are the
+    caller's.
     """
-    vertices, shape = cc._get_engine().closed_form(
-        shifted_summand(cc, tilting, i), shifted_summand(cc, tilting, j))
+    vertices, shape = _closed_form(
+        cc, shifted_summand(cc, tilting, i), shifted_summand(cc, tilting, j))
     return HammockSet(i, j, vertices, shape)
+
+
+def _closed_form(cc, a, b):
+    """(vertices, shape) of the closed form of H(a, b), kept per category.
+
+    Like H(a, b) it depends only on the pair, so _classify(cc, a, b) runs
+    once per pair, on first use; a classification that raises stores
+    nothing.  Vertices equal to an H(a, b) the engine has stored are kept
+    as its frozenset, read with .get, so no hammock is swept here.  A
+    function of cc, not a fill closing over it: that would keep cc alive.
+    """
+    table = _CLOSED_FORMS.setdefault(cc, {})
+    key = a * len(cc.indecs) + b
+    got = table.get(key)
+    if got is None:
+        vertices, shape = _classify(cc, a, b)
+        exact = cc._get_engine()._hammocks.get(key)
+        if exact == vertices:
+            vertices = exact
+        got = table[key] = (vertices, shape)
+    return got
 
 
 def _classify(cc, a, b):
@@ -266,8 +292,7 @@ def classify_by_location(cc, tilting) -> dict:
     verify_main_theorem finds by syzygies.
     """
     shifts = {cc.shift(s) for s in tilting.summands}
-    closed_form = cc._get_engine().closed_form
-    located = frozenset().union(*(closed_form(a, b)[0]
+    located = frozenset().union(*(_closed_form(cc, a, b)[0]
                                   for a in shifts for b in shifts))
     summands = set(tilting.summands)
     return {m: PdClass.ZERO if m in summands

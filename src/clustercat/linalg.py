@@ -9,7 +9,7 @@ mutate their arguments and return tuples, which may be shared.
 
 The engine reduces only through unit_quotient_basis, which accepts +-1
 pivots alone, and keeps its results in a table per category (see
-meshhom.MeshHomEngine.quotient).  quotient_basis, rref and rank are plain
+meshhom.MeshHomEngine._quotients).  quotient_basis, rref and rank are plain
 rational functions without a table, for the representation oracle and the
 tests.
 """

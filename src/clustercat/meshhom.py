@@ -24,13 +24,12 @@ prefix.  An entry is column-major, the coordinate tuple of g . f per
 pair of basis elements (f, g), the order the walk produces them in;
 products(x, y, z) reads one entry.  The algebra reads its modules and
 structure constants from its rows, and their dimension vectors from
-dim_row, dim Hom(x, -) as a tuple over the cids.  MeshHomEngine.hammock
-keeps H(a, b), the objects that a nonzero a -> b factors through, once per
-pair, by one sweep of F_a from the top of its window down that tracks
-which functionals some arrow path carries to a lift of b: it builds no
-functor of a middle object and reads no product.  MeshHomEngine.closed_form
-keeps the closed-form shape of H(a, b) beside it, once per pair; a
-closed-form vertex set equal to H(a, b) is kept as the same frozenset.
+dim_row, dim Hom(x, -) as a tuple over the cids: the category's additive
+row, which functor(x) checks once against the mesh levels of F_x.
+MeshHomEngine.hammock keeps H(a, b), the objects that a nonzero a -> b
+factors through, once per pair, by one sweep of F_a from the top of its
+window down that tracks which functionals some arrow path carries to a
+lift of b: it builds no functor of a middle object and reads no product.
 
 Knitting stops early: the mesh at height g reads only heights g - 1 (the
 middles) and g - 2 (the translate), so once two consecutive height levels
@@ -61,16 +60,16 @@ at x starts with the identity, which functor(x) checks once per object.
 
 A morphism x -> y is the tuple of its coordinates in hom_basis(x, y) order;
 its source and target are passed beside it.  compose and arrow_element serve
-the tests, the witness search and the quiver presets; the algebra and the
+the tests and the quiver presets; the algebra, the witness search and the
 hammock code read the integer tables.  Both tables are exact: the product
 rows are integer matrix products, and the sweep keeps its spans as integer
 echelon bases.
 
-The engine declares its tables here: cover functors, Hom dimension
-rows, product rows, hammocks, closed forms and quotients.  Only a quotient
-depends on its key alone, so only _quotients is a cluster.Table; every
-other fill reads the engine, so a method fills its table on a miss.  The
-algebra module declares the syzygy route's moving forms and kernel blocks.
+The engine declares its tables here: cover functors, product rows,
+hammocks and quotients.  Only a quotient depends on its key alone, so only
+_quotients is a cluster.Table; every other fill reads the engine, so a
+method fills its table on a miss.  The algebra module declares the syzygy
+route's tables, and the hammocks module the closed forms.
 """
 
 from __future__ import annotations
@@ -243,16 +242,15 @@ def zero_products(dxy: int, dyz: int, dxz: int):
 
 
 class MeshHomEngine:
-    """Hom spaces of one category, and its tables of Hom dimensions, basis
-    products, hammocks, their closed forms and quotients.
+    """Hom spaces of one category, and its tables of cover functors, basis
+    products, hammocks and quotients.
 
-    dim_row(x) is filled once per object and dim(x, y) reads it,
-    product_rows once per row (x, y, -), hammock(a, b) and
-    closed_form(a, b) once per pair, _quotients[rows, n] once per distinct
-    query, and all are read by every tilting of the category; identical
-    matrices are shared through one intern map.  The tables of cids are
-    keyed by one int per object or pair, which takes less memory than a
-    tuple key.
+    functor(x) is built once per object, product_rows once per row (x, y,
+    -), hammock(a, b) once per pair and _quotients[rows, n] once per
+    distinct query, and all are read by every tilting of the category;
+    identical matrices are shared through one intern map.  The tables of
+    cids are keyed by one int per object or pair, which takes less memory
+    than a tuple key.
     """
 
     def __init__(self, cc: ClusterCategory):
@@ -267,11 +265,9 @@ class MeshHomEngine:
                 self._orbit[x] = (r, m)
                 x, m = cc.tau[x], m + 1
         self._moves = [{c: (c, 0) for c in cc.cids()}]  # m -> tau^m on the cover
-        self._dim_rows: dict[int, tuple] = {}  # x -> dim Hom(x, y) per cid y
         self._rows: dict[int, dict] = {}  # x * n + y -> {z: products(x, y, z)}
         self._interned: dict[tuple, tuple] = {}
         self._hammocks: dict[int, frozenset] = {}  # a * n + b -> H(a, b)
-        self._closed_forms: dict[int, tuple] = {}  # a * n + b -> (H, shape)
         # (rows, n) -> unit_quotient_basis(rows, n), for a tuple of integer
         # row tuples; a query that raises is not stored
         self._quotients = Table(lambda key: unit_quotient_basis(*key))
@@ -281,6 +277,10 @@ class MeshHomEngine:
 
         Only the smallest cid r of each tau-orbit is knitted; x = tau^m r
         relabels F_r by tau^m, which is an automorphism of the category.
+        The levels of F_x are summed per cid in one pass and checked as a
+        whole against the additive row cc.hom_row_c(x), which dim and
+        dim_row then read.  A functor that fails a check raises, the row
+        check naming its first differing pair, and is not stored.
         """
         got = self._functors.get(x)
         if got is None:
@@ -293,6 +293,15 @@ class MeshHomEngine:
             if not lv or lv[0] != (0, 1):
                 raise MeshConsistencyError(
                     "identity is not the first End basis element")
+            row = [0] * self._n
+            for y, at in got.levels.items():
+                row[y] = sum(d for _k, d in at)
+            expect = self.cc.hom_row_c(x)
+            if tuple(row) != expect:
+                y = next(y for y, d in enumerate(row) if d != expect[y])
+                raise MeshConsistencyError(
+                    f"mesh basis of Hom({x},{y}) has {row[y]} elements, "
+                    f"additive count gives {expect[y]}")
             self._functors[x] = got
         return got
 
@@ -318,32 +327,16 @@ class MeshHomEngine:
 
     def dim(self, x: int, y: int) -> int:
         """dim Hom(x, y), read from dim_row(x)."""
-        got = self._dim_rows.get(x)
-        if got is None:
-            got = self.dim_row(x)
-        return got[y]
+        return self.dim_row(x)[y]
 
     def dim_row(self, x: int) -> tuple:
-        """dim Hom(x, y) for every cid y in turn, summed from the mesh levels
-        of F_x in one pass and checked as a whole against the additive row
-        cc.hom_row_c(x); built once per x.  A row that differs raises,
-        naming its first differing pair, and is not stored.  The algebra
-        reads the dimension vectors of its modules from the rows of its
-        summands."""
-        got = self._dim_rows.get(x)
-        if got is None:
-            row = [0] * self._n
-            for y, lv in self.functor(x).levels.items():
-                row[y] = sum(d for _k, d in lv)
-            expect = self.cc.hom_row_c(x)
-            if tuple(row) != expect:
-                y = next(y for y, d in enumerate(row) if d != expect[y])
-                raise MeshConsistencyError(
-                    f"mesh basis of Hom({x},{y}) has {row[y]} elements, "
-                    f"additive count gives {expect[y]}")
-            # equal, so the category's tuple is kept rather than a second one
-            got = self._dim_rows[x] = expect
-        return got
+        """dim Hom(x, y) for every cid y in turn: the category's row
+        cc.hom_row_c(x), read once F_x has been checked against it.  The
+        algebra reads the dimension vectors of its modules from the rows of
+        its summands."""
+        if x not in self._functors:
+            self.functor(x)
+        return self.cc.hom_row_c(x)
 
     def hom_basis(self, x: int, y: int):
         """The unit coordinate vectors of Hom(x, y)."""
@@ -532,9 +525,6 @@ class MeshHomEngine:
             else:
                 got = self._sweep(a, b) if self.dim(a, b) else None
             got = self._hammocks[key] = got or _NO_OBJECTS
-            form = self._closed_forms.get(key)
-            if form is not None and form[0] == got:
-                self._closed_forms[key] = (got, form[1])
         return got
 
     def nonzero_path(self, path) -> bool:
@@ -551,29 +541,6 @@ class MeshHomEngine:
         for _ in range(m):
             y = tau_inv[y]
         return y
-
-    def closed_form(self, a: int, b: int) -> tuple:
-        """(vertices, shape) of the closed form of H(a, b), see
-        hammocks.hij_closed_form.
-
-        Like H(a, b) it depends only on the pair, not on the tilting that
-        reaches it, so hammocks._classify(cc, a, b) runs once per pair, on
-        first use; an entry whose classification raises is not stored.
-        Vertices equal to a stored H(a, b) are kept as the hammock table's
-        frozenset, whichever of the two was computed first; neither
-        computation reads the other.
-        """
-        key = a * self._n + b
-        got = self._closed_forms.get(key)
-        if got is None:
-            from .hammocks import _classify
-
-            vertices, shape = _classify(self.cc, a, b)
-            exact = self._hammocks.get(key)
-            if exact == vertices:
-                vertices = exact
-            got = self._closed_forms[key] = (vertices, shape)
-        return got
 
     def _sweep(self, a: int, b: int) -> frozenset:
         """H(a, b) swept over the knitted cover vertices of F_a, top down.

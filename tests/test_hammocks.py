@@ -248,9 +248,9 @@ def test_closed_form_table_equals_a_cold_classification(family, rank, arrows):
     """A table filled by every tilting in turn keeps one entry per pair of
     cids reached, and a pair reached under other labels returns the
     caller's (i, j).  Each entry is what a fresh category classifies for
-    the pair, and its vertex set is the hammock table's frozenset, whether
-    H(a, b) is computed after the closed form or before it."""
-    warm, after, before = (ClusterCategory(build_quiver(family, rank, arrows))
+    the pair, and its vertex set is the hammock table's frozenset when
+    H(a, b) was computed before the closed form."""
+    warm, fresh, before = (ClusterCategory(build_quiver(family, rank, arrows))
                            for _ in range(3))
     by_pair = {}
     for t in enumerate_tiltings(warm):
@@ -259,16 +259,15 @@ def test_closed_form_table_equals_a_cold_classification(family, rank, arrows):
             got = hij_closed_form(warm, t, i, j)
             assert (got.i, got.j) == (i, j)
             by_pair.setdefault((a, b), set()).add((i, j))
-    table = warm._get_engine()._closed_forms
+    table = hammocks._CLOSED_FORMS[warm]
     assert len(table) == len(by_pair)
     assert any(len(seen) > 1 for seen in by_pair.values())
-    first, second = after._get_engine(), before._get_engine()
+    second = before._get_engine()
     for a, b in by_pair:
-        cold = first.closed_form(a, b)
+        cold = hammocks._closed_form(fresh, a, b)
         assert table[a * len(warm.indecs) + b] == cold, (a, b)
-        # H(a, b) after the closed form on the first, before it on the second
-        assert first.hammock(a, b) is first.closed_form(a, b)[0]
-        assert second.hammock(a, b) is second.closed_form(a, b)[0]
+        # H(a, b) before the closed form
+        assert second.hammock(a, b) is hammocks._closed_form(before, a, b)[0]
 
 
 def test_unclassifiable_shape_is_not_stored(monkeypatch):

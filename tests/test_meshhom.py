@@ -4,7 +4,7 @@ import pytest
 
 from clustercat import algebra
 from clustercat.algebra import build_algebra
-from clustercat.cluster import ClusterCategory, MeshConsistencyError
+from clustercat.cluster import ClusterCategory, MeshConsistencyError, Table
 from clustercat.dynkin import build_quiver
 from clustercat.hammocks import sectional_path, verify_main_theorem
 from clustercat.linalg import quotient_basis, unit_quotient_basis
@@ -77,9 +77,10 @@ def test_projective_actions_equal_direct_composition(
 
 
 def test_mesh_dimension_is_checked_against_the_additive_count(monkeypatch):
-    """The mesh row of x is checked against the additive row as a whole: a
-    read of Hom(0, 0) fails on a wrong count of another pair of the row,
-    the error names that pair, and no row is stored."""
+    """The mesh levels of F_x are checked against the additive row as a
+    whole when F_x is built: a read of Hom(0, 0) fails on a wrong count of
+    another pair of the row, the error names that pair, and no functor is
+    stored."""
     cc = ClusterCategory(build_quiver("A", 3))
     y = next(y for y in cc.cids() if y and cc.hom_dim_c(0, y))
     row = list(cc.hom_row_c(0))
@@ -91,7 +92,7 @@ def test_mesh_dimension_is_checked_against_the_additive_count(monkeypatch):
     with pytest.raises(MeshConsistencyError,
                        match=rf"Hom\(0,{y}\).*additive count"):
         eng.dim(0, 0)
-    assert not eng._dim_rows
+    assert not eng._functors
 
 
 def test_orbit_read_checks_the_additive_count(monkeypatch):
@@ -129,6 +130,7 @@ def test_identity_first_is_checked_when_a_functor_is_built(monkeypatch,
         with pytest.raises(MeshConsistencyError,
                            match="identity is not the first End basis"):
             eng.functor(x)
+    assert not eng._functors
 
 
 def test_coords_rejects_a_wrong_coordinate_count():
@@ -351,9 +353,12 @@ def test_rows_filled_in_one_batch_equal_rows_filled_one_at_a_time(
     """On fresh categories: every row (x, y) filled in one batch equals the
     row filled alone, entry for entry and in the same order, and a second
     batch reads the stored rows."""
-    batch, alone = (ClusterCategory(build_quiver(family, rank, orientation))
-                    ._get_engine() for _ in range(2))
-    pairs = [(x, y) for x in batch.cc.cids() for y in batch.cc.cids()]
+    # the categories stay referenced beside their engines
+    categories = [ClusterCategory(build_quiver(family, rank, orientation))
+                  for _ in range(2)]
+    batch, alone = (cc._get_engine() for cc in categories)
+    cids = categories[0].cids()
+    pairs = [(x, y) for x in cids for y in cids]
     rows = batch.product_rows(pairs)
     for (x, y), row in zip(pairs, rows):
         assert list(row.items()) == \
@@ -450,34 +455,39 @@ def test_a_pivot_other_than_one_raises_and_is_not_stored():
 @pytest.fixture(scope="module")
 def d5_sweep():
     """Every D5 tilting verified on a freshly built category: the
-    category, the reports and copies of its tables of quotients and of
-    kernel blocks."""
+    category, the reports and copies of its tables of quotients, of kernel
+    blocks and of written blocks."""
     cc = ClusterCategory(build_quiver("D", 5))
     reports = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
     return (cc, reports, dict(cc._get_engine()._quotients),
-            dict(algebra._TABLES[cc][1]))
+            dict(algebra._TABLES[cc][1]), dict(algebra._TABLES[cc][2]))
 
 
 def test_every_quotient_after_a_d5_sweep_is_exact(d5_sweep):
     """Each entry is keyed by integer row tuples and holds the uncached
-    rational reduction of its key, in ints."""
-    _cc, _reports, table, _blocks = d5_sweep
-    assert table
+    rational reduction of its key, in ints.  Each written block is the one
+    a fresh _written_block builds from those reductions."""
+    _cc, _reports, table, _blocks, written = d5_sweep
+    assert table and written
     for (rows, n), got in table.items():
         assert type(rows) is tuple
         assert all(type(row) is tuple and len(row) == n for row in rows)
         assert all(type(x) is int for row in rows for x in row)
         assert got == quotient_basis(rows, n) and all_ints(got), (rows, n)
+    reference = Table(lambda key: quotient_basis(*key))
+    for key, got in written.items():
+        assert got == algebra._written_block(reference, *key), key
 
 
 def test_a_second_d5_sweep_adds_no_quotient(d5_sweep):
-    """The first pass saturates the tables of quotients and of kernel
-    blocks: the second sends only queries they have seen, and the reports
-    are the same."""
-    cc, reports, table, blocks = d5_sweep
+    """The first pass saturates the tables of quotients, of kernel blocks
+    and of written blocks: the second sends only queries they have seen,
+    and the reports are the same."""
+    cc, reports, table, blocks, written = d5_sweep
     again = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
     assert cc._get_engine()._quotients == table
     assert algebra._TABLES[cc][1] == blocks
+    assert algebra._TABLES[cc][2] == written
     assert again == reports
 
 
@@ -485,7 +495,7 @@ def test_a_second_category_starts_with_no_quotients(d5_sweep):
     """The tables of quotients and of kernel blocks belong to their
     category: a new one starts empty, fills its own, and leaves the first
     category's as they were."""
-    cc, reports, table, blocks = d5_sweep
+    cc, reports, table, blocks, _written = d5_sweep
     other = ClusterCategory(build_quiver("D", 5))
     eng = other._get_engine()
     assert eng._quotients == {} and other not in algebra._TABLES

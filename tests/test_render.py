@@ -249,14 +249,16 @@ def test_categories_of_one_type_never_share_export_text():
 
 
 def test_export_text_goes_with_its_category():
-    """The category's export text is weakly keyed by the category: collecting
-    the category frees it, and nothing is kept per process."""
+    """The category's export text, and its closed forms in hammocks, are
+    weakly keyed by the category: collecting the category frees them, and
+    nothing is kept per process."""
     cc = ClusterCategory(build_quiver("A", 3))
     export_json(cc, initial_tilting(cc))
-    assert render_module._TEXTS.get(cc) is not None
+    tables = (render_module._TEXTS, hammocks._CLOSED_FORMS)
+    assert all(table.get(cc) is not None for table in tables)
     gc.collect()  # categories other tests left to the collector go first
-    held, ref = len(render_module._TEXTS), weakref.ref(cc)
+    held, ref = [len(table) for table in tables], weakref.ref(cc)
     del cc
     gc.collect()
     assert ref() is None
-    assert len(render_module._TEXTS) == held - 1
+    assert [len(table) for table in tables] == [n - 1 for n in held]
