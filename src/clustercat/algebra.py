@@ -8,7 +8,8 @@ other basis element.
 
 An arrow i -> j of the Gabriel quiver corresponds to an irreducible morphism
 T_j -> T_i; with that convention the hereditary case T = kQ gives back Q
-itself.  Multiplicities are dim rad/rad^2 in the matching Hom component.
+itself.  Multiplicities are dim rad/rad^2 in the matching Hom component,
+one quotient per label pair, taken once per algebra.
 
 Modules are flat records of coordinate data: a dimension vector, a tuple
 in label order, and one block per live label pair (i, j), in label-pair
@@ -34,11 +35,14 @@ instead: the action block of one label pair on the kernel of a cover
 depends on six things only (see AlgebraModule._syzygy), and an
 exhaustive verify meets few distinct inputs of it (README gives the
 counts).  So the blocks, the written blocks (those of a pair that acts by
-zero on every summand of the cover), and the moving forms of the
-projectives' blocks that the covers are made of, are kept in three tables
-of the category, filled on first use and read by every tilting; an input
-that raises stores nothing.  classify_modules empties the memo when it is
-done, so the algebra is freed at once.
+zero on every summand of the cover), and the moving flags of the
+projectives' blocks (whether a radical basis element acts by a nonzero
+matrix) are kept in three tables of the category, filled on first use and
+read by every tilting; an input that raises stores nothing.  The covers
+keep each projective's blocks as module_of stored them, so no matrix is
+copied into a second layout on the way to the kernel action.
+classify_modules empties the memo when it is done, so the algebra is
+freed at once.
 Hom_C(T, M) is read from the category's tables too: its dimension vector
 from the summands' dimension rows, its blocks from the tilting's product
 rows, whose missing rows the category fills one target summand at a
@@ -51,18 +55,18 @@ integral.  Syzygies decide the projective dimension class: 0, 1, or
 infinite; a finite dimension of 2 or more cannot occur and is guarded by an
 assertion on the third syzygy.
 
-This module declares the syzygy route's moving forms, kernel blocks and
+This module declares the syzygy route's moving flags, kernel blocks and
 written blocks, per category in _TABLES: cluster.Tables, whose entries
-depend on their keys alone.  The covers,
-projectives, syzygies and radical powers read the algebra, so a method
-fills each of their tables on a miss.
+depend on their keys alone.  The covers, projectives, syzygies, radical
+powers and Gabriel arrows read the algebra, so a method fills each of
+their tables on a miss.
 """
 
 from __future__ import annotations
 
 import enum
 import weakref
-from operator import add, itemgetter, mul
+from operator import add, itemgetter
 from types import MappingProxyType
 
 from .cluster import ClusterCategory, MeshConsistencyError, Table
@@ -71,9 +75,9 @@ from .tilting import TiltingObject
 _ONE = 1
 _FIRST = itemgetter(0)
 # category -> the syzygy route's tables of the category, each from the
-# key of one fill to its value: moving forms (see _moving_form), kernel
-# blocks (_block_on_kernel) and written blocks (_written_block).  An entry
-# is freed with its category.
+# key of one fill to its value: moving flags (see _moves), kernel blocks
+# (_block_on_kernel) and written blocks (_written_block).  An entry is
+# freed with its category.
 _TABLES = weakref.WeakKeyDictionary()
 
 
@@ -83,7 +87,7 @@ def _tables(cc: ClusterCategory):
     if got is None:
         quotients = cc._get_engine()._quotients
         got = _TABLES[cc] = (
-            Table(lambda key: _moving_form(*key)),
+            Table(lambda key: _moves(*key)),
             Table(lambda key: _block_on_kernel(quotients, *key)),
             Table(lambda key: _written_block(quotients, *key)))
     return got
@@ -112,7 +116,7 @@ class ClusterTiltedAlgebra:
         self.summand = {i: tilting[i - 1] for i in self.labels}
         self._engine = eng = cc._get_engine()
         self._quotients = eng._quotients
-        (self._moving_forms, self._kernel_blocks,
+        (self._moving_flags, self._kernel_blocks,
          self._written_blocks) = _tables(cc)
         s = self.summand
         # dim Hom(T_i, y) per summand, over every cid y
@@ -131,6 +135,7 @@ class ClusterTiltedAlgebra:
         self._rows = dict(zip(pairs, eng.product_rows(
             [(s[i], s[j]) for i, j in pairs])))
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
+        self._arrows = None  # see _gabriel
         self._proj: dict[int, tuple] = {}  # k -> (P_k, its moving blocks)
         self._covers: dict[tuple[int, ...], tuple] = {}
         # (dim vector, its blocks in label-pair order) -> syzygy
@@ -182,60 +187,49 @@ class ClusterTiltedAlgebra:
         self._rad_pow[m] = spans
         return spans
 
+    def _gabriel(self):
+        """(i, j, free) per Gabriel arrow i -> j, in label order: free
+        indexes the basis elements of Hom(T_j, T_i) that span rad/rad^2
+        there, read from one quotient per label pair and kept."""
+        got = self._arrows
+        if got is None:
+            rad2, got = self.radical_power_spans(2), []
+            for i in self.labels:
+                for j in self.labels:
+                    d = self.hom_dims[(j, i)]
+                    if d <= (i == j):
+                        continue
+                    span = rad2[(j, i)]
+                    if i == j:
+                        # quotient by the identity line as well
+                        span = span + [(_ONE,) + (0,) * (d - 1)]
+                    free = self._quotients[tuple(span), d][0]
+                    if free:
+                        got.append((i, j, free))
+            got = self._arrows = tuple(got)
+        return got
+
     def gabriel_arrows(self):
         """(i, j, multiplicity) per Gabriel arrow i -> j, multiplicity >= 1."""
-        rad2 = self.radical_power_spans(2)
-        arrows = []
-        for i in self.labels:
-            for j in self.labels:
-                d = self.hom_dim(j, i)
-                if d - (1 if i == j else 0) == 0:
-                    continue
-                span = list(rad2[(j, i)])
-                if i == j:
-                    # quotient by the identity line as well, leaving rad/rad^2
-                    span.append(tuple(_ONE if t == 0 else 0 for t in range(d)))
-                mult = len(self._quotients[tuple(span), d][0])
-                if mult > 0:
-                    arrows.append((i, j, mult))
-        return arrows
+        return [(i, j, len(free)) for i, j, free in self._gabriel()]
 
     def arrow_representatives(self):
         """Per Gabriel arrow (i, j), coordinate tuples in Hom(T_j, T_i) of
         morphisms spanning its arrows modulo rad^2."""
-        rad2 = self.radical_power_spans(2)
-        reps: dict[tuple[int, int], list] = {}
-        s = self.summand
-        for i, j, mult in self.gabriel_arrows():
-            span = list(rad2[(j, i)])
-            d = self.hom_dim(j, i)
-            if i == j:
-                span.append(tuple(_ONE if t == 0 else 0 for t in range(d)))
-            free, _ = self._quotients[tuple(span), d]
-            if len(free) != mult:
-                raise MeshConsistencyError("arrow count and complement disagree")
-            basis = self.cc.hom_basis(s[j], s[i])
-            reps[(i, j)] = [basis[f] for f in free]
-        return reps
+        s, hom_basis = self.summand, self.cc.hom_basis
+        return {(i, j): list(map(hom_basis(s[j], s[i]).__getitem__, free))
+                for i, j, free in self._gabriel()}
 
     def gabriel_quiver_is_acyclic(self) -> bool:
-        arrows = [(i, j) for i, j, _ in self.gabriel_arrows()]
-        out = {i: [] for i in self.labels}
-        for i, j in arrows:
-            if i == j:
+        """Whether repeatedly removing the labels with no incoming arrow
+        from a label still left removes every label."""
+        arrows, left = self._gabriel(), set(self.labels)
+        while left:
+            heads = {j for i, j, _ in arrows if i in left}
+            if left <= heads:
                 return False
-            out[i].append(j)
-        state = {i: 0 for i in self.labels}
-
-        def dfs(v):
-            state[v] = 1
-            for w in out[v]:
-                if state[w] == 1 or (state[w] == 0 and dfs(w)):
-                    return True
-            state[v] = 2
-            return False
-
-        return not any(state[v] == 0 and dfs(v) for v in self.labels)
+            left &= heads
+        return True
 
     def _cover(self, tops):
         """The projective sum of P_k, k in tops: its dimensions and moving
@@ -244,9 +238,9 @@ class ClusterTiltedAlgebra:
         ncols gives the dimension of the sum at each label, in label order
         like a dimension vector.  moving maps a pair (i, j) to the (row
         offset, column offset, width, block) of every summand P_k whose
-        block of (i, j) has a nonzero radical matrix, the block as
-        _projective keeps it; a pair that moving lacks acts on the sum by
-        zero, but for the identity of End(T_i).
+        block of (i, j) has a nonzero radical matrix, the block
+        column-major as module_of stored it; a pair that moving lacks acts
+        on the sum by zero, but for the identity of End(T_i).
         """
         got = self._covers.get(tops)
         if got is None:
@@ -274,10 +268,9 @@ class ClusterTiltedAlgebra:
     def _projective(self, k: int):
         """(P_k, its moving blocks), which the covers read: per pair (i, j)
         with a radical basis element acting on P_k by a nonzero matrix, the
-        pair, dim Hom(T_j, T_k) and the moving form of its block (see
-        _moving_form).  The forms are read from the category's table, keyed
-        by the interned product entry, so every algebra of the category
-        shares one tuple per form."""
+        pair, dim Hom(T_j, T_k) and its block exactly as module_of stored
+        it.  Whether a block moves is read from the category's table of
+        moving flags, keyed by the interned product entry."""
         got = self._proj.get(k)
         if got is None:
             mod = module_of(self, self.summand[k])
@@ -286,12 +279,11 @@ class ClusterTiltedAlgebra:
                     raise MeshConsistencyError(
                         f"the identity of End(T_{i}) does not act as the "
                         f"identity on P_{k}")
-            forms, moving = self._moving_forms, []
-            for pair, mats in mod.act.items():
-                form = forms[mats, pair[0] == pair[1]]
-                if any(form):
-                    moving.append((pair, mod._dv[pair[1] - 1], form))
-            got = self._proj[k] = mod, tuple(moving)
+            flags = self._moving_flags
+            got = self._proj[k] = mod, tuple(
+                (pair, mod._dv[pair[1] - 1], mats)
+                for pair, mats in mod.act.items()
+                if flags[mats, pair[0] == pair[1]])
         return got
 
 
@@ -310,22 +302,36 @@ class AlgebraModule:
     in label-pair order, so the dimension vector and the blocks as act
     lists them are the module's content, which syzygy hashes to find a
     module it has seen; every other basis element acts by the empty matrix
-    its dimensions fix.  The constructor checks that act has a block for
-    every live pair and for no other, and puts the blocks in that order;
-    module_of and syzygies build the record directly, already in it.  A
-    module is not changed once built.
+    its dimensions fix.  The constructor checks that dims gives a
+    non-negative int at every label and at nothing else, and that act has
+    a block of the right shape for every live pair and no other block; it
+    puts the blocks in label-pair order.  module_of and syzygies build the
+    record directly, already checked and in order.  A module is not
+    changed once built.
     """
 
     __slots__ = ("alg", "_dv", "act")
 
     def __init__(self, alg: ClusterTiltedAlgebra, dims, act):
+        for i in dims:
+            if i not in alg.summand:
+                raise ValueError(f"a dimension at {i!r}, which is not a label")
+        for i in alg.labels:
+            if type(dims.get(i)) is not int or dims[i] < 0:
+                raise ValueError(f"no non-negative int dimension at label {i}")
         dv = tuple([dims[i] for i in alg.labels])
         blocks = {}
         for pair, i, j in alg._index:
             if dv[i] and dv[j]:
                 if pair not in act:
                     raise ValueError(f"no block for the live pair {pair}")
-                blocks[pair] = act[pair]
+                mats = blocks[pair] = act[pair]
+                d, di, dj = alg.hom_dims[pair], dv[i], dv[j]
+                if len(mats) != d or any(len(mat) != dj or any(
+                        len(col) != di for col in mat) for mat in mats):
+                    raise ValueError(f"the block of the pair {pair} is not "
+                                     f"{d} matrices of {dj} columns of "
+                                     f"length {di}")
         for pair in act:
             if pair not in blocks:
                 raise ValueError(
@@ -468,14 +474,11 @@ def _written_block(quotients, d, diagonal, di, dj):
     return (quotients[(), di][1],) + (zero,) * (d - 1)
 
 
-def _moving_form(mats, diagonal):
-    """The block mats of a pair on a projective, as the covers read it: per
-    basis element, None for the identity of End(T_i) (diagonal is whether
-    the pair is (i, i)) and for a zero matrix, else the matrix transposed
-    to row tuples, for the matrix-vector products of _block_on_kernel."""
-    return tuple([tuple(zip(*mat))
-                  if (b or not diagonal) and any(map(any, mat)) else None
-                  for b, mat in enumerate(mats)])
+def _moves(mats, diagonal):
+    """Whether some radical basis element acts by a nonzero matrix in the
+    block mats of a pair on a projective: every basis element but the
+    identity of End(T_i) when diagonal, the pair being (i, i)."""
+    return any(any(map(any, mat)) for mat in mats[diagonal:])
 
 
 def _block_on_kernel(quotients, d, diagonal, terms, kernel, basis_j, n):
@@ -483,9 +486,10 @@ def _block_on_kernel(quotients, d, diagonal, terms, kernel, basis_j, n):
     cover: kernel = (free, basis) is the kernel at i, basis_j the kernel
     basis at j, n the dimension of the cover at i.
 
-    Each image of a kernel vector at j is rebuilt from its coordinates,
-    its entries at the free columns of the kernel at i; a rebuilt image
-    that differs from it left the kernel.  The coordinate tuples are the
+    The image of a kernel vector at j sums the summands' columns, scaled
+    by its nonzero entries, and is rebuilt from its coordinates, its
+    entries at the free columns of the kernel at i; a rebuilt image that
+    differs from it left the kernel.  The coordinate tuples are the
     columns of the block's matrices, which are stored as they are.  The
     identity of End(T_i) is written, not computed.
     """
@@ -499,11 +503,10 @@ def _block_on_kernel(quotients, d, diagonal, terms, kernel, basis_j, n):
         for w in basis_j:
             img = [0] * n
             for oi, oj, dk, blk in terms:
-                mat = blk[b]
-                if mat is not None:
-                    seg = w[oj: oj + dk]
-                    for r, row in enumerate(mat, oi):
-                        img[r] = sum(map(mul, row, seg))
+                for c, col in zip(w[oj: oj + dk], blk[b]):
+                    if c:
+                        for r, x in enumerate(col, oi):
+                            img[r] += c * x
             coeffs = tuple(map(img.__getitem__, free))
             rebuilt = [0] * n
             for c, u in zip(coeffs, basis):

@@ -131,40 +131,35 @@ def factorization_ideal_nonzero(cc, tilting, m):
     return None
 
 
-def _cover_tau_inv(cc, v, k):
-    # lift of tau^{-1} to the covering: tau(w, k') = (tau w, k' + offset(w))
-    w = cc.tau_inv[v]
-    return (w, k - cc.tau_offsets[w])
-
-
 def sectional_path(cc, x, y):
     """The unique sectional arrow path x -> y as a cid list, or None.
 
     Sectional: no step may continue an arrow u -> v by v -> tau^{-1}(u).
     The search runs in the covering, where sectional paths are globally
-    unique; candidates are capped by the Hom support window, and the found
-    path must compose to a nonzero morphism, which is checked on the
-    functor of the tau-orbit representative of x
-    (MeshHomEngine.nonzero_path).
+    unique, and walks it with an explicit stack: each entry holds a vertex
+    (w, k) of the cover, the path to it, and the lift of tau^{-1} to the
+    cover, tau(w, k') = (tau w, k' + offset(w)), of the vertex before it,
+    which the next step may not reach.  Candidates are capped by the Hom
+    support window, and the found path must compose to a nonzero
+    morphism, which is checked on the functor of the tau-orbit
+    representative of x (MeshHomEngine.nonzero_path).
     """
     if x == y:
         return [x]
     cap = cc.height[x] + 4 * cc.quiver.coxeter_number() + 2
-    found = []
-
-    def walk(v, k, prev, verts):
+    found, stack = [], [(x, 0, None, [x])]
+    while stack:
+        v, k, banned, verts = stack.pop()
+        u = cc.tau_inv[v]
+        lift = (u, k - cc.tau_offsets[u])
         for w in cc.succ[v]:
             kw = k + cc.arrow_offsets[(v, w)]
-            if cc.height[w] + kw * cc.winding > cap:
-                continue
-            if prev is not None and (w, kw) == _cover_tau_inv(cc, *prev):
+            if cc.height[w] + kw * cc.winding > cap or (w, kw) == banned:
                 continue
             nxt = verts + [w]
             if w == y:
                 found.append(nxt)
-            walk(w, kw, (v, k), nxt)
-
-    walk(x, 0, None, [x])
+            stack.append((w, kw, lift, nxt))
     if not found:
         return None
     if len(found) > 1:

@@ -12,7 +12,7 @@ from clustercat.algebra import (AlgebraModule, PdClass, build_algebra,
                                 classify_modules, module_of, pd_class)
 from clustercat.cluster import ClusterCategory, MeshConsistencyError
 from clustercat.dynkin import build_quiver
-from clustercat.hammocks import verify_main_theorem
+from clustercat.hammocks import sectional_path, verify_main_theorem
 from clustercat.tilting import TiltingObject, enumerate_tiltings, initial_tilting
 
 
@@ -411,7 +411,7 @@ def test_syzygy_memo_is_exact(category, family, rank, orientation):
     """Chains that share one memo equal chains that never read a memo.
 
     The memo-free chain calls _syzygy at every step, on an algebra over a
-    fresh category per tilting, whose tables of kernel blocks, moving forms
+    fresh category per tilting, whose tables of kernel blocks, moving flags
     and quotients hold that tilting's entries only.  The report's modules
     agree in dims and pd; an algebra over the shared category, whose
     tables every tilting before has filled, gives the same dims and action
@@ -483,6 +483,30 @@ def test_classify_frees_its_algebra_without_the_cycle_collector(
         gc.enable()
 
 
+def test_gabriel_and_sectional_searches_leave_no_cyclic_garbage(category):
+    """The Gabriel cycle check, the sectional-path search and the arrow
+    representatives build no reference cycle.
+
+    Each is called once to warm what it reads; then, with the cyclic
+    collector switched off, a collection after each call finds nothing to
+    free.  A nested function that calls itself would leave a cycle behind.
+    """
+    cc, alg = cyclic_a3_algebra(category)
+    x, y = 0, cc.succ[0][0]
+    calls = (alg.gabriel_quiver_is_acyclic, lambda: sectional_path(cc, x, y),
+             alg.arrow_representatives)
+    for call in calls:
+        call()
+    gc.disable()
+    try:
+        gc.collect()
+        for call in calls:
+            call()
+            assert gc.collect() == 0, call
+    finally:
+        gc.enable()
+
+
 def test_content_equal_module_gets_the_same_syzygy(category):
     cc = category("D", 4)
     for t in enumerate_tiltings(cc)[:10]:
@@ -501,8 +525,10 @@ def test_content_equal_module_gets_the_same_syzygy(category):
 
 
 def test_constructor_checks_the_live_pairs_and_orders_the_blocks():
-    """AlgebraModule(alg, dims, act) takes a block for every live pair and
-    for no other, and keeps the blocks in label-pair order.
+    """AlgebraModule(alg, dims, act) takes a non-negative int dimension at
+    every label and at nothing else, a block of the right shape for every
+    live pair and for no other, and keeps the blocks in label-pair order;
+    a bad input raises ValueError naming the label or the pair.
 
     Over the D4 tilting (0, 1, 2, 3), M = cid 9 has dimension vector
     (1, 1, 1, 0): (1, 1) is live, (4, 1) is not (nothing at label 4) and
@@ -522,6 +548,29 @@ def test_constructor_checks_the_live_pairs_and_orders_the_blocks():
     turned = AlgebraModule(alg, mod.dims, dict(reversed(mod.act.items())))
     assert list(turned.act) == sorted(mod.act) == list(mod.act)
     assert turned.act == mod.act and turned.dims == mod.dims
+    # dims gives a non-negative int at every label and at nothing else
+    dims = dict(mod.dims)
+    for label, bad in ((2, None), (4, -1), (4, 0.0), (4, True), (4, "0")):
+        wrong = {k: v for k, v in dims.items() if k != label}
+        if bad is not None:
+            wrong[label] = bad
+        with pytest.raises(ValueError, match=re.escape(
+                f"no non-negative int dimension at label {label}")):
+            AlgebraModule(alg, wrong, mod.act)
+    for extra in (0, 5):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a dimension at {extra}, which is not a label")):
+            AlgebraModule(alg, {**dims, extra: 0}, mod.act)
+    # a negative vector would reach the syzygy as a module with no top
+    with pytest.raises(ValueError, match="label 1"):
+        AlgebraModule(alg, {1: -1, 2: 0, 3: 0, 4: 0}, {})
+    # each block has dim Hom(T_i, T_j) matrices of dims[j] columns of
+    # length dims[i]: here one matrix of one column of length one
+    for bad in ((), (((1,),), ((0,),)), (((1, 0),),), (((1,), (0,)),)):
+        with pytest.raises(ValueError, match=re.escape(
+                "the block of the pair (3, 1) is not 1 matrices of 1 "
+                "columns of length 1")):
+            AlgebraModule(alg, dims, {**mod.act, (3, 1): bad})
 
 
 def live_pairs(alg, dv):
@@ -573,6 +622,31 @@ def test_public_results_are_pinned(category, family, rank, orientation,
                              in verify_main_theorem(cc, t).modules.items()])
                for t in enumerate_tiltings(cc)]
     assert hashlib.sha256(repr(results).encode()).hexdigest() == digest
+
+
+# sha256 of the repr of (gabriel_arrows(), arrow_representatives(),
+# gabriel_quiver_is_acyclic()) per tilting, in enumeration order
+GABRIEL_DIGESTS = [
+    ("A", 5, "default",
+     "9ac0767325835133a8932cbb55d14379155193fa9cb496bcc90f6fbabd43bc89"),
+    ("D", 5, "default",
+     "527a396c68ff15efd5db0e5dfbd06fdecb0ae7ca699c40f55291a81412a07c5e"),
+    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5)),
+     "c75afa28a4598777e6b2007ddde97a5d086c58e4b6c0d6dd76e75c21bd6003a3"),
+]
+
+
+@pytest.mark.parametrize("family,rank,orientation,digest", GABRIEL_DIGESTS,
+                         ids=["A5", "D5", "D5-31,32,43,45"])
+def test_gabriel_quivers_are_pinned(category, family, rank, orientation,
+                                    digest):
+    cc = category(family, rank, orientation)
+    quivers = []
+    for t in enumerate_tiltings(cc):
+        alg = build_algebra(cc, t)
+        quivers.append((alg.gabriel_arrows(), alg.arrow_representatives(),
+                        alg.gabriel_quiver_is_acyclic()))
+    assert hashlib.sha256(repr(quivers).encode()).hexdigest() == digest
 
 
 def block(mod, key):

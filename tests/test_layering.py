@@ -1,10 +1,15 @@
-"""The layering of the package, read from its import statements by ast.
+"""The layering of the package, read from its source by ast.
 
 The relative imports at module level of src/clustercat must form no cycle,
 and a function may import a sibling module only where LOCAL_IMPORTS allows
 it: the category builds its mesh engine on first use, and meshhom imports
 cluster at module level.  Every table is declared by the module that fills
 it, so no lower module reaches back up into a higher one.
+
+A function nested in another function may not refer to its own name,
+except where RECURSIVE_CLOSURES allows it: such a closure holds a cell
+that holds the closure, a reference cycle that only the cyclic garbage
+collector frees, made anew on every call of the outer function.
 """
 
 import ast
@@ -14,38 +19,56 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "clustercat"
 # (module, function qualname, imported module) allowed inside a function
 LOCAL_IMPORTS = {("cluster", "ClusterCategory._get_engine", "meshhom")}
+# (module, function qualname) of the nested functions allowed to refer to
+# their own name; enumerate_tiltings keeps its closure until it streams
+RECURSIVE_CLOSURES = {("tilting", "enumerate_tiltings.extend")}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def scoped_nodes(node, scope=(), in_function=False):
+    """(node, the qualname parts of its scope, whether a function encloses
+    it) for every node below node."""
+    for child in ast.iter_child_nodes(node):
+        yield child, scope, in_function
+        if isinstance(child, FUNCTIONS + (ast.ClassDef,)):
+            yield from scoped_nodes(child, scope + (child.name,),
+                                    in_function or isinstance(child, FUNCTIONS))
+        else:
+            yield from scoped_nodes(child, scope, in_function)
 
 
 def relative_imports(source):
     """(the modules imported at module level, [(function qualname, module)]
     per import inside a function), for the relative imports of source."""
     top, local = set(), []
-
-    def visit(node, scope, in_function):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ImportFrom) and child.level:
-                if child.module:
-                    targets = [child.module.split(".")[0]]
-                else:
-                    targets = [alias.name for alias in child.names]
-                for target in targets:
-                    if in_function:
-                        local.append((".".join(scope), target))
-                    else:
-                        top.add(target)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef)):
-                visit(child, scope + [child.name],
-                      in_function or not isinstance(child, ast.ClassDef))
+    for node, scope, in_function in scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                targets = [node.module.split(".")[0]]
             else:
-                visit(child, scope, in_function)
-
-    visit(ast.parse(source), [], False)
+                targets = [alias.name for alias in node.names]
+            for target in targets:
+                if in_function:
+                    local.append((".".join(scope), target))
+                else:
+                    top.add(target)
     return top, local
 
 
-IMPORTS = {path.stem: relative_imports(path.read_text(encoding="utf-8"))
+def recursive_closures(source):
+    """The qualnames of the functions of source, nested in a function, that
+    refer to their own name."""
+    return [".".join(scope + (node.name,))
+            for node, scope, in_function in scoped_nodes(ast.parse(source))
+            if in_function and isinstance(node, FUNCTIONS)
+            and any(isinstance(name, ast.Name) and name.id == node.name
+                    for name in ast.walk(node))]
+
+
+SOURCES = {path.stem: path.read_text(encoding="utf-8")
            for path in sorted(SRC.glob("*.py"))}
+IMPORTS = {module: relative_imports(source)
+           for module, source in SOURCES.items()}
 
 
 def test_the_reader_finds_imports_in_every_scope():
@@ -98,3 +121,37 @@ def test_functions_import_only_what_the_layering_allows():
              for module, (_top, found) in IMPORTS.items()
              for function, target in found}
     assert local - LOCAL_IMPORTS == set()
+
+
+def test_the_reader_finds_recursive_closures_in_every_scope():
+    source = textwrap.dedent("""
+        def top(n):
+            return top(n - 1) if n else 0
+        class K:
+            def m(self):
+                return self.m
+            def walker(self):
+                def walk(n):
+                    return walk(n - 1) if n else 0
+                def plain():
+                    return walk(1)
+                return plain()
+        def f():
+            class Local:
+                def g(self):
+                    def again():
+                        yield from again()
+                    return again
+            stack = [f]
+            async def spin():
+                await spin()
+            return Local, stack, spin
+    """)
+    assert recursive_closures(source) == [
+        "K.walker.walk", "f.Local.g.again", "f.spin"]
+
+
+def test_no_nested_function_refers_to_itself():
+    found = {(module, name) for module, source in SOURCES.items()
+             for name in recursive_closures(source)}
+    assert found - RECURSIVE_CLOSURES == set()
