@@ -41,8 +41,8 @@ matrix) are kept in three tables of the category, filled on first use and
 read by every tilting; an input that raises stores nothing.  The covers
 keep each projective's blocks as module_of stored them, so no matrix is
 copied into a second layout on the way to the kernel action.
-classify_modules empties the memo when it is done, so the algebra is
-freed at once.
+classify_modules returns its rows as a list and empties the memo and
+the projectives before it returns, so the algebra is freed at once.
 Hom_C(T, M) is read from the category's tables too: its dimension vector
 from the summands' dimension rows, its blocks from the tilting's product
 rows, whose missing rows the category fills one target summand at a
@@ -304,10 +304,11 @@ class AlgebraModule:
     module it has seen; every other basis element acts by the empty matrix
     its dimensions fix.  The constructor checks that dims gives a
     non-negative int at every label and at nothing else, and that act has
-    a block of the right shape for every live pair and no other block; it
-    puts the blocks in label-pair order.  module_of and syzygies build the
-    record directly, already checked and in order.  A module is not
-    changed once built.
+    a block for every live pair and no other block, each a tuple of
+    dim Hom(T_i, T_j) tuples of dims[j] tuples of dims[i] ints (no bool),
+    raising ValueError otherwise; it puts the blocks in label-pair order.
+    module_of and syzygies build the record directly, already checked and
+    in order.  A module is not changed once built.
     """
 
     __slots__ = ("alg", "_dv", "act")
@@ -327,11 +328,10 @@ class AlgebraModule:
                     raise ValueError(f"no block for the live pair {pair}")
                 mats = blocks[pair] = act[pair]
                 d, di, dj = alg.hom_dims[pair], dv[i], dv[j]
-                if len(mats) != d or any(len(mat) != dj or any(
-                        len(col) != di for col in mat) for mat in mats):
+                if not _is_block(mats, d, di, dj):
                     raise ValueError(f"the block of the pair {pair} is not "
                                      f"{d} matrices of {dj} columns of "
-                                     f"length {di}")
+                                     f"length {di}, tuples of ints")
         for pair in act:
             if pair not in blocks:
                 raise ValueError(
@@ -461,6 +461,16 @@ def _record(alg, dv, act):
     return mod
 
 
+def _is_block(mats, d, di, dj):
+    """Whether mats is a tuple of d tuples of dj tuples of di ints; a bool
+    is not an int here."""
+    return type(mats) is tuple and len(mats) == d and all(
+        type(mat) is tuple and len(mat) == dj and all(
+            type(col) is tuple and len(col) == di
+            and all(type(x) is int for x in col) for col in mat)
+        for mat in mats)
+
+
 def _written_block(quotients, d, diagonal, di, dj):
     """The block of a pair (i, j) with d basis elements on a syzygy of
     dimensions di at i and dj at j when the pair acts by zero on every
@@ -574,24 +584,26 @@ def pd_class(module: AlgebraModule) -> PdClass:
 
 
 def classify_modules(cc: ClusterCategory, tilting: TiltingObject):
-    """(cid, dim vector, syzygy dim vectors, pd class) per M outside add T[1].
+    """[(cid, dim vector, syzygy dim vectors, pd class)] per M outside
+    add T[1], in cid order.
 
     One algebra for the tilting, then one Hom_C(T, M) and one syzygy chain
-    per module, in cid order; M = T_k is read as the projective P_k, which
-    the covers build anyway.
+    per module; M = T_k is read as the projective P_k, which the covers
+    build anyway.
     """
     alg = build_algebra(cc, tilting)
     shifted = {cc.shift(s) for s in tilting.summands}
     label = {c: k for k, c in alg.summand.items()}
+    rows = []
     for m in cc.cids():
         if m not in shifted:
             k = label.get(m)
             mod = module_of(alg, m) if k is None else alg.projective_module(k)
-            yield (m, mod.dim_vector()) + _syzygy_chain(mod)
+            rows.append((m, mod.dim_vector()) + _syzygy_chain(mod))
     # Every module refers to its algebra, and the algebra keeps its
     # projectives and syzygies: reference cycles that only the cyclic
     # garbage collector would free.  The algebra never leaves this
-    # function, so emptying the two tables frees it and its memo as soon
-    # as the last class is read.
+    # function, so emptying the two tables frees it and its memo on return.
     alg._syzygies.clear()
     alg._proj.clear()
+    return rows

@@ -20,6 +20,7 @@ import argparse
 import functools
 import os
 import random
+import re
 import sys
 
 from . import presets
@@ -254,11 +255,16 @@ def _cmd_verify(args) -> int:
 
 
 def _parse_highlight(specs):
+    """(i, j, color) per i:j:color spec.  The color is written into DOT and
+    TikZ source as it is, so it may hold only letters, digits, #, ! and ."""
     triples = []
     for spec in specs or []:
         parts = spec.split(":")
         if len(parts) != 3:
             raise InputError(f"bad highlight {spec!r}, expected i:j:color")
+        if not re.fullmatch(r"[A-Za-z0-9#!.]+", parts[2]):
+            raise InputError(f"bad highlight {spec!r}: a color is letters, "
+                             "digits, #, ! and . only")
         try:
             triples.append((int(parts[0]), int(parts[1]), parts[2]))
         except ValueError:

@@ -24,11 +24,8 @@ from __future__ import annotations
 
 import math
 
-from .dynkin import QuiverDescriptor, knit
-
-
-class MeshConsistencyError(RuntimeError):
-    """Cross-engine disagreement or exhausted cover window; always a bug."""
+# MeshConsistencyError is re-exported: clustercat.cluster keeps the name
+from .dynkin import MeshConsistencyError, QuiverDescriptor, knit
 
 
 class Table(dict):

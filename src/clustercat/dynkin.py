@@ -16,6 +16,10 @@ Knitting builds the AR quiver from the projectives: a vertex is resolved once
 all its predecessors are, and then either it is injective (its dimension
 vector equals some dim I_i; dimension vectors identify indecomposables here)
 or the mesh ending at its inverse translate is filled in by additivity.
+
+This is the package's bottom module, so it also declares
+MeshConsistencyError, the one error type of every internal check; the
+modules above it raise it, and cluster re-exports it.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ from collections import deque
 FAMILIES = ("A", "D")
 
 
-class KnittingError(RuntimeError):
-    """Internal inconsistency while knitting (bug guard, not user error)."""
+class MeshConsistencyError(RuntimeError):
+    """An internal check of the package failed: knitting, mesh closure, a
+    cross-engine disagreement, an exhausted cover window, a pivot other
+    than +-1 in an integer quotient.  Always a bug, never bad input; bad
+    input raises ValueError before any check runs."""
 
 
 def diagram_edges(family: str, rank: int):
@@ -227,7 +234,7 @@ def knit(quiver: QuiverDescriptor) -> ModARQuiver:
 
     Dimension vectors obey mesh additivity dim tau^{-1}(X) =
     sum(middles) - dim(X).  Any non-positive result, duplicated dimension
-    vector, or unresolved leftover raises KnittingError.
+    vector, or unresolved leftover raises MeshConsistencyError.
     """
     n = quiver.rank
     q = ModARQuiver(quiver)
@@ -243,9 +250,9 @@ def knit(quiver: QuiverDescriptor) -> ModARQuiver:
     def new_vertex(dim, orbit, offset):
         mid = len(q.indecs)
         if any(x < 0 for x in dim) or all(x == 0 for x in dim):
-            raise KnittingError(f"mesh additivity produced dim {dim}")
+            raise MeshConsistencyError(f"mesh additivity produced dim {dim}")
         if dim in seen_dims:
-            raise KnittingError(f"dimension vector {dim} knitted twice")
+            raise MeshConsistencyError(f"dimension vector {dim} knitted twice")
         seen_dims[dim] = mid
         m = ModIndec(mid, dim, orbit, offset)
         if dim in inj_dims:
@@ -272,7 +279,7 @@ def knit(quiver: QuiverDescriptor) -> ModARQuiver:
     while queue:
         x = queue.popleft()
         if x in resolved:
-            raise KnittingError(f"M{x} resolved twice")
+            raise MeshConsistencyError(f"M{x} resolved twice")
         xv = q.indecs[x]
         if not xv.injective:
             middles = list(q.succ[x])
@@ -298,12 +305,12 @@ def knit(quiver: QuiverDescriptor) -> ModARQuiver:
                 queue.append(s)
 
     if len(resolved) != len(q.indecs):
-        raise KnittingError(
+        raise MeshConsistencyError(
             f"knitting stalled: {len(resolved)} resolved of {len(q.indecs)} created"
         )
     for i in quiver.vertices:
         if i not in q.inj_mid:
-            raise KnittingError(f"injective at vertex {i} never reached")
+            raise MeshConsistencyError(f"injective at vertex {i} never reached")
     return q
 
 

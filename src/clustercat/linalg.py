@@ -11,7 +11,8 @@ The engine reduces only through unit_quotient_basis, which accepts +-1
 pivots alone, and keeps its results in a table per category (see
 meshhom.MeshHomEngine._quotients).  quotient_basis, rref and rank are plain
 rational functions without a table, for the representation oracle and the
-tests.
+tests.  Of the package, only dynkin is imported, for MeshConsistencyError,
+so the kernel sits below the category it serves.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .cluster import MeshConsistencyError
+from .dynkin import MeshConsistencyError
 
 Row = Sequence
 

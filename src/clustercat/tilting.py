@@ -93,31 +93,32 @@ def enumerate_tiltings(cc: ClusterCategory):
 
     Max-clique search over the Ext-compatibility graph, whose adjacency is
     ClusterCategory.compatible; every indecomposable is rigid here, so
-    cliques of size n are exactly the tilting objects.
+    cliques of size n are exactly the tilting objects.  The search is the
+    module-level _extend, so the returned list is in no reference cycle
+    and goes with its last reference.
     """
-    m = len(cc.indecs)
     # bit y of adj[y] is never read: y has left cand when adj[y] masks it
     adj = [cc.compatible(x) for x in cc.cids()]
-
     out = []
-    n = cc.n
-
-    def extend(cand, chosen):
-        need = n - len(chosen)
-        # candidates stay above the last pick, so each clique appears once
-        while cand and cand.bit_count() >= need:
-            low = cand & -cand
-            y = low.bit_length() - 1
-            cand ^= low
-            chosen.append(y)
-            if need == 1:
-                out.append(TiltingObject(chosen))
-            else:
-                extend(cand & adj[y], chosen)
-            chosen.pop()
-
-    extend((1 << m) - 1, [])
+    _extend(adj, cc.n, (1 << len(cc.indecs)) - 1, [], out)
     return out
+
+
+def _extend(adj, n, cand, chosen, out):
+    """Append to out, in lexicographic order, every n-clique that extends
+    chosen by cids of cand."""
+    need = n - len(chosen)
+    # candidates stay above the last pick, so each clique appears once
+    while cand and cand.bit_count() >= need:
+        low = cand & -cand
+        y = low.bit_length() - 1
+        cand ^= low
+        chosen.append(y)
+        if need == 1:
+            out.append(TiltingObject(chosen))
+        else:
+            _extend(adj, n, cand & adj[y], chosen, out)
+        chosen.pop()
 
 
 def tilting_count(family: str, rank: int) -> int:

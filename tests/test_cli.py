@@ -264,6 +264,20 @@ def test_render_highlight_flags(capsys):
     assert 'fillcolor="blue"' in out and 'fillcolor="red"' in out
 
 
+@pytest.mark.parametrize("spec", ["1:3:", '1:3:red"];x['])
+def test_highlight_color_outside_its_alphabet_exits_2(capsys, spec):
+    """The color is written into the source as it is: an empty one would
+    render as fill=!30 (invalid TikZ), and a quote would end the DOT
+    attribute early."""
+    for fmt in ("dot", "tikz"):
+        code, out, err = run(capsys, "render", "--family", "A", "--rank",
+                             "3", "--format", fmt, "--tilting", "0,2,5",
+                             "--highlight", spec)
+        assert code == 2
+        assert out == ""
+        assert repr(spec) in err and "Traceback" not in err
+
+
 def test_highlight_label_out_of_range_exits_2(capsys):
     code, out, err = run(capsys, "render", "--family", "A", "--rank", "3",
                          "--tilting", "0,2,5", "--highlight", "9:9:red")

@@ -1,8 +1,12 @@
 """AR-quiver knitting against root-system and representation-theoretic facts."""
 
+import re
+
 import pytest
 
+from clustercat import cli, dynkin
 from clustercat.dynkin import (
+    MeshConsistencyError,
     QuiverDescriptor,
     build_quiver,
     diagram_edges,
@@ -121,3 +125,27 @@ def test_mesh_additivity_holds_on_knitted_quiver():
                 total[k] += ar.dim(s)[k]
         got = tuple(a - b for a, b in zip(total, ar.dim(x)))
         assert got == ar.dim(z)
+
+
+def test_a_failed_knitting_check_is_an_internal_error(monkeypatch, capsys):
+    """Knitting's guards raise MeshConsistencyError, the one error type of
+    every internal check, and the CLI reports it as an internal error: exit
+    3, never the exit code of bad input or of a disagreement.
+
+    With each projective cut down to its top vertex, mesh additivity on A3
+    produces a negative dimension.
+    """
+    closure = dynkin._path_closure
+
+    def tops_only(quiver, start, forward=True):
+        return {start} if forward else closure(quiver, start, forward)
+
+    monkeypatch.setattr(dynkin, "_path_closure", tops_only)
+    with pytest.raises(MeshConsistencyError, match=re.escape(
+            "mesh additivity produced dim (0, 1, -1)")):
+        knit(build_quiver("A", 3))
+    assert cli.main(["build", "--family", "A", "--rank", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: MeshConsistencyError")
+    assert "Traceback" not in err

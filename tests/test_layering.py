@@ -7,9 +7,10 @@ cluster at module level.  Every table is declared by the module that fills
 it, so no lower module reaches back up into a higher one.
 
 A function nested in another function may not refer to its own name,
-except where RECURSIVE_CLOSURES allows it: such a closure holds a cell
-that holds the closure, a reference cycle that only the cyclic garbage
-collector frees, made anew on every call of the outer function.
+with no exception: such a closure holds a cell that holds the closure, a
+reference cycle that only the cyclic garbage collector frees, made anew
+on every call of the outer function.  A recursive search is a
+module-level function that takes its state as arguments.
 """
 
 import ast
@@ -19,9 +20,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "clustercat"
 # (module, function qualname, imported module) allowed inside a function
 LOCAL_IMPORTS = {("cluster", "ClusterCategory._get_engine", "meshhom")}
-# (module, function qualname) of the nested functions allowed to refer to
-# their own name; enumerate_tiltings keeps its closure until it streams
-RECURSIVE_CLOSURES = {("tilting", "enumerate_tiltings.extend")}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -154,4 +152,4 @@ def test_the_reader_finds_recursive_closures_in_every_scope():
 def test_no_nested_function_refers_to_itself():
     found = {(module, name) for module, source in SOURCES.items()
              for name in recursive_closures(source)}
-    assert found - RECURSIVE_CLOSURES == set()
+    assert found == set()
