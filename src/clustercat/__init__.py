@@ -17,6 +17,7 @@ from .algebra import (
 )
 from .cluster import ClusterCategory, MeshConsistencyError
 from .dynkin import (
+    InputError,
     QuiverDescriptor,
     build_quiver,
     euler_form,
@@ -56,6 +57,7 @@ __all__ = [
     "ClusterCategory",
     "ClusterTiltedAlgebra",
     "HammockSet",
+    "InputError",
     "MeshConsistencyError",
     "MutationError",
     "PdClass",

@@ -70,7 +70,8 @@ from operator import add, itemgetter
 from types import MappingProxyType
 
 from .cluster import ClusterCategory, MeshConsistencyError, Table
-from .tilting import TiltingObject
+from .dynkin import InputError
+from .tilting import TiltingObject, check_tilting
 
 _ONE = 1
 _FIRST = itemgetter(0)
@@ -153,7 +154,7 @@ class ClusterTiltedAlgebra:
     def radical_power_spans(self, m: int):
         """Spanning vectors of (rad^m)_{(i,j)} in hom coordinates, per (i,j)."""
         if m < 1:
-            raise ValueError("radical powers start at 1")
+            raise InputError("radical powers start at 1")
         got = self._rad_pow.get(m)
         if got is not None:
             return got
@@ -306,7 +307,7 @@ class AlgebraModule:
     non-negative int at every label and at nothing else, and that act has
     a block for every live pair and no other block, each a tuple of
     dim Hom(T_i, T_j) tuples of dims[j] tuples of dims[i] ints (no bool),
-    raising ValueError otherwise; it puts the blocks in label-pair order.
+    raising InputError otherwise; it puts the blocks in label-pair order.
     module_of and syzygies build the record directly, already checked and
     in order.  A module is not changed once built.
     """
@@ -316,25 +317,25 @@ class AlgebraModule:
     def __init__(self, alg: ClusterTiltedAlgebra, dims, act):
         for i in dims:
             if i not in alg.summand:
-                raise ValueError(f"a dimension at {i!r}, which is not a label")
+                raise InputError(f"a dimension at {i!r}, which is not a label")
         for i in alg.labels:
             if type(dims.get(i)) is not int or dims[i] < 0:
-                raise ValueError(f"no non-negative int dimension at label {i}")
+                raise InputError(f"no non-negative int dimension at label {i}")
         dv = tuple([dims[i] for i in alg.labels])
         blocks = {}
         for pair, i, j in alg._index:
             if dv[i] and dv[j]:
                 if pair not in act:
-                    raise ValueError(f"no block for the live pair {pair}")
+                    raise InputError(f"no block for the live pair {pair}")
                 mats = blocks[pair] = act[pair]
                 d, di, dj = alg.hom_dims[pair], dv[i], dv[j]
                 if not _is_block(mats, d, di, dj):
-                    raise ValueError(f"the block of the pair {pair} is not "
+                    raise InputError(f"the block of the pair {pair} is not "
                                      f"{d} matrices of {dj} columns of "
                                      f"length {di}, tuples of ints")
         for pair in act:
             if pair not in blocks:
-                raise ValueError(
+                raise InputError(
                     f"a block for the pair {pair}, which is not live")
         self.alg, self._dv, self.act = alg, dv, blocks
 
@@ -534,6 +535,9 @@ def _block_on_kernel(quotients, d, diagonal, terms, kernel, basis_j, n):
 
 
 def build_algebra(cc: ClusterCategory, tilting: TiltingObject) -> ClusterTiltedAlgebra:
+    """End_C(T), once check_tilting has passed T: the syzygy route and the
+    trichotomy hold only over a cluster-tilting object."""
+    check_tilting(cc, tilting.summands)
     return ClusterTiltedAlgebra(cc, tilting)
 
 
@@ -545,11 +549,14 @@ def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     product row of (T_i, T_j), products(T_i, T_j, M), stored as it is.
     That row holds M exactly when Hom(T_i, M) and Hom(T_j, M) are both
     nonzero, so the rows that hold M are the live pairs, in label-pair
-    order like the rows.
+    order like the rows.  A cid that is not an int of the category (a
+    bool is not), or that lies in add T[1], raises InputError.
     """
+    if type(m_cid) is not int or not 0 <= m_cid < len(alg.cc.indecs):
+        raise InputError(f"no cid {m_cid!r} in this category")
     dv = tuple([row[m_cid] for row in alg._dim_rows])
     if not any(dv):
-        raise ValueError(
+        raise InputError(
             "Hom_C(T, M) = 0: M lies in the shift of the tilting object")
     # act[(i, j)][b][g] is g . (basis element b), for g in Hom(T_j, M)
     return _record(alg, dv, {pair: row[m_cid]
@@ -589,7 +596,7 @@ def classify_modules(cc: ClusterCategory, tilting: TiltingObject):
 
     One algebra for the tilting, then one Hom_C(T, M) and one syzygy chain
     per module; M = T_k is read as the projective P_k, which the covers
-    build anyway.
+    build anyway.  build_algebra checks the tilting.
     """
     alg = build_algebra(cc, tilting)
     shifted = {cc.shift(s) for s in tilting.summands}

@@ -17,9 +17,12 @@ all its predecessors are, and then either it is injective (its dimension
 vector equals some dim I_i; dimension vectors identify indecomposables here)
 or the mesh ending at its inverse translate is filled in by additivity.
 
-This is the package's bottom module, so it also declares
-MeshConsistencyError, the one error type of every internal check; the
-modules above it raise it, and cluster re-exports it.
+This is the package's bottom module, so it also declares the package's
+two error types: InputError, the one error type of every input check, and
+MeshConsistencyError, the one error type of every internal check.  The
+modules above raise them and name no builtin exception class; cluster
+re-exports MeshConsistencyError, and cli and the package re-export
+InputError.
 """
 
 from __future__ import annotations
@@ -29,26 +32,35 @@ from collections import deque
 FAMILIES = ("A", "D")
 
 
+class InputError(ValueError):
+    """An argument the package cannot take: a quiver that is no orientation
+    of its diagram, summands that are not a cluster-tilting object of the
+    category, a cid or a label out of range, a render option outside its
+    alphabet.  The library makes every such check; the command line only
+    parses its strings and reports an InputError with exit code 2."""
+
+
 class MeshConsistencyError(RuntimeError):
     """An internal check of the package failed: knitting, mesh closure, a
     cross-engine disagreement, an exhausted cover window, a pivot other
-    than +-1 in an integer quotient.  Always a bug, never bad input; bad
-    input raises ValueError before any check runs."""
+    than +-1 in an integer quotient, a reflection walk out of step.  Always
+    a bug, never bad input; bad input raises InputError before any check
+    runs."""
 
 
 def diagram_edges(family: str, rank: int):
     """Undirected edge set of the Dynkin diagram, as a set of frozensets."""
     if family == "A":
         if rank < 1:
-            raise ValueError(f"type A needs rank >= 1, got {rank}")
+            raise InputError(f"type A needs rank >= 1, got {rank}")
         return {frozenset((i, i + 1)) for i in range(1, rank)}
     if family == "D":
         if rank < 4:
-            raise ValueError(f"type D needs rank >= 4, got {rank}")
+            raise InputError(f"type D needs rank >= 4, got {rank}")
         edges = {frozenset((1, 3)), frozenset((2, 3))}
         edges.update(frozenset((i, i + 1)) for i in range(3, rank))
         return edges
-    raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    raise InputError(f"unknown family {family!r}, expected one of {FAMILIES}")
 
 
 class QuiverDescriptor:
@@ -63,7 +75,7 @@ class QuiverDescriptor:
         edges = diagram_edges(family, rank)
         seen = [frozenset(a) for a in arrows]
         if len(seen) != len(edges) or set(seen) != edges or len(set(seen)) != len(seen):
-            raise ValueError(
+            raise InputError(
                 f"arrows {arrows} are not an orientation of the {family}{rank} diagram"
             )
         self.family = family
@@ -92,16 +104,16 @@ def build_quiver(family: str, rank: int, orientation="default") -> QuiverDescrip
     """
     family = family.upper()
     if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+        raise InputError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if orientation == "default":
         orientation = "linear" if family == "A" else "fork"
     if orientation == "linear":
         if family != "A":
-            raise ValueError("linear orientation is the type A default; give explicit arrows for D")
+            raise InputError("linear orientation is the type A default; give explicit arrows for D")
         arrows = [(i, i + 1) for i in range(1, rank)]
     elif orientation == "fork":
         if family != "D":
-            raise ValueError("fork orientation is the type D default; give explicit arrows for A")
+            raise InputError("fork orientation is the type D default; give explicit arrows for A")
         arrows = [(1, 3), (2, 3)] + [(i, i + 1) for i in range(3, rank)]
     else:
         arrows = list(orientation)

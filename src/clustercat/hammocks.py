@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from .algebra import PdClass, classify_modules
 from .cluster import ClusterCategory, MeshConsistencyError
-from .tilting import TiltingObject
+from .dynkin import InputError
+from .tilting import TiltingObject, check_tilting
 
 # category -> {a * |cids| + b: (vertices, shape)}, see _closed_form; an
 # entry is freed with its category
@@ -60,7 +61,7 @@ class HammockSet:
 def shifted_summand(cc: ClusterCategory, tilting: TiltingObject, k: int) -> int:
     """cid of T_k[1] for the 1-based summand label k."""
     if not 1 <= k <= len(tilting.summands):
-        raise ValueError("summand label out of range: %r" % (k,))
+        raise InputError("summand label out of range: %r" % (k,))
     return cc.shift(tilting.summands[k - 1])
 
 
@@ -122,7 +123,7 @@ def factorization_ideal_nonzero(cc, tilting, m):
     """
     shifts = [cc.shift(s) for s in tilting.summands]
     if m in shifts:
-        raise ValueError("factorization ideal is only tested outside add T[1]")
+        raise InputError("factorization ideal is only tested outside add T[1]")
     for i, a in enumerate(shifts, 1):
         for j, b in enumerate(shifts, 1):
             w = _pairing_witness(cc, m, a, b)
@@ -284,8 +285,10 @@ def classify_by_location(cc, tilting) -> dict:
     It reads the category's table of closed forms at the n^2 pairs of
     shifted cids and nothing else: no module, syzygy, product table or
     hammock sweep, so it is a route of its own to the classes that
-    verify_main_theorem finds by syzygies.
+    verify_main_theorem finds by syzygies.  The tilting is checked first
+    (check_tilting): the theorem holds only over a cluster-tilting object.
     """
+    check_tilting(cc, tilting.summands)
     shifts = {cc.shift(s) for s in tilting.summands}
     located = frozenset().union(*(_closed_form(cc, a, b)[0]
                                   for a in shifts for b in shifts))
@@ -319,8 +322,11 @@ def verify_main_theorem(cc, tilting) -> TheoremReport:
     read once from the category's hammock table, at the n shifted cids,
     and kept on the report.  Runs over all indecomposables
     outside add T[1]; any disagreement is recorded in the report, never
-    silently dropped.
+    silently dropped.  classify_modules, which runs first, checks the
+    tilting: over a set of summands that is not cluster-tilting there is
+    no theorem to verify.
     """
+    classified = classify_modules(cc, tilting)
     shifts = [cc.shift(s) for s in tilting.summands]
     hammock = cc._get_engine().hammock
     sets = {(i, j): hammock(a, b) for i, a in enumerate(shifts, 1)
@@ -330,7 +336,7 @@ def verify_main_theorem(cc, tilting) -> TheoremReport:
     modules = {}
     counts = {PdClass.ZERO: 0, PdClass.ONE: 0, PdClass.INFINITE: 0}
     agreement = True
-    for m, dims, syzygies, pd in classify_modules(cc, tilting):
+    for m, dims, syzygies, pd in classified:
         ideal = m in union
         counts[pd] += 1
         rows.append((m, ideal, pd))

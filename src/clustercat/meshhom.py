@@ -79,6 +79,7 @@ from math import gcd
 from operator import mul
 
 from .cluster import ClusterCategory, MeshConsistencyError, Table
+from .dynkin import InputError
 from .linalg import matvec, unit_quotient_basis
 
 
@@ -198,7 +199,7 @@ class CoverFunctor:
         cur, lvl, v = start, level, tuple(vec)
         for a, b in path:
             if a != cur:
-                raise ValueError("path does not start where the previous arrow ended")
+                raise InputError("path does not start where the previous arrow ended")
             mat = act.get((a, b, lvl))
             if mat is None:
                 if any(v):
@@ -347,14 +348,14 @@ class MeshHomEngine:
         """vec as a coordinate tuple of Hom(x, y); its length must be the dim."""
         d = self.dim(x, y)
         if len(vec) != d:
-            raise ValueError(
+            raise InputError(
                 f"{len(vec)} coordinates for Hom({x},{y}) of dimension {d}")
         return tuple(vec)
 
     def arrow_element(self, x: int, y: int):
         """The coordinates of the AR-quiver arrow x -> y."""
         if y not in self.cc.succ[x]:
-            raise ValueError(f"no arrow {x}->{y} in the AR quiver")
+            raise InputError(f"no arrow {x}->{y} in the AR quiver")
         out = [0] * self.dim(x, y)
         res = self.functor(x).apply_path(((x, y),), x, 0, (1,))
         if res is not None:

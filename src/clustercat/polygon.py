@@ -15,17 +15,18 @@ the module category, so it anchors both.
 from __future__ import annotations
 
 from .cluster import ClusterCategory
+from .dynkin import InputError
 
 
 def diagonal_of(cc: ClusterCategory, cid: int) -> tuple[int, int]:
     """The polygon diagonal of an indecomposable; linear type A only."""
     q = cc.quiver
     if q.family != "A":
-        raise ValueError("the polygon model is specific to type A")
+        raise InputError("the polygon model is specific to type A")
     n = q.rank
     expected = tuple((v, v + 1) for v in range(1, n))
     if tuple(sorted(q.arrows)) != expected:
-        raise ValueError("the polygon model assumes the linear orientation")
+        raise InputError("the polygon model assumes the linear orientation")
     m = n + 3
     X = cc.indecs[cid]
     if X.kind == "shift":
@@ -33,7 +34,7 @@ def diagonal_of(cc: ClusterCategory, cid: int) -> tuple[int, int]:
     else:
         support = [v for v in range(1, n + 1) if X.dim[v - 1]]
         if X.dim != tuple(1 if v in support else 0 for v in range(1, n + 1)):
-            raise ValueError("type A dimension vectors must be 0/1 intervals")
+            raise InputError("type A dimension vectors must be 0/1 intervals")
         a, b = support[0] - 1, support[-1] + 1
     a, b = a % m, b % m
     return (a, b) if a < b else (b, a)

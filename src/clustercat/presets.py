@@ -22,6 +22,7 @@ from itertools import permutations
 
 from .algebra import build_algebra
 from .cluster import ClusterCategory
+from .dynkin import InputError
 from .tilting import TiltingObject, enumerate_tiltings
 
 # arrow set of the target quiver, as (source, target) pairs
@@ -120,7 +121,7 @@ def find_cycle_tiltings(cc: ClusterCategory):
     of the result is vertex k of the target quiver.
     """
     if (cc.quiver.family, cc.quiver.rank) != ("D", 6):
-        raise ValueError("the cycle quiver preset lives in C_{D6}")
+        raise InputError("the cycle quiver preset lives in C_{D6}")
     # dim Hom(T_a, T_b) counts alive paths b -> a, so match the transpose
     target = {(e, s): v for (s, e), v in _target_cartan().items()}
     found = []
@@ -188,5 +189,5 @@ CYCLE_D6_PD_COUNTS = {"0": 6, "1": 14, "inf": 10}
 def cycle_d6_tilting(cc: ClusterCategory) -> TiltingObject:
     """The frozen representative tilting with the cycle quiver."""
     if (cc.quiver.family, cc.quiver.rank) != ("D", 6):
-        raise ValueError("the cycle quiver preset lives in C_{D6}")
+        raise InputError("the cycle quiver preset lives in C_{D6}")
     return TiltingObject(CYCLE_D6_SUMMANDS)

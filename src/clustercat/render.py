@@ -10,29 +10,54 @@ full verification run (modules with pd classes and hammock memberships).
 """
 
 import json
+import re
 import weakref
 from dataclasses import dataclass
 
-from .cluster import ClusterCategory, Table
-from .dynkin import build_quiver
+from .cluster import ClusterCategory, MeshConsistencyError, Table
+from .dynkin import InputError, build_quiver
 from .hammocks import hij, hij_closed_form, verify_main_theorem
 from .tilting import TiltingObject
 
 FORMATS = ("dot", "tikz", "json", "ascii")
 
 
+# a color is written into DOT and TikZ source as it is
+_COLOR = re.compile(r"[A-Za-z0-9#!.]+")
+
+
 @dataclass
 class RenderSpec:
+    """What render draws: the format, the (i, j, color) highlight triples,
+    each coloring the modules of H(i,j) outside add T[1], and the tilting.
+
+    Construction checks all of it, so no text is written for a bad spec:
+    the format is one of FORMATS, a color is letters, digits, #, ! and .
+    only (a quote would end a DOT attribute early, an empty color writes
+    fill=!30), JSON output and highlights have a tilting, and every label
+    lies in 1..len(tilting).  A bad spec raises InputError.
+    """
+
     format: str = "dot"
-    # (i, j, color) triples; colors the modules of H(i,j) outside add T[1]
     highlight: tuple = ()
     tilting: TiltingObject = None
 
     def __post_init__(self):
         if self.format not in FORMATS:
-            raise ValueError(
+            raise InputError(
                 "unknown format %r, expected one of %s" % (self.format, FORMATS)
             )
+        if self.tilting is None and (self.format == "json" or self.highlight):
+            raise InputError("JSON output and highlights need a tilting")
+        for i, j, color in self.highlight:
+            if not (isinstance(color, str) and _COLOR.fullmatch(color)):
+                spec = f"{i}:{j}:{color}"
+                raise InputError(f"bad highlight {spec!r}: a color is "
+                                 "letters, digits, #, ! and . only")
+            n = len(self.tilting)
+            if not (type(i) is type(j) is int and 0 < i <= n and 0 < j <= n):
+                raise InputError(f"highlight labels {i}:{j} out of range; "
+                                 f"summands are labelled 1..{n}")
 
 
 def _orbit_row(cc, c):
@@ -43,7 +68,7 @@ def _orbit_row(cc, c):
         if ind.kind == "mod":
             return cc.mod.indecs[ind.mid].orbit
         cur = cc.tau[cur]
-    raise RuntimeError("tau-orbit without modules")
+    raise MeshConsistencyError("tau-orbit without modules")
 
 
 def _flip(cc, row):
@@ -91,8 +116,6 @@ def _highlight_map(cc, spec: RenderSpec):
     colors = {}
     if not spec.highlight:
         return colors
-    if spec.tilting is None:
-        raise ValueError("highlighting hammocks requires a tilting")
     shifted = {cc.shift(s) for s in spec.tilting.summands}
     for i, j, color in spec.highlight:
         for c in sorted(hij(cc, spec.tilting, i, j) - shifted):
@@ -298,12 +321,7 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
 
 def render(cc: ClusterCategory, spec: RenderSpec,
            orientation: str | None = None) -> str:
-    if spec.format == "dot":
-        return render_dot(cc, spec)
-    if spec.format == "tikz":
-        return render_tikz(cc, spec)
-    if spec.format == "ascii":
-        return render_ascii(cc, spec)
-    if spec.tilting is None:
-        raise ValueError("JSON export requires a tilting")
-    return export_json(cc, spec.tilting, orientation)
+    if spec.format == "json":
+        return export_json(cc, spec.tilting, orientation)
+    writer = {"dot": render_dot, "tikz": render_tikz, "ascii": render_ascii}
+    return writer[spec.format](cc, spec)

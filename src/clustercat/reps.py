@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .dynkin import QuiverDescriptor
+from .dynkin import InputError, MeshConsistencyError, QuiverDescriptor
 
 
 class Representation:
@@ -75,7 +75,7 @@ def _reflection_plan(quiver, root):
     plan = []
     cur_q, cur_d = quiver, tuple(int(x) for x in root)
     if any(x < 0 for x in cur_d) or all(x == 0 for x in cur_d):
-        raise ValueError(f"{root} is not a positive root of this diagram")
+        raise InputError(f"{root} is not a positive root of this diagram")
     max_steps = quiver.rank * quiver.rank * quiver.coxeter_number() + 64
     steps = 0
     while steps < max_steps:
@@ -88,12 +88,12 @@ def _reflection_plan(quiver, root):
                 return plan, base, cur_q
             nxt = reflect(cur_d, v)
             if any(x < 0 for x in nxt):
-                raise ValueError(f"{root} is not a positive root of this diagram")
+                raise InputError(f"{root} is not a positive root of this diagram")
             plan.append((cur_q, v))
             cur_d = nxt
             cur_q = _reverse_at(cur_q, v)
             steps += 1
-    raise ValueError(f"reflection walk from {root} did not reach a simple root")
+    raise InputError(f"reflection walk from {root} did not reach a simple root")
 
 
 def _apply_source_reflection(rep, i):
@@ -148,9 +148,9 @@ def indecomposable_rep(quiver: QuiverDescriptor, root) -> Representation:
     for (q_at, v) in reversed(plan):
         rep = _apply_source_reflection(rep, v)
         if rep.quiver.arrows != q_at.arrows:
-            raise AssertionError("reflection bookkeeping out of sync")
+            raise MeshConsistencyError("reflection bookkeeping out of sync")
     if rep.dim_vector() != tuple(int(x) for x in root):
-        raise AssertionError(f"built {rep.dim_vector()} instead of {tuple(root)}")
+        raise MeshConsistencyError(f"built {rep.dim_vector()} instead of {tuple(root)}")
     return rep
 
 

@@ -3,7 +3,11 @@
 A cluster-tilting object is a maximal rigid object: n pairwise
 Ext-orthogonal indecomposables (n the rank).  In Dynkin types size n and
 maximality coincide, but is_cluster_tilting checks maximality explicitly
-anyway.
+anyway.  check_tilting is the input check of every entry point that takes
+a tilting (build_algebra, and through it classify_modules,
+verify_main_theorem and export_json; classify_by_location; the command
+line): the trichotomy and the I_M criterion hold only over a
+cluster-tilting object, so anything else raises InputError.
 
 Summands carry labels 1..n by position.  A freshly built object lists its
 summands in ascending cid order; mutation replaces one summand in place, so
@@ -16,6 +20,7 @@ import random
 from math import comb
 
 from .cluster import ClusterCategory
+from .dynkin import InputError
 
 
 class MutationError(RuntimeError):
@@ -26,9 +31,12 @@ class TiltingObject:
     __slots__ = ("summands",)
 
     def __init__(self, summands):
-        self.summands = tuple(map(int, summands))
-        if len(set(self.summands)) != len(self.summands):
-            raise ValueError("tilting summands must be distinct")
+        self.summands = s = tuple(summands)
+        for c in s:
+            if type(c) is not int:
+                raise InputError(f"a tilting summand is an int, got {c!r}")
+        if len(set(s)) != len(s):
+            raise InputError("tilting summands must be distinct")
 
     def key(self):
         """Order-free identity, for dedup across mutation walks."""
@@ -67,11 +75,31 @@ def first_ext_violation(cc: ClusterCategory, summands):
     return None
 
 
+def check_tilting(cc: ClusterCategory, cids) -> None:
+    """Raise InputError unless cids are cc.n distinct int cids of cc with
+    Ext^1 = 0 pairwise, naming what fails; a pair is named by
+    first_ext_violation.  In Dynkin types n rigid summands make a
+    cluster-tilting object (see is_cluster_tilting)."""
+    cids = tuple(cids)
+    if len(cids) != cc.n or len(set(cids)) != cc.n:
+        raise InputError(
+            f"a tilting here has {cc.n} distinct summands, got {cids}")
+    # type, not isinstance: a bool is an int but no cid
+    if not all(type(c) is int and 0 <= c < len(cc.indecs) for c in cids):
+        raise InputError(f"cid out of range in {cids}")
+    # one AND per summand; the pair is looked for only to name it
+    chosen = sum(1 << c for c in cids)
+    for c in cids:
+        if cc.compatible(c) & chosen != chosen:
+            raise InputError("not a cluster-tilting object: Ext^1(%d, %d) "
+                             "!= 0" % first_ext_violation(cc, cids))
+
+
 def is_cluster_tilting(cc: ClusterCategory, summands) -> bool:
     s = tuple(summands)
-    if len(s) != cc.n or len(set(s)) != cc.n:
-        return False
-    if first_ext_violation(cc, s) is not None:
+    try:
+        check_tilting(cc, s)
+    except InputError:
         return False
     # maximality, checked directly rather than trusted from the count: no z
     # outside s has Ext^1(z, t) = 0 for every summand t
@@ -132,7 +160,7 @@ def tilting_count(family: str, rank: int) -> int:
         return comb(2 * rank + 2, rank + 1) // (rank + 2)
     if family == "D":
         return (3 * rank - 2) * comb(2 * rank - 2, rank - 1) // rank
-    raise ValueError(f"no tilting count for family {family!r}")
+    raise InputError(f"no tilting count for family {family!r}")
 
 
 def completions(cc: ClusterCategory, rest):
@@ -151,7 +179,7 @@ def completions(cc: ClusterCategory, rest):
 def mutate(cc: ClusterCategory, tilting: TiltingObject, k: int) -> TiltingObject:
     """Exchange the summand with label k (1-based); unique by theory."""
     if not 1 <= k <= len(tilting):
-        raise ValueError(f"label {k} out of range 1..{len(tilting)}")
+        raise InputError(f"label {k} out of range 1..{len(tilting)}")
     old = tilting[k - 1]
     rest = tuple(c for i, c in enumerate(tilting) if i != k - 1)
     others = [z for z in completions(cc, rest) if z != old]

@@ -11,7 +11,7 @@ from clustercat import algebra, linalg
 from clustercat.algebra import (AlgebraModule, PdClass, build_algebra,
                                 classify_modules, module_of, pd_class)
 from clustercat.cluster import ClusterCategory, MeshConsistencyError
-from clustercat.dynkin import build_quiver
+from clustercat.dynkin import InputError, build_quiver
 from clustercat.hammocks import (classify_by_location, sectional_path,
                                  verify_main_theorem)
 from clustercat.render import export_json
@@ -566,6 +566,19 @@ def test_entry_points_leave_no_cyclic_garbage(category):
             assert gc.collect() == 0, name
     finally:
         gc.enable()
+
+
+def test_module_of_takes_only_a_cid_of_the_category(category):
+    """On A3 with the tilting (0, 1, 3), cid -1 would read the last entry of
+    every row and build a record with no block for the live pair (3, 3),
+    which pd_class would report as a failed internal check."""
+    cc = category("A", 3)
+    alg = build_algebra(cc, TiltingObject((0, 1, 3)))
+    for bad in (-1, len(cc.indecs), 1.0, True, None):
+        with pytest.raises(InputError, match=re.escape(
+                f"no cid {bad!r} in this category")):
+            module_of(alg, bad)
+    assert module_of(alg, len(cc.indecs) - 1).dim_vector() == (0, 0, 1)
 
 
 def test_constructor_checks_the_live_pairs_and_orders_the_blocks():

@@ -6,6 +6,11 @@ it: the category builds its mesh engine on first use, and meshhom imports
 cluster at module level.  Every table is declared by the module that fills
 it, so no lower module reaches back up into a higher one.
 
+No raise in the package names a builtin exception class: bad input
+raises dynkin.InputError and a failed internal check MeshConsistencyError
+(or an error type of the module that declares it), so a caller can tell
+the two apart by type.
+
 A function nested in another function may not refer to its own name,
 with no exception: such a closure holds a cell that holds the closure, a
 reference cycle that only the cyclic garbage collector frees, made anew
@@ -14,6 +19,7 @@ module-level function that takes its state as arguments.
 """
 
 import ast
+import builtins
 import textwrap
 from pathlib import Path
 
@@ -61,6 +67,20 @@ def recursive_closures(source):
             if in_function and isinstance(node, FUNCTIONS)
             and any(isinstance(name, ast.Name) and name.id == node.name
                     for name in ast.walk(node))]
+
+
+def builtin_raises(source):
+    """(the qualname of the enclosing scope, the class name) per raise in
+    source of a builtin exception class, called or not; a bare raise and
+    the cause after from are not read."""
+    found = []
+    for node, scope, _in_function in scoped_nodes(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            cls = getattr(builtins, getattr(exc, "id", ""), None)
+            if isinstance(cls, type) and issubclass(cls, BaseException):
+                found.append((".".join(scope), exc.id))
+    return found
 
 
 SOURCES = {path.stem: path.read_text(encoding="utf-8")
@@ -152,4 +172,37 @@ def test_the_reader_finds_recursive_closures_in_every_scope():
 def test_no_nested_function_refers_to_itself():
     found = {(module, name) for module, source in SOURCES.items()
              for name in recursive_closures(source)}
+    assert found == set()
+
+
+def test_the_reader_finds_raises_of_builtin_classes_in_every_scope():
+    source = textwrap.dedent("""
+        raise ValueError("top")
+        class K:
+            def m(self):
+                raise KeyError
+            def n(self):
+                try:
+                    pass
+                except OSError as e:
+                    raise InputError("wrapped") from e
+                raise
+        def f():
+            def inner():
+                raise AssertionError("nested") from None
+            raise MeshConsistencyError(ValueError("as an argument"))
+        def g(exc):
+            raise exc
+        print = None
+        raise print
+        raise SystemExit(2)
+    """)
+    assert builtin_raises(source) == [
+        ("", "ValueError"), ("K.m", "KeyError"), ("f.inner", "AssertionError"),
+        ("", "SystemExit")]
+
+
+def test_no_raise_names_a_builtin_exception_class():
+    found = {(module, scope, name) for module, source in SOURCES.items()
+             for scope, name in builtin_raises(source)}
     assert found == set()

@@ -15,7 +15,10 @@ tables against an independent route:
   reached by a mutation word, over D7 as well;
 - mutating twice at one label gives the tilting back;
 - the syzygy-route classes and the sets H(i, j) of tau T and tau^-1 T
-  are those of T moved by tau and tau^-1 (on A5, D5 and D6 only).
+  are those of T moved by tau and tau^-1 (on A5, D5 and D6 only);
+- the entry points that take a tilting answer exactly for the
+  cluster-tilting objects and raise InputError for any other tuple of
+  cids (on A1-A5, D4 and D5, default orientation).
 
 Examples are capped so the module stays a few seconds of the Tier-1 run
 (see `--durations`); a checkout without hypothesis skips it.
@@ -29,8 +32,14 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from clustercat.cluster import ClusterCategory  # noqa: E402
-from clustercat.dynkin import build_quiver, diagram_edges  # noqa: E402
+from clustercat.algebra import build_algebra  # noqa: E402
+from clustercat.dynkin import (  # noqa: E402
+    InputError,
+    build_quiver,
+    diagram_edges,
+)
 from clustercat.hammocks import (  # noqa: E402
+    classify_by_location,
     hij,
     hij_closed_form,
     verify_main_theorem,
@@ -41,6 +50,7 @@ from clustercat.tilting import (  # noqa: E402
     TiltingObject,
     enumerate_tiltings,
     initial_tilting,
+    is_cluster_tilting,
     mutate,
 )
 
@@ -209,3 +219,33 @@ def test_pd_classes_move_along_tau(category, case, data):
                                  for m, got in report.modules.items()}
         assert moved.hij == {ij: frozenset(move[x] for x in got)
                              for ij, got in report.hij.items()}
+
+
+SMALL_TYPES = [("A", r) for r in range(1, 6)] + [("D", 4), ("D", 5)]
+
+
+@hypothesis.settings(max_examples=200, deadline=None, database=None)
+@hypothesis.given(case=st.sampled_from(SMALL_TYPES), data=st.data())
+def test_entry_points_answer_exactly_for_tiltings(category, case, data):
+    """A tuple of n - 1 to n + 1 cids drawn from -1..|cids| (both ends out
+    of range), or a tilting's summands in any order: build_algebra,
+    verify_main_theorem, export_json and classify_by_location each return
+    exactly when is_cluster_tilting holds, and otherwise raise InputError,
+    never another exception.  A repeated cid raises InputError already in
+    TiltingObject."""
+    cc = category(*case)
+    n, size = cc.n, len(cc.indecs)
+    drawn = st.lists(st.integers(-1, size), min_size=n - 1, max_size=n + 1)
+    tilting = st.sampled_from(enumerate_tiltings(cc)).flatmap(
+        lambda t: st.permutations(t.summands))
+    cids = tuple(data.draw(st.one_of(drawn, tilting)))
+    expected = is_cluster_tilting(cc, cids)
+    for entry in (build_algebra, verify_main_theorem, export_json,
+                  classify_by_location):
+        try:
+            entry(cc, TiltingObject(cids))
+        except InputError:
+            answered = False
+        else:
+            answered = True
+        assert answered == expected, (entry.__name__, cids)

@@ -12,7 +12,7 @@ import clustercat.hammocks as hammocks
 from clustercat import presets, render as render_module
 from clustercat.cli import _parse_orientation
 from clustercat.cluster import ClusterCategory
-from clustercat.dynkin import build_quiver
+from clustercat.dynkin import InputError, build_quiver
 from clustercat.hammocks import hij
 from clustercat.render import (
     RenderSpec,
@@ -29,6 +29,44 @@ from clustercat.tilting import TiltingObject, enumerate_tiltings, initial_tiltin
 def test_render_spec_rejects_unknown_format():
     with pytest.raises(ValueError):
         RenderSpec("svg")
+
+
+# (spec arguments, the start of the message); every spec names a tilting
+# of A3 but the last two
+BAD_SPECS = (
+    pytest.param(dict(highlight=((1, 3, 'red"];x['),)),
+                 """bad highlight '1:3:red"];x['""", id="quote"),
+    pytest.param(dict(highlight=((1, 3, ""),)), "bad highlight '1:3:'",
+                 id="empty-color"),
+    pytest.param(dict(highlight=((1, 3, None),)), "bad highlight '1:3:None'",
+                 id="color-not-str"),
+    pytest.param(dict(highlight=((9, 9, "red"),)),
+                 "highlight labels 9:9 out of range", id="labels-9-9"),
+    pytest.param(dict(highlight=((0, 1, "red"),)),
+                 "highlight labels 0:1 out of range", id="label-0"),
+    pytest.param(dict(highlight=((True, 1, "red"),)),
+                 "highlight labels True:1 out of range", id="label-bool"),
+    pytest.param(dict(format="json", tilting=None),
+                 "JSON output and highlights need", id="json-no-tilting"),
+    pytest.param(dict(highlight=((1, 1, "red"),), tilting=None),
+                 "JSON output and highlights need", id="highlight-no-tilting"),
+)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "tikz"])
+@pytest.mark.parametrize("kwargs,message", BAD_SPECS)
+def test_render_spec_is_checked_at_construction(category, fmt, kwargs,
+                                                message):
+    """A color is written into DOT and TikZ source as it is, and a label
+    indexes the tilting, so a bad spec raises InputError before any text is
+    written."""
+    cc = category("A", 3)
+    args = {"format": fmt, "tilting": TiltingObject((0, 2, 5)), **kwargs}
+    with pytest.raises(InputError, match="^" + re.escape(message)):
+        RenderSpec(**args)
+    if args["tilting"] is not None:
+        good = dict(args, highlight=((1, 3, "red"),))
+        assert "red" in render(cc, RenderSpec(**good))
 
 
 def test_layout_is_injective_and_grid_shaped(category):

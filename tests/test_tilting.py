@@ -2,12 +2,17 @@ import itertools
 
 import pytest
 
-from clustercat.dynkin import build_quiver
-from clustercat.tilting import (MutationError, TiltingObject, completions,
-                                enumerate_tiltings, first_ext_violation,
-                                initial_tilting, is_cluster_tilting,
-                                mutate, mutation_walk, sample_tiltings,
-                                tilting_count)
+import clustercat
+from clustercat import algebra, cli, hammocks, render
+from clustercat.algebra import build_algebra, classify_modules
+from clustercat.dynkin import InputError, build_quiver
+from clustercat.hammocks import classify_by_location, verify_main_theorem
+from clustercat.render import export_json
+from clustercat.tilting import (MutationError, TiltingObject, check_tilting,
+                                completions, enumerate_tiltings,
+                                first_ext_violation, initial_tilting,
+                                is_cluster_tilting, mutate, mutation_walk,
+                                sample_tiltings, tilting_count)
 
 
 def catalan(m):
@@ -144,6 +149,78 @@ def test_mutate_label_out_of_range(category):
 def test_duplicate_summands_rejected():
     with pytest.raises(ValueError):
         TiltingObject((1, 1, 2))
+
+
+def test_summands_are_ints_and_nothing_else(category):
+    """A summand is an int cid: no float or bool is coerced to one."""
+    assert TiltingObject((0, 2, 5)).summands == (0, 2, 5)
+    for bad in ((0.5, 2, 5), (True, 2, 5), ("0", 2, 5), (None, 2, 5)):
+        with pytest.raises(InputError, match="a tilting summand is an int"):
+            TiltingObject(bad)
+        with pytest.raises(InputError, match="cid out of range"):
+            check_tilting(category("A", 3), bad)
+
+
+def test_one_input_error_type():
+    assert clustercat.InputError is cli.InputError is InputError
+    assert issubclass(InputError, ValueError)
+    assert "InputError" in clustercat.__all__
+
+
+ENTRY_POINTS = (build_algebra, classify_modules, verify_main_theorem,
+                export_json, classify_by_location)
+# on A3 (cids 0..8): four objects, three that are not rigid, too few, a cid
+# on either side of the range, and the messages the command line prints
+NOT_TILTING = (
+    ((0, 1, 2, 3), "a tilting here has 3 distinct summands, got (0, 1, 2, 3)"),
+    ((0, 3, 5), "not a cluster-tilting object: Ext^1(3, 5) != 0"),
+    ((0, 1), "a tilting here has 3 distinct summands, got (0, 1)"),
+    ((0, 1, 99), "cid out of range in (0, 1, 99)"),
+    ((-1, 2, 5), "cid out of range in (-1, 2, 5)"),
+)
+
+
+@pytest.mark.parametrize("cids,message", NOT_TILTING,
+                         ids=[str(c) for c, _m in NOT_TILTING])
+def test_every_entry_point_rejects_what_is_not_tilting(category, cids,
+                                                       message):
+    """The trichotomy and the I_M criterion hold only over a cluster-tilting
+    object, so no entry point answers for anything else, and none raises
+    another error type on the way."""
+    cc = category("A", 3)
+    with pytest.raises(InputError) as got:
+        check_tilting(cc, cids)
+    assert str(got.value) == message
+    for entry in ENTRY_POINTS:
+        with pytest.raises(InputError) as got:
+            entry(cc, TiltingObject(cids))
+        assert str(got.value) == message, entry.__name__
+    assert not is_cluster_tilting(cc, cids)
+
+
+def test_each_entry_point_checks_the_tilting_once(category, monkeypatch):
+    """verify_main_theorem and export_json reach build_algebra through
+    classify_modules, and the check runs in build_algebra alone."""
+    cc = category("A", 3)
+    t = TiltingObject((0, 2, 5))
+    calls = []
+
+    def counted(cc, cids):
+        calls.append(tuple(cids))
+        return check_tilting(cc, cids)
+
+    for module in (algebra, hammocks, cli):
+        monkeypatch.setattr(module, "check_tilting", counted)
+    for entry in ENTRY_POINTS:
+        calls.clear()
+        entry(cc, t)
+        assert calls == [(0, 2, 5)], entry.__name__
+    calls.clear()
+    assert render.render(cc, render.RenderSpec("json", tilting=t))
+    assert calls == [(0, 2, 5)]
+    calls.clear()
+    assert cli._resolve_tilting(cc, "0,2,5") == t
+    assert calls == [(0, 2, 5)]
 
 
 def ext_table(cc):
