@@ -35,38 +35,48 @@ instead: the action block of one label pair on the kernel of a cover
 depends on six things only (see AlgebraModule._syzygy), and an
 exhaustive verify meets few distinct inputs of it (README gives the
 counts).  So the blocks, the written blocks (those of a pair that acts by
-zero on every summand of the cover), and the moving flags of the
+zero on every summand of the cover), the moving flags of the
 projectives' blocks (whether a radical basis element acts by a nonzero
-matrix) are kept in three tables of the category, filled on first use and
-read by every tilting; an input that raises stores nothing.  The covers
-keep each projective's blocks as module_of stored them, so no matrix is
-copied into a second layout on the way to the kernel action.
-classify_modules returns its rows as a list and empties the memo and
-the projectives before it returns, so the algebra is freed at once.
-Hom_C(T, M) is read from the category's tables too: its dimension vector
-from the summands' dimension rows, its blocks from the tilting's product
-rows, whose missing rows the category fills one target summand at a
-time.  The row reductions
-beneath them (the top and the kernel of the cover, label by label, and the
-identity blocks) are reads of the category's table of quotients,
-MeshHomEngine._quotients, shared by every tilting of the category; a pivot
-other than +-1 raises MeshConsistencyError, so every action matrix stays
-integral.  Syzygies decide the projective dimension class: 0, 1, or
-infinite; a finite dimension of 2 or more cannot occur and is guarded by an
-assertion on the third syzygy.
+matrix) and the kernels of the covers are kept in four tables of the
+category, filled on first use and read by every tilting; an input that
+raises stores nothing.  A kernel is keyed by (the cover's columns at a
+label, the cover's dimension there): the columns mat[f] exactly as the
+blocks hold them, so a hit builds no transposed copy, and the key
+compares equal item by item against the very column objects the stored
+key holds; only a miss transposes them into the rows that the table of
+quotients reduces.  The covers keep each projective's blocks as
+module_of stored them, so no matrix is copied into a second layout on
+the way to the kernel action.  The top of a module is taken once per
+step as (label, free indices) groups, from which the cover's summands
+and each label's kernel columns are read, one block lookup per top label.
+classify_modules returns its rows as a list and empties the memo, the
+projectives and the index of rows by cid before it returns, so the
+algebra is freed at once.  Hom_C(T, M) is read from the category's
+tables too: its dimension vector from the summands' dimension rows, its
+blocks from the tilting's product rows, whose missing rows the category
+fills one target summand at a time; an index of the rows that hold each
+cid, filled in one pass over the rows on the first module_of, spares a
+scan of every row per module.  The row reductions beneath them (the top
+and the kernel of the cover, label by label, and the identity blocks) are
+reads of the category's table of quotients, MeshHomEngine._quotients,
+shared by every tilting of the category; a pivot other than +-1 raises
+MeshConsistencyError, so every action matrix stays integral.  Syzygies
+decide the projective dimension class: 0, 1, or infinite; a finite
+dimension of 2 or more cannot occur and is guarded by an assertion on the
+third syzygy.
 
-This module declares the syzygy route's moving flags, kernel blocks and
-written blocks, per category in _TABLES: cluster.Tables, whose entries
-depend on their keys alone.  The covers, projectives, syzygies, radical
-powers and Gabriel arrows read the algebra, so a method fills each of
-their tables on a miss.
+This module declares the syzygy route's moving flags, kernel blocks,
+written blocks and cover kernels, per category in _TABLES: cluster.Tables,
+whose entries depend on their keys alone.  The covers, projectives,
+syzygies, radical powers and Gabriel arrows read the algebra, so a method
+fills each of their tables on a miss.
 """
 
 from __future__ import annotations
 
 import enum
 import weakref
-from operator import add, itemgetter
+from operator import add
 from types import MappingProxyType
 
 from .cluster import ClusterCategory, MeshConsistencyError, Table
@@ -74,11 +84,11 @@ from .dynkin import InputError
 from .tilting import TiltingObject, check_tilting
 
 _ONE = 1
-_FIRST = itemgetter(0)
 # category -> the syzygy route's tables of the category, each from the
 # key of one fill to its value: moving flags (see _moves), kernel blocks
-# (_block_on_kernel) and written blocks (_written_block).  An entry is
-# freed with its category.
+# (_block_on_kernel), written blocks (_written_block) and the kernels of
+# covers, keyed by the stored columns (see AlgebraModule._syzygy).  An
+# entry is freed with its category.
 _TABLES = weakref.WeakKeyDictionary()
 
 
@@ -90,7 +100,8 @@ def _tables(cc: ClusterCategory):
         got = _TABLES[cc] = (
             Table(lambda key: _moves(*key)),
             Table(lambda key: _block_on_kernel(quotients, *key)),
-            Table(lambda key: _written_block(quotients, *key)))
+            Table(lambda key: _written_block(quotients, *key)),
+            Table(lambda key: quotients[tuple(zip(*key[0])), key[1]]))
     return got
 
 
@@ -117,8 +128,8 @@ class ClusterTiltedAlgebra:
         self.summand = {i: tilting[i - 1] for i in self.labels}
         self._engine = eng = cc._get_engine()
         self._quotients = eng._quotients
-        (self._moving_flags, self._kernel_blocks,
-         self._written_blocks) = _tables(cc)
+        (self._moving_flags, self._kernel_blocks, self._written_blocks,
+         self._kernels) = _tables(cc)
         s = self.summand
         # dim Hom(T_i, y) per summand, over every cid y
         self._dim_rows = tuple(map(eng.dim_row, tilting.summands))
@@ -135,6 +146,8 @@ class ClusterTiltedAlgebra:
         # in one call, which fills the missing rows target by target
         self._rows = dict(zip(pairs, eng.product_rows(
             [(s[i], s[j]) for i, j in pairs])))
+        # cid z -> the (pair, row) items whose row holds z; see module_of
+        self._rows_by_cid: list[list[tuple]] | None = None
         self._rad_pow: dict[int, dict[tuple[int, int], list[tuple]]] = {}
         self._arrows = None  # see _gabriel
         self._proj: dict[int, tuple] = {}  # k -> (P_k, its moving blocks)
@@ -351,7 +364,12 @@ class AlgebraModule:
         return self._dv
 
     def top_lifts(self):
-        """(label, index) pairs: the unit vectors lifting a basis of V / V.rad.
+        """(label, index) pairs: the unit vectors lifting a basis of V / V.rad."""
+        return [(k, f) for k, free in self._top() for f in free]
+
+    def _top(self):
+        """(label, free indices) per label with a nonzero top, in label
+        order: the unit vectors at the label that lift a basis of V / V.rad.
 
         (V . rad)_i is spanned by the columns of the radical matrices in
         the blocks of the live pairs (i, j), which the blocks hold as they
@@ -365,14 +383,15 @@ class AlgebraModule:
                 cols = spans.setdefault(i, [])
                 for mat in mats:
                     cols.extend(filter(any, mat))
-        quotients, lifts = self.alg._quotients, []
+        quotients, groups = self.alg._quotients, []
         # a zero label has no top; skipping it saves a quotient per label
         for k, d in zip(self.alg.labels, self._dv):
             if d:
                 span = spans.get(k)
-                for f in quotients[tuple(span), d][0] if span else range(d):
-                    lifts.append((k, f))
-        return lifts
+                free = quotients[tuple(span), d][0] if span else range(d)
+                if free:
+                    groups.append((k, free))
+        return groups
 
     def syzygy(self) -> "AlgebraModule":
         """Kernel of the minimal projective cover, with restricted action.
@@ -408,15 +427,18 @@ class AlgebraModule:
         """
         alg = self.alg
         act, quotients = self.act, alg._quotients
-        lifts = self.top_lifts()
-        if not lifts:
+        groups = self._top()
+        if not groups:
             if not self.is_zero():
                 raise MeshConsistencyError("nonzero module with zero top")
             return _record(alg, (0,) * alg.n, {})
-        ncols, moving = alg._cover(tuple(map(_FIRST, lifts)))
+        tops = []  # the label of each lift, in lift order
+        for k, free in groups:
+            tops += (k,) * len(free)
+        ncols, moving = alg._cover(tuple(tops))
         # per label, in label order: the kernel (free columns, basis) and
         # its dimension
-        kernels, dims = [], []
+        kernels, dims, table = [], [], alg._kernels
         for i, n, di in zip(alg.labels, ncols, self._dv):
             if not di:  # the whole of the cover at i is the kernel
                 kernels.append(quotients[(), n] if n else ((), ()))
@@ -424,12 +446,14 @@ class AlgebraModule:
                 continue
             # one column per lift (k, f) and basis element b of Hom(T_i, T_k)
             cols = []
-            for k, f in lifts:
+            for k, free in groups:
                 mats = act.get((i, k))
                 if mats:
-                    for mat in mats:
-                        cols.append(mat[f])
-            kernels.append(kernel := quotients[tuple(zip(*cols)), n])
+                    for f in free:
+                        for mat in mats:
+                            cols.append(mat[f])
+            # keyed by the stored columns: a hit builds no transposed copy
+            kernels.append(kernel := table[tuple(cols), n])
             dims.append(d := len(kernel[0]))
             if n - d != di:
                 raise MeshConsistencyError("projective cover is not surjective")
@@ -558,10 +582,14 @@ def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     if not any(dv):
         raise InputError(
             "Hom_C(T, M) = 0: M lies in the shift of the tilting object")
+    index = alg._rows_by_cid
+    if index is None:  # one pass over the rows, in label-pair order
+        index = alg._rows_by_cid = [[] for _ in alg.cc.indecs]
+        for item in alg._rows.items():
+            for z in item[1]:
+                index[z].append(item)
     # act[(i, j)][b][g] is g . (basis element b), for g in Hom(T_j, M)
-    return _record(alg, dv, {pair: row[m_cid]
-                             for pair, row in alg._rows.items()
-                             if m_cid in row})
+    return _record(alg, dv, {pair: row[m_cid] for pair, row in index[m_cid]})
 
 
 def _syzygy_chain(module: AlgebraModule):
@@ -610,7 +638,9 @@ def classify_modules(cc: ClusterCategory, tilting: TiltingObject):
     # Every module refers to its algebra, and the algebra keeps its
     # projectives and syzygies: reference cycles that only the cyclic
     # garbage collector would free.  The algebra never leaves this
-    # function, so emptying the two tables frees it and its memo on return.
+    # function, so emptying the two tables frees it and its memo on return;
+    # the index of rows by cid, which holds no cycle, is dropped with them.
     alg._syzygies.clear()
     alg._proj.clear()
+    alg._rows_by_cid = None
     return rows

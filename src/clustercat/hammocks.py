@@ -65,8 +65,16 @@ def shifted_summand(cc: ClusterCategory, tilting: TiltingObject, k: int) -> int:
     return cc.shift(tilting.summands[k - 1])
 
 
+def _shifted_pair(cc, tilting, i, j):
+    """The cids of (T_i[1], T_j[1]), once check_tilting has passed T: the
+    label functions answer only for a cluster-tilting object."""
+    check_tilting(cc, tilting.summands)
+    return shifted_summand(cc, tilting, i), shifted_summand(cc, tilting, j)
+
+
 def left_hammock(cc, tilting, i) -> frozenset:
     """H_i: the cids X with Hom_C(T_i[1], X) != 0."""
+    check_tilting(cc, tilting.summands)
     row = cc.hom_row_c(shifted_summand(cc, tilting, i))
     return frozenset(x for x in cc.cids() if row[x] > 0)
 
@@ -74,6 +82,7 @@ def left_hammock(cc, tilting, i) -> frozenset:
 def right_hammock(cc, tilting, j) -> frozenset:
     """_jH: the cids X with Hom_C(X, T_j[1]) != 0, read from the row of
     T_j[1] as Hom_C(T_j[1], tau^2 X) by Serre duality."""
+    check_tilting(cc, tilting.summands)
     row, tau = cc.hom_row_c(shifted_summand(cc, tilting, j)), cc.tau
     return frozenset(x for x in cc.cids() if row[tau[tau[x]]] > 0)
 
@@ -100,15 +109,14 @@ def hij(cc, tilting, i, j) -> frozenset:
     """Exact H(i,j): the cids x with some nonzero T_i[1] -> x -> T_j[1].
 
     H(i,j) depends only on the pair (a, b) = (T_i[1], T_j[1]), not on the
-    rest of the tilting, so it is a read of the category's hammock table
-    (MeshHomEngine.hammock).  An entry is filled on first use by one
-    backward sweep over the cover window of Hom(r, -), r the tau-orbit
-    representative of a, moved along tau: it reads that functor's arrow
-    matrices and the additive counts, builds no functor of a middle object
-    x, and stores no product.
+    rest of the tilting, so once the tilting is checked it is a read of
+    the category's hammock table (MeshHomEngine.hammock).  An entry is
+    filled on first use by one backward sweep over the cover window of
+    Hom(r, -), r the tau-orbit representative of a, moved along tau: it
+    reads that functor's arrow matrices and the additive counts, builds no
+    functor of a middle object x, and stores no product.
     """
-    return cc._get_engine().hammock(shifted_summand(cc, tilting, i),
-                                    shifted_summand(cc, tilting, j))
+    return cc._get_engine().hammock(*_shifted_pair(cc, tilting, i, j))
 
 
 def factorization_ideal_nonzero(cc, tilting, m):
@@ -207,12 +215,11 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
     themselves are the discriminator.
 
     Like H(i,j) the answer depends only on the pair (T_i[1], T_j[1]), so
-    after the labels are checked it is a read of the category's table of
-    closed forms (_closed_form); the labels of the returned set are the
-    caller's.
+    after the tilting and the labels are checked it is a read of the
+    category's table of closed forms (_closed_form); the labels of the
+    returned set are the caller's.
     """
-    vertices, shape = _closed_form(
-        cc, shifted_summand(cc, tilting, i), shifted_summand(cc, tilting, j))
+    vertices, shape = _closed_form(cc, *_shifted_pair(cc, tilting, i, j))
     return HammockSet(i, j, vertices, shape)
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .cluster import ClusterCategory, MeshConsistencyError, Table
 from .dynkin import InputError, build_quiver
-from .hammocks import hij, hij_closed_form, verify_main_theorem
-from .tilting import TiltingObject
+from .hammocks import _closed_form, verify_main_theorem
+from .tilting import TiltingObject, check_tilting
 
 FORMATS = ("dot", "tikz", "json", "ascii")
 
@@ -32,10 +32,12 @@ class RenderSpec:
     each coloring the modules of H(i,j) outside add T[1], and the tilting.
 
     Construction checks all of it, so no text is written for a bad spec:
-    the format is one of FORMATS, a color is letters, digits, #, ! and .
-    only (a quote would end a DOT attribute early, an empty color writes
-    fill=!30), JSON output and highlights have a tilting, and every label
-    lies in 1..len(tilting).  A bad spec raises InputError.
+    the format is one of FORMATS, each highlight is an (i, j, color)
+    tuple or list, a color is letters, digits, #, ! and . only (a quote
+    would end a DOT attribute early, an empty color writes fill=!30), JSON
+    output and highlights have a tilting, and every label lies in
+    1..len(tilting).  A bad spec raises InputError.  The tilting itself is
+    checked by the writers, which have the category (check_tilting).
     """
 
     format: str = "dot"
@@ -49,7 +51,11 @@ class RenderSpec:
             )
         if self.tilting is None and (self.format == "json" or self.highlight):
             raise InputError("JSON output and highlights need a tilting")
-        for i, j, color in self.highlight:
+        for entry in self.highlight:
+            if not (isinstance(entry, (tuple, list)) and len(entry) == 3):
+                raise InputError(f"bad highlight {entry!r}: expected an "
+                                 "(i, j, color) triple")
+            i, j, color = entry
             if not (isinstance(color, str) and _COLOR.fullmatch(color)):
                 spec = f"{i}:{j}:{color}"
                 raise InputError(f"bad highlight {spec!r}: a color is "
@@ -112,13 +118,19 @@ def _vertex_label(cc, c):
 
 
 def _highlight_map(cc, spec: RenderSpec):
-    """cid -> color from a RenderSpec's (i, j, color) highlight triples."""
+    """cid -> color from a RenderSpec's (i, j, color) highlight triples,
+    once check_tilting has passed the spec's tilting, if it has one.
+
+    H(i,j) is read from the category's hammock table at the shifted cids,
+    as hij reads it, so the tilting is checked once per drawing."""
     colors = {}
-    if not spec.highlight:
+    if spec.tilting is None:
         return colors
-    shifted = {cc.shift(s) for s in spec.tilting.summands}
+    check_tilting(cc, spec.tilting.summands)
+    shifts = [cc.shift(s) for s in spec.tilting.summands]
+    hammock, shifted = cc._get_engine().hammock, set(shifts)
     for i, j, color in spec.highlight:
-        for c in sorted(hij(cc, spec.tilting, i, j) - shifted):
+        for c in sorted(hammock(shifts[i - 1], shifts[j - 1]) - shifted):
             colors.setdefault(c, color)
     return colors
 
@@ -262,7 +274,8 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
 
     A view of the verify report: the memberships and vertex sets are its
     H(i,j) table, read once in label order, and the shapes are reads of the
-    category's table of closed forms (hij_closed_form).
+    category's table of closed forms (hammocks._closed_form) at the shifted
+    cids, the tilting checked once by the verify.
     meta.orientation is the given string, else _orientation_name(cc.quiver).
 
     The text is written directly, in the layout of
@@ -274,8 +287,8 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
 
     H(i,j) and its shape depend only on the pair (T_i[1], T_j[1]), so the
     text of a pair, like that of a dimension vector, is rendered once per
-    category and kept in its _ExportText; hij_closed_form runs only for a
-    pair not rendered yet, and a pair whose closed form raises keeps no
+    category and kept in its _ExportText; the closed form is read only for
+    a pair not rendered yet, and a pair whose closed form raises keeps no
     text.
     """
     report = verify_main_theorem(cc, tilting)
@@ -292,13 +305,12 @@ def export_json(cc: ClusterCategory, tilting: TiltingObject,
         for m in h:
             if m in in_hij:
                 in_hij[m].append(label)
-        key = shifts[i - 1] * width + shifts[j - 1]
-        pair = pairs.get(key)
+        a, b = shifts[i - 1], shifts[j - 1]
+        pair = pairs.get(key := a * width + b)
         if pair is None:
             pair = pairs[key] = (
                 '"shape": "%s",\n      "vertices": %s\n    }'
-                % (hij_closed_form(cc, tilting, i, j).shape,
-                   _ints(sorted(h), p6)))
+                % (_closed_form(cc, a, b)[1], _ints(sorted(h), p6)))
         hammocks.append(head + pair)
     modules = []
     for m, (dv, _syzygies, pd) in report.modules.items():

@@ -177,13 +177,26 @@ def completions(cc: ClusterCategory, rest):
 
 
 def mutate(cc: ClusterCategory, tilting: TiltingObject, k: int) -> TiltingObject:
-    """Exchange the summand with label k (1-based); unique by theory."""
+    """Exchange the summand with label k (1-based); unique by theory.
+
+    The tilting is checked (check_tilting) only when the exchange fails: a
+    set of summands that is not cluster-tilting raises InputError there,
+    and MutationError is left for a checked tilting, an internal fault.
+    So the exchange of a tilting pays no check, and a set that is not
+    cluster-tilting but whose exchange finds exactly one replacement is
+    exchanged unchecked.
+    """
     if not 1 <= k <= len(tilting):
         raise InputError(f"label {k} out of range 1..{len(tilting)}")
     old = tilting[k - 1]
     rest = tuple(c for i, c in enumerate(tilting) if i != k - 1)
-    others = [z for z in completions(cc, rest) if z != old]
+    try:
+        others = [z for z in completions(cc, rest) if z != old]
+    except IndexError:  # a cid past the category's
+        check_tilting(cc, tilting.summands)
+        raise
     if len(others) != 1:
+        check_tilting(cc, tilting.summands)
         raise MutationError(
             f"exchange at label {k} found {len(others)} replacements, expected 1")
     new = list(tilting.summands)

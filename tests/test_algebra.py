@@ -666,6 +666,55 @@ def test_modules_hold_exactly_their_live_pairs(
                         alg, mod.dim_vector()), (t.summands, m)
 
 
+def row_scan_record(alg, m):
+    """Hom_C(T, M) read by scanning every product row of the tilting for
+    M: the dimension vector and the (pair, block) items, in label-pair
+    order."""
+    return (tuple(row[m] for row in alg._dim_rows),
+            [(pair, row[m]) for pair, row in alg._rows.items() if m in row])
+
+
+def per_lift_tops(mod):
+    """top_lifts by its definition, one lift at a time: the free columns
+    of an uncached quotient of V_k by the span of the columns of every
+    radical basis element's matrix on a block of a pair (k, j)."""
+    lifts = []
+    for k, d in zip(mod.alg.labels, mod.dim_vector()):
+        if d:
+            span = [col for (i, j), mats in mod.act.items() if i == k
+                    for mat in mats[1 if i == j else 0:] for col in mat]
+            lifts += [(k, f) for f in linalg.quotient_basis(span, d)[0]]
+    return lifts
+
+
+@pytest.mark.parametrize("family,rank,orientation", [
+    ("A", 5, "default"), ("D", 5, "default"),
+    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5)))],
+    ids=["A5", "D5", "D5-31,32,43,45"])
+def test_indexed_module_of_and_tops_equal_their_definitions(
+        category, family, rank, orientation):
+    """module_of, which reads the rows that hold M from an index filled in
+    one pass, gives the record of a scan of every row: the dimension
+    vector, the very blocks the rows hold, in label-pair order.  The cids
+    are read in reverse, so no order of first use is assumed.  top_lifts,
+    derived from the tops by label, equals the per-lift definition on
+    every module and syzygy of each chain."""
+    cc = category(family, rank, orientation)
+    for t in enumerate_tiltings(cc):
+        alg = build_algebra(cc, t)
+        shifted = {cc.shift(c) for c in t.summands}
+        for m in reversed(cc.cids()):
+            if m in shifted:
+                continue
+            mod = module_of(alg, m)
+            dv, items = row_scan_record(alg, m)
+            assert (mod.dim_vector(), list(mod.act.items())) == (dv, items)
+            assert all(mod.act[pair] is blk for pair, blk in items)
+            for each in syzygy_chain(mod):
+                assert each.top_lifts() == per_lift_tops(each), \
+                    (t.summands, m)
+
+
 # sha256 of the repr of every tilting's summands with its modules (cid,
 # dimension vector, syzygy dimension vectors, pd class), over every tilting
 # in enumeration order.  Syzygy dimension vectors do not depend on the

@@ -456,22 +456,29 @@ def test_a_pivot_other_than_one_raises_and_is_not_stored():
 def d5_sweep():
     """Every D5 tilting verified on a freshly built category: the
     category, the reports and copies of its tables of quotients, of kernel
-    blocks, of written blocks and of moving flags."""
+    blocks, of written blocks, of moving flags and of cover kernels."""
     cc = ClusterCategory(build_quiver("D", 5))
     reports = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
-    flags, blocks, written = map(dict, algebra._TABLES[cc])
+    flags, blocks, written, kernels = map(dict, algebra._TABLES[cc])
     return (cc, reports, dict(cc._get_engine()._quotients), blocks, written,
-            flags)
+            flags, kernels)
 
 
 def test_every_quotient_after_a_d5_sweep_is_exact(d5_sweep):
     """Each entry is keyed by integer row tuples and holds the uncached
     rational reduction of its key, in ints.  Each written block is the one
-    a fresh _written_block builds from those reductions, and each moving
+    a fresh _written_block builds from those reductions, each moving
     flag says whether a matrix of its block past the identity (on a
-    diagonal pair) has a nonzero entry, by a fresh scan of its key."""
-    _cc, _reports, table, _blocks, written, flags = d5_sweep
-    assert table and written and flags
+    diagonal pair) has a nonzero entry, by a fresh scan of its key, and
+    each cover kernel, keyed by the cover's columns, is the uncached
+    reduction of their transpose."""
+    _cc, _reports, table, _blocks, written, flags, kernels = d5_sweep
+    assert table and written and flags and kernels
+    for (cols, n), got in kernels.items():
+        assert type(cols) is tuple
+        assert all(type(col) is tuple for col in cols)
+        rows = tuple(zip(*cols))
+        assert got == quotient_basis(rows, n) and all_ints(got), (cols, n)
     for (mats, diagonal), moves in flags.items():
         assert moves is any(x for mat in mats[1 if diagonal else 0:]
                             for col in mat for x in col), (mats, diagonal)
@@ -487,14 +494,15 @@ def test_every_quotient_after_a_d5_sweep_is_exact(d5_sweep):
 
 def test_a_second_d5_sweep_adds_no_quotient(d5_sweep):
     """The first pass saturates the tables of quotients, of kernel blocks,
-    of written blocks and of moving flags: the second sends only queries
-    they have seen, and the reports are the same."""
-    cc, reports, table, blocks, written, flags = d5_sweep
+    of written blocks, of moving flags and of cover kernels: the second
+    sends only queries they have seen, and the reports are the same."""
+    cc, reports, table, blocks, written, flags, kernels = d5_sweep
     again = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
     assert cc._get_engine()._quotients == table
     assert algebra._TABLES[cc][0] == flags
     assert algebra._TABLES[cc][1] == blocks
     assert algebra._TABLES[cc][2] == written
+    assert algebra._TABLES[cc][3] == kernels
     assert again == reports
 
 
@@ -502,7 +510,7 @@ def test_a_second_category_starts_with_no_quotients(d5_sweep):
     """The tables of quotients and of kernel blocks belong to their
     category: a new one starts empty, fills its own, and leaves the first
     category's as they were."""
-    cc, reports, table, blocks, _written, _flags = d5_sweep
+    cc, reports, table, blocks, _written, _flags, _kernels = d5_sweep
     other = ClusterCategory(build_quiver("D", 5))
     eng = other._get_engine()
     assert eng._quotients == {} and other not in algebra._TABLES

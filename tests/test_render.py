@@ -34,6 +34,13 @@ def test_render_spec_rejects_unknown_format():
 # (spec arguments, the start of the message); every spec names a tilting
 # of A3 but the last two
 BAD_SPECS = (
+    pytest.param(dict(highlight=((1, 3),)),
+                 "bad highlight (1, 3): expected an (i, j, color) triple",
+                 id="pair"),
+    pytest.param(dict(highlight=((1, 3, "red", "x"),)),
+                 "bad highlight (1, 3, 'red', 'x'): expected", id="quadruple"),
+    pytest.param(dict(highlight=("1:3:red",)),
+                 "bad highlight '1:3:red': expected", id="string"),
     pytest.param(dict(highlight=((1, 3, 'red"];x['),)),
                  """bad highlight '1:3:red"];x['""", id="quote"),
     pytest.param(dict(highlight=((1, 3, ""),)), "bad highlight '1:3:'",

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import clustercat
-from clustercat import algebra, cli, hammocks, render
+from clustercat import algebra, cli, hammocks, render, tilting
 from clustercat.algebra import build_algebra, classify_modules
 from clustercat.dynkin import InputError, build_quiver
 from clustercat.hammocks import classify_by_location, verify_main_theorem
@@ -196,6 +196,99 @@ def test_every_entry_point_rejects_what_is_not_tilting(category, cids,
             entry(cc, TiltingObject(cids))
         assert str(got.value) == message, entry.__name__
     assert not is_cluster_tilting(cc, cids)
+
+
+# the label functions and the drawing formats, each given labels 1 and 2
+LABEL_CALLS = {
+    "hij": lambda cc, t: hammocks.hij(cc, t, 1, 2),
+    "hij_closed_form": lambda cc, t: hammocks.hij_closed_form(cc, t, 1, 2),
+    "left_hammock": lambda cc, t: hammocks.left_hammock(cc, t, 1),
+    "right_hammock": lambda cc, t: hammocks.right_hammock(cc, t, 2),
+    **{f"render-{fmt}": lambda cc, t, fmt=fmt: render.render(
+        cc, render.RenderSpec(fmt, tilting=t)) for fmt in ("dot", "tikz",
+                                                           "ascii")},
+    "render-dot-highlight": lambda cc, t: render.render(
+        cc, render.RenderSpec("dot", highlight=((1, 2, "red"),), tilting=t)),
+}
+
+
+@pytest.mark.parametrize("cids,message", NOT_TILTING,
+                         ids=[str(c) for c, _m in NOT_TILTING])
+def test_label_functions_and_drawings_reject_what_is_not_tilting(
+        category, cids, message):
+    """H(i,j), its closed form, the one-sided hammocks and every drawing of
+    a tilting answer only for a cluster-tilting object; a cid out of
+    range raises InputError, not a KeyError or IndexError."""
+    cc = category("A", 3)
+    for name, call in LABEL_CALLS.items():
+        with pytest.raises(InputError) as got:
+            call(cc, TiltingObject(cids))
+        assert str(got.value) == message, name
+
+
+def test_label_functions_and_drawings_check_the_tilting_once(
+        category, monkeypatch):
+    """One check_tilting per call, however many labels or highlights the
+    call reads; export_json reads its closed forms without a check per
+    pair, so its one check is the verify's."""
+    cc = category("A", 3)
+    t = TiltingObject((0, 2, 5))
+    calls = []
+
+    def counted(cc, cids):
+        calls.append(tuple(cids))
+        return check_tilting(cc, cids)
+
+    for module in (algebra, hammocks, render):
+        monkeypatch.setattr(module, "check_tilting", counted)
+    for name, call in LABEL_CALLS.items():
+        calls.clear()
+        call(cc, t)
+        assert calls == [(0, 2, 5)], name
+    calls.clear()
+    spec = render.RenderSpec("tikz", tilting=t,
+                             highlight=((1, 2, "red"), (2, 1, "blue")))
+    assert render.render(cc, spec)
+    assert calls == [(0, 2, 5)]
+    calls.clear()
+    assert export_json(cc, t)
+    assert calls == [(0, 2, 5)]
+
+
+@pytest.mark.parametrize("cids,message", NOT_TILTING[1:],
+                         ids=[str(c) for c, _m in NOT_TILTING[1:]])
+def test_mutate_names_what_is_not_tilting(category, cids, message):
+    """A set of summands whose exchange finds no single replacement, or
+    that names a cid out of range, is checked there and raises InputError;
+    MutationError is left for a checked tilting."""
+    cc = category("A", 3)
+    for k in range(1, len(cids) + 1):
+        with pytest.raises(InputError) as got:
+            mutate(cc, TiltingObject(cids), k)
+        assert str(got.value) == message, k
+
+
+def test_mutate_checks_only_a_failed_exchange(category, monkeypatch):
+    """The exchange of a tilting runs no check_tilting; a tilting whose
+    exchange fails still raises MutationError, an internal fault."""
+    cc = category("A", 3)
+    calls = []
+
+    def counted(cc, cids):
+        calls.append(tuple(cids))
+        return check_tilting(cc, cids)
+
+    monkeypatch.setattr(tilting, "check_tilting", counted)
+    mutated = [mutate(cc, t, k) for t in enumerate_tiltings(cc)
+               for k in range(1, cc.n + 1)]
+    assert calls == []
+    assert all(is_cluster_tilting(cc, s.summands) for s in mutated)
+    t = initial_tilting(cc)
+    calls.clear()
+    monkeypatch.setattr(tilting, "completions", lambda cc, rest: [])
+    with pytest.raises(MutationError, match="found 0 replacements"):
+        mutate(cc, t, 1)
+    assert calls == [t.summands]
 
 
 def test_each_entry_point_checks_the_tilting_once(category, monkeypatch):
