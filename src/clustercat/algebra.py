@@ -576,6 +576,7 @@ def module_of(alg: ClusterTiltedAlgebra, m_cid: int) -> AlgebraModule:
     order like the rows.  A cid that is not an int of the category (a
     bool is not), or that lies in add T[1], raises InputError.
     """
+    # inline, not ClusterCategory.check_cids: a verify reads every module
     if type(m_cid) is not int or not 0 <= m_cid < len(alg.cc.indecs):
         raise InputError(f"no cid {m_cid!r} in this category")
     dv = tuple([row[m_cid] for row in alg._dim_rows])

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 # MeshConsistencyError is re-exported: clustercat.cluster keeps the name
-from .dynkin import MeshConsistencyError, QuiverDescriptor, knit
+from .dynkin import InputError, MeshConsistencyError, QuiverDescriptor, knit
 
 
 class Table(dict):
@@ -112,9 +112,21 @@ class ClusterCategory:
     def cids(self):
         return range(len(self.indecs))
 
+    def check_cids(self, *cids):
+        """Raise InputError unless every argument is a cid of this
+        category: an int in range, and a bool is not one."""
+        n = len(self.indecs)
+        for c in cids:
+            # type, not isinstance: a bool is an int but no cid
+            if type(c) is not int or not 0 <= c < n:
+                raise InputError(f"no cid {c!r} in this category")
+
     def shift(self, cid):
         """The suspension [1] on vertices; equals tau here."""
-        return self.tau[cid]
+        got = self.tau.get(cid)
+        if got is None or type(cid) is not int:  # as in hom_dim_c
+            self.check_cids(cid)
+        return got
 
     def _build_arrows(self):
         succ = {c: set() for c in self.cids()}
@@ -273,7 +285,10 @@ class ClusterCategory:
         """dim Hom_C(X, Y) = dim Hom_D(X, Y) + dim Hom_D(X, FY); a miss
         fills the whole row of x (hom_row_c)."""
         got = self._hom_memo.get((x, y))
-        if got is None:
+        # the memo holds only pairs of cids, but True or 1.0 finds the
+        # entry of 1, so a hit still tests the types
+        if got is None or type(x) is not int or type(y) is not int:
+            self.check_cids(x, y)
             got = self.hom_row_c(x)[y]
         return got
 
@@ -286,7 +301,8 @@ class ClusterCategory:
         set when hom_row_c(x)[tau y] = 0, as Y[1] = tau Y.  Built once per
         x; bit x is set exactly when X is rigid."""
         got = self._compatible.get(x)
-        if got is None:
+        if got is None or type(x) is not int:  # as in hom_dim_c
+            self.check_cids(x)
             row, tau = self.hom_row_c(x), self.tau
             got = 0
             for y in self.cids():
@@ -310,12 +326,15 @@ class ClusterCategory:
         Cardinality is checked against hom_row_c (once per functor Hom(X,
         -), when it is built); disagreement raises MeshConsistencyError.
         """
+        self.check_cids(x, y)
         return self._get_engine().hom_basis(x, y)
 
     def compose(self, x: int, y: int, z: int, g, h):
         """h after g, for coordinate tuples g: X -> Y and h: Y -> Z."""
+        self.check_cids(x, y, z)
         return self._get_engine().compose(x, y, z, g, h)
 
     def arrow_element(self, x: int, y: int):
+        self.check_cids(x, y)
         return self._get_engine().arrow_element(x, y)
 

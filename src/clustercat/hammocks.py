@@ -151,8 +151,10 @@ def sectional_path(cc, x, y):
     which the next step may not reach.  Candidates are capped by the Hom
     support window, and the found path must compose to a nonzero
     morphism, which is checked on the functor of the tau-orbit
-    representative of x (MeshHomEngine.nonzero_path).
+    representative of x (MeshHomEngine.nonzero_path).  A cid that is not
+    an int of the category raises InputError.
     """
+    cc.check_cids(x, y)
     if x == y:
         return [x]
     cap = cc.height[x] + 4 * cc.quiver.coxeter_number() + 2

@@ -7,25 +7,28 @@ higher vertex V with translate U and mesh middles E_1..E_r gets
 
     F(V) = (F(E_1) + ... + F(E_r)) / image(F(U)),
 
-the cokernel of the mesh map.  Exactness of the mesh (AR triangle) makes
-this the genuine Hom space at every vertex above the seed.  Each basis
-element remembers one representative path of arrows from the seed, the
-record of a predecessor's basis element followed by one arrow, so
-composition is path application through the stored arrow matrices;
-compose walks whole paths and is the reference the two tables below are
-tested against.
+the cokernel of the mesh map, whose span is the transpose of the
+middles' arrow matrices at U, stacked in middle order.  Exactness of the
+mesh (AR triangle) makes this the genuine Hom space at every vertex above
+the seed.  Each basis element remembers one representative path of arrows
+from the seed, the record of a predecessor's basis element followed by one
+arrow, so composition is path application through the stored arrow
+matrices; compose walks whole paths and is the reference the two tables
+below are tested against.
 
 MeshHomEngine.product_rows tabulates the composites of basis elements once
 per category, one dict per row (x, y, -) from z to the entry of (x, y, z),
 and fills the missing rows of one target together: F_y's records become
 one step list, in knit order, and the image of each record under a unit
 vector of F_x is one arrow matrix of F_x applied to the image of its
-prefix.  An entry is column-major, the coordinate tuple of g . f per
-pair of basis elements (f, g), the order the walk produces them in;
-products(x, y, z) reads one entry.  The algebra reads its modules and
-structure constants from its rows, and their dimension vectors from
-dim_row, dim Hom(x, -) as a tuple over the cids: the category's additive
-row, which functor(x) checks once against the mesh levels of F_x.
+prefix.  A row reads F_x's levels and the dimension rows of x and y once,
+for the starts, zero column and zero matrix of every target z.  An entry
+is column-major, the coordinate tuple of g . f per pair of basis elements
+(f, g), the order the walk produces them in; products(x, y, z) reads one
+entry.  The algebra reads its modules and structure constants from its
+rows, and their dimension vectors from dim_row, dim Hom(x, -) as a tuple
+over the cids: the category's additive row, which functor(x) checks once
+against the mesh levels of F_x.
 MeshHomEngine.hammock keeps H(a, b), the objects that a nonzero a -> b
 factors through, once per pair, by one sweep of F_a from the top of its
 window down that tracks which functionals some arrow path carries to a
@@ -43,7 +46,8 @@ Only one functor per tau-orbit is knitted, that of the orbit's smallest
 cid r.  tau is an automorphism of the category (ClusterCategory checks
 that it carries the arrows and their cover offsets along), so F_x for
 x = tau^m r is F_r with every cover vertex, path record and act key moved
-by tau^m; CoverFunctor.moved builds it so and shares the arrow matrices.
+by tau^m; CoverFunctor.moved builds it so, relabelling through a list
+indexed by cid, and shares the arrow matrices.
 Hammocks and path composites read F_r itself: H(tau^m r, b) is
 tau^m H(r, tau^-m b), so only representatives are ever swept.
 
@@ -129,14 +133,16 @@ class CoverFunctor:
                 bp = basis.get((p, kp), ())
                 blocks.append((p, kp, bp, amb))
                 amb += len(bp)
-            span = []
-            for j in range(len(basis.get((w, kw), ()))):
-                col = []
-                for p, kp, bp, _o in blocks:
-                    if bp:
-                        col.extend([row[j] for row in act[(w, p, kw)]])
-                span.append(tuple(col))
-            free, proj = quotients[tuple(span), amb]
+            # the image of each basis element of F(U) in the middles: one
+            # transpose of their arrow matrices, stacked in middle order
+            dw = len(basis.get((w, kw), ()))
+            if dw:
+                rows = [row for p, kp, bp, _o in blocks if bp
+                        for row in act[(w, p, kw)]]
+                span = tuple(zip(*rows)) if rows else ((),) * dw
+            else:
+                span = ()
+            free, proj = quotients[span, amb]
             recs = []
             for f in free:
                 for p, kp, bp, o in blocks:
@@ -161,7 +167,7 @@ class CoverFunctor:
             lv.sort()
 
     @classmethod
-    def moved(cls, rep: CoverFunctor, move: dict) -> CoverFunctor:
+    def moved(cls, rep: CoverFunctor, move: list) -> CoverFunctor:
         """F_{tau^m x} from F_x = rep, with move[c] = (tau^m c, s_m(c)).
 
         s_m(c) adds up the tau offsets along c, tau c, ..., tau^{m-1} c, so
@@ -174,16 +180,20 @@ class CoverFunctor:
         self = cls.__new__(cls)
         self.arrow_offsets = rep.arrow_offsets
         self.src, s0 = move[rep.src]
-        lift = {c: (d, s - s0) for c, (d, s) in move.items()}
+        lift = [(d, s - s0) for d, s in move]
+        to = [d for d, _s in move]  # cid -> tau^m cid
         self.basis = {}
         for (c, k), recs in rep.basis.items():
             d, s = lift[c]
+            # a fresh pair per arrow: reusing one pair per arrow allocates
+            # fewer objects, which moves where the cyclic collector runs
+            # (ROADMAP item 7)
             self.basis[(d, k + s)] = [
-                tuple([(move[p][0], move[q][0]) for p, q in r]) for r in recs]
+                tuple([(to[p], to[q]) for p, q in r]) for r in recs]
         self.act = {}
         for (p, c, kp), mat in rep.act.items():
             d, s = lift[p]
-            self.act[(d, move[c][0], kp + s)] = mat
+            self.act[(d, to[c], kp + s)] = mat
         self.levels = {}
         for c, lv in rep.levels.items():
             d, s = lift[c]
@@ -236,6 +246,15 @@ def _echelon_add(span, vec):
             return
 
 
+def _level_starts(levels):
+    """Level -> first coordinate, for sorted (level, dimension) pairs."""
+    at, off = {}, 0
+    for k, d in levels:
+        at[k] = off
+        off += d
+    return at
+
+
 def zero_products(dxy: int, dyz: int, dxz: int):
     """products of a triple with a zero Hom space: dxy tuples of dyz zero
     columns of length dxz."""
@@ -265,7 +284,7 @@ class MeshHomEngine:
             while x not in self._orbit:
                 self._orbit[x] = (r, m)
                 x, m = cc.tau[x], m + 1
-        self._moves = [{c: (c, 0) for c in cc.cids()}]  # m -> tau^m on the cover
+        self._moves = [[(c, 0) for c in cc.cids()]]  # m -> tau^m on the cover
         self._rows: dict[int, dict] = {}  # x * n + y -> {z: products(x, y, z)}
         self._interned: dict[tuple, tuple] = {}
         self._hammocks: dict[int, frozenset] = {}  # a * n + b -> H(a, b)
@@ -307,11 +326,11 @@ class MeshHomEngine:
         return got
 
     def _move(self, m: int):
-        """c -> (tau^m c, s_m(c)) for every cid c, see CoverFunctor.moved."""
+        """(tau^m c, s_m(c)) at index c for every cid c, see
+        CoverFunctor.moved."""
         moves, tau, t = self._moves, self.cc.tau, self.cc.tau_offsets
         while len(moves) <= m:
-            moves.append({c: (tau[d], s + t[d])
-                          for c, (d, s) in moves[-1].items()})
+            moves.append([(tau[d], s + t[d]) for d, s in moves[-1]])
         return moves[m]
 
     def levels(self, x: int, y: int):
@@ -320,11 +339,7 @@ class MeshHomEngine:
 
     def _starts(self, x: int, y: int):
         """Level of F_x at a lift of y -> its first coordinate in hom_basis(x, y)."""
-        at, off = {}, 0
-        for k, d in self.levels(x, y):
-            at[k] = off
-            off += d
-        return at
+        return _level_starts(self.levels(x, y))
 
     def dim(self, x: int, y: int) -> int:
         """dim Hom(x, y), read from dim_row(x)."""
@@ -434,7 +449,7 @@ class MeshHomEngine:
         l and its column in Hom(y, c).  Knit order puts every prefix first.
         """
         fy, offsets = self.functor(y), self.cc.arrow_offsets
-        starts = {c: self._starts(y, c) for c in fy.levels}
+        starts = {c: _level_starts(lv) for c, lv in fy.levels.items()}
         steps, index = [], {}
         for (c, l), recs in fy.basis.items():
             if not recs:
@@ -466,20 +481,25 @@ class MeshHomEngine:
         column g of the matrix of e, and the columns are stored as they are.
         """
         fx, fy = self.functor(x), self.functor(y)
-        act = fx.act
+        act, at_x = fx.act, fx.levels
+        to_x, to_y = self.cc.hom_row_c(x), self.cc.hom_row_c(y)
         # the targets z, with F_x's starts at their lifts, the zero column
-        # of Hom(x, z), and the matrices of the unit vectors done so far
-        starts = {z: self._starts(x, z) for z in fy.levels if z in fx.levels}
-        zeros = {z: (0,) * self.dim(x, z) for z in starts}
+        # of Hom(x, z), the dim Hom(y, z) zero columns a unit vector's
+        # matrix starts from, and the matrices of the unit vectors done
+        starts, zeros, blank = {}, {}, {}
+        for z in fy.levels:
+            if z in at_x:
+                starts[z] = _level_starts(at_x[z])
+                zeros[z] = zero = (0,) * to_x[z]
+                blank[z] = [zero] * to_y[z]
         mats = {z: [] for z in starts}
-        for k, dk in fx.levels[y]:
+        for k, dk in at_x[y]:
             for a in range(dk):
                 images = []  # per record: its image at (c, k + l), or None
-                cols = {z: [zero] * self.dim(y, z)
-                        for z, zero in zeros.items()}
+                cols = {z: b.copy() for z, b in blank.items()}
                 for q, p, lp, c, l, col in steps:
                     if q < 0:
-                        v = tuple(int(i == a) for i in range(dk))
+                        v = tuple([int(i == a) for i in range(dk)])
                     elif (v := images[q]) is not None:
                         mat = act.get((p, c, k + lp))
                         if mat is None:

@@ -5,8 +5,8 @@ Ext-orthogonal indecomposables (n the rank).  In Dynkin types size n and
 maximality coincide, but is_cluster_tilting checks maximality explicitly
 anyway.  check_tilting is the input check of every entry point that takes
 a tilting (build_algebra, and through it classify_modules,
-verify_main_theorem and export_json; classify_by_location; the command
-line): the trichotomy and the I_M criterion hold only over a
+verify_main_theorem and export_json; classify_by_location; mutate; the
+command line): the trichotomy and the I_M criterion hold only over a
 cluster-tilting object, so anything else raises InputError.
 
 Summands carry labels 1..n by position.  A freshly built object lists its
@@ -179,24 +179,18 @@ def completions(cc: ClusterCategory, rest):
 def mutate(cc: ClusterCategory, tilting: TiltingObject, k: int) -> TiltingObject:
     """Exchange the summand with label k (1-based); unique by theory.
 
-    The tilting is checked (check_tilting) only when the exchange fails: a
-    set of summands that is not cluster-tilting raises InputError there,
-    and MutationError is left for a checked tilting, an internal fault.
-    So the exchange of a tilting pays no check, and a set that is not
-    cluster-tilting but whose exchange finds exactly one replacement is
-    exchanged unchecked.
+    The tilting is checked first (check_tilting, a few microseconds), so a
+    set of summands that is not cluster-tilting raises InputError, and
+    MutationError is left for a tilting whose exchange fails, an internal
+    fault.
     """
     if not 1 <= k <= len(tilting):
         raise InputError(f"label {k} out of range 1..{len(tilting)}")
+    check_tilting(cc, tilting.summands)
     old = tilting[k - 1]
     rest = tuple(c for i, c in enumerate(tilting) if i != k - 1)
-    try:
-        others = [z for z in completions(cc, rest) if z != old]
-    except IndexError:  # a cid past the category's
-        check_tilting(cc, tilting.summands)
-        raise
+    others = [z for z in completions(cc, rest) if z != old]
     if len(others) != 1:
-        check_tilting(cc, tilting.summands)
         raise MutationError(
             f"exchange at label {k} found {len(others)} replacements, expected 1")
     new = list(tilting.summands)

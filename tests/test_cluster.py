@@ -1,11 +1,13 @@
 import random
+import re
 from fractions import Fraction
 from operator import add
 
 import pytest
 
 from clustercat.cluster import ClusterCategory, MeshConsistencyError, Table
-from clustercat.dynkin import build_quiver
+from clustercat.dynkin import InputError, build_quiver
+from clustercat.hammocks import sectional_path
 from clustercat.polygon import diagonal_of, ext_dim_by_crossing
 
 ALL_RANKS = [("A", 2), ("A", 3), ("A", 4), ("A", 5),
@@ -370,3 +372,29 @@ def test_table_fills_each_key_once_and_stores_no_raise():
             table[-1]
         assert -1 not in table and table.get(-1) is None
     assert calls == [1, -1, -1] and dict(table) == {1: (1,)}
+
+
+CID_CALLS = {
+    "hom_basis": lambda cc, c: cc.hom_basis(c, 0),
+    "hom_basis-target": lambda cc, c: cc.hom_basis(0, c),
+    "ext1_c": lambda cc, c: cc.ext1_c(0, c),
+    "shift": lambda cc, c: cc.shift(c),
+    "hom_dim_c": lambda cc, c: cc.hom_dim_c(0, c),
+    "compatible": lambda cc, c: cc.compatible(c),
+    "compose": lambda cc, c: cc.compose(0, c, 1, (1,), (1,)),
+    "arrow_element": lambda cc, c: cc.arrow_element(c, 1),
+    "sectional_path": lambda cc, c: sectional_path(cc, 0, c),
+}
+
+
+@pytest.mark.parametrize("bad", [99, -1, 9, True, 1.0, None])
+@pytest.mark.parametrize("call", CID_CALLS.values(), ids=CID_CALLS.keys())
+def test_cid_arguments_are_cids_of_the_category(category, call, bad):
+    """On A3 (cids 0..8) a cid past the category's, a negative one, a bool
+    (an int, but no cid) or a non-int raises InputError naming it, where
+    these calls raised KeyError or IndexError, answered for cid 1 or
+    found no sectional path."""
+    cc = category("A", 3)
+    with pytest.raises(InputError, match=re.escape(
+            f"no cid {bad!r} in this category")):
+        call(cc, bad)

@@ -1,5 +1,7 @@
 """The tables of the mesh engine against direct composition and reduction."""
 
+import hashlib
+
 import pytest
 
 from clustercat import algebra
@@ -520,3 +522,45 @@ def test_a_second_category_starts_with_no_quotients(d5_sweep):
     assert algebra._TABLES[other][1].items() <= blocks.items()
     assert cc._get_engine()._quotients == table
     assert algebra._TABLES[cc][1] == blocks
+
+
+def engine_tables_digest(eng):
+    """sha256 over the engine's tables, each in insertion order: the
+    quotients, the product rows, the interned entries, every functor's
+    basis, actions and levels, and the hammocks (each set in cid order)."""
+    h = hashlib.sha256()
+
+    def put(*parts):
+        for part in parts:
+            h.update(repr(part).encode())
+            h.update(b"\n")
+
+    put("quotients", *eng._quotients.items())
+    put("rows", *((key, list(row.items())) for key, row in eng._rows.items()))
+    put("interned", *eng._interned)
+    for x, f in eng._functors.items():
+        put("functor", x, f.src, *f.basis.items(), *f.act.items(),
+            *f.levels.items())
+    put("hammocks", *((key, sorted(got))
+                      for key, got in eng._hammocks.items()))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("family,rank,orientation,digest", [
+    ("D", 5, "default",
+     "d8adbbc2fb62861bbb300f59a6917a7024263309a4642b42e2215f83958a2548"),
+    ("A", 6, "default",
+     "189971a2681e5a169e17f99525881fa1e7983314670dc54808d345117ed24674"),
+    ("D", 5, ((3, 1), (3, 2), (4, 3), (4, 5)),
+     "1039cb06f959cdc455038145d331458225a5d227630a53fdf931d49662446633"),
+], ids=["D5", "A6", "D5-31,32,43,45"])
+def test_engine_tables_are_pinned(family, rank, orientation, digest):
+    """After every tilting is verified on a fresh category, the engine's
+    tables hold exactly the pinned values, in the pinned order.  The
+    order matters beyond the reports: it fixes
+    which objects the tables keep alive, and so where the cyclic garbage
+    collector runs."""
+    cc = ClusterCategory(build_quiver(family, rank, orientation))
+    for t in enumerate_tiltings(cc):
+        verify_main_theorem(cc, t)
+    assert engine_tables_digest(cc._get_engine()) == digest

@@ -255,12 +255,14 @@ def test_label_functions_and_drawings_check_the_tilting_once(
     assert calls == [(0, 2, 5)]
 
 
-@pytest.mark.parametrize("cids,message", NOT_TILTING[1:],
-                         ids=[str(c) for c, _m in NOT_TILTING[1:]])
+@pytest.mark.parametrize("cids,message", NOT_TILTING + (
+    ((0, 1, 4), "not a cluster-tilting object: Ext^1(1, 4) != 0"),),
+    ids=[str(c) for c, _m in NOT_TILTING] + ["(0, 1, 4)"])
 def test_mutate_names_what_is_not_tilting(category, cids, message):
-    """A set of summands whose exchange finds no single replacement, or
-    that names a cid out of range, is checked there and raises InputError;
-    MutationError is left for a checked tilting."""
+    """A set of summands that is not cluster-tilting raises InputError at
+    every label, also where its exchange finds exactly one replacement:
+    at label 1 of A3 the exchange alone takes (0, 1, 2, 3) to (6, 1, 2, 3)
+    and (0, 1, 4) to (3, 1, 4)."""
     cc = category("A", 3)
     for k in range(1, len(cids) + 1):
         with pytest.raises(InputError) as got:
@@ -268,9 +270,10 @@ def test_mutate_names_what_is_not_tilting(category, cids, message):
         assert str(got.value) == message, k
 
 
-def test_mutate_checks_only_a_failed_exchange(category, monkeypatch):
-    """The exchange of a tilting runs no check_tilting; a tilting whose
-    exchange fails still raises MutationError, an internal fault."""
+def test_mutate_checks_every_exchange(category, monkeypatch):
+    """Every exchange runs check_tilting once, on the summands it was
+    given; a tilting whose exchange fails still raises MutationError, an
+    internal fault."""
     cc = category("A", 3)
     calls = []
 
@@ -279,9 +282,10 @@ def test_mutate_checks_only_a_failed_exchange(category, monkeypatch):
         return check_tilting(cc, cids)
 
     monkeypatch.setattr(tilting, "check_tilting", counted)
-    mutated = [mutate(cc, t, k) for t in enumerate_tiltings(cc)
-               for k in range(1, cc.n + 1)]
-    assert calls == []
+    given = [(t, k) for t in enumerate_tiltings(cc)
+             for k in range(1, cc.n + 1)]
+    mutated = [mutate(cc, t, k) for t, k in given]
+    assert calls == [t.summands for t, _k in given]
     assert all(is_cluster_tilting(cc, s.summands) for s in mutated)
     t = initial_tilting(cc)
     calls.clear()
