@@ -35,21 +35,22 @@ instead: the action block of one label pair on the kernel of a cover
 depends on six things only (see AlgebraModule._syzygy), and an
 exhaustive verify meets few distinct inputs of it (README gives the
 counts).  So the blocks, the written blocks (those of a pair that acts by
-zero on every summand of the cover), the moving flags of the
-projectives' blocks (whether a radical basis element acts by a nonzero
-matrix) and the kernels of the covers are kept in four tables of the
-category, filled on first use and read by every tilting; an input that
-raises stores nothing.  A kernel is keyed by (the cover's columns at a
-label, the cover's dimension there): the columns mat[f] exactly as the
-blocks hold them, so a hit builds no transposed copy, and the key
-compares equal item by item against the very column objects the stored
-key holds; only a miss transposes them into the rows that the table of
-quotients reduces.  The covers keep each projective's blocks as
-module_of stored them, so no matrix is copied into a second layout on
-the way to the kernel action.  The top of a module is taken once per
-step as (label, free indices) groups, from which the cover's summands
-and each label's kernel columns are read, one block lookup per top label.
-classify_modules returns its rows as a list and empties the memo, the
+zero on every summand of the cover) and the kernels of the covers are
+kept in three tables of the category, filled on first use and read by
+every tilting; an input that raises stores nothing.  A kernel is keyed
+by (the cover's columns at a label, the cover's dimension there): the
+columns mat[f] exactly as the blocks hold them, so a hit builds no
+transposed copy, and the key compares equal item by item against the
+very column objects the stored key holds; only a miss transposes them
+into the rows that the table of quotients reduces.  The covers keep each
+projective's blocks as module_of stored them, so no matrix is copied
+into a second layout on the way to the kernel action; a cover reads
+only the blocks in which a radical basis element acts by a nonzero
+matrix, decided once per projective (_moves).  The top of a module is
+taken once per step as (label, free indices) groups, from which the
+cover's summands and each label's kernel columns are read, one block
+lookup per top label.  classify_modules returns its rows as a dict by
+cid, the modules table of the verify report, and empties the memo, the
 projectives and the index of rows by cid before it returns, so the
 algebra is freed at once.  Hom_C(T, M) is read from the category's
 tables too: its dimension vector from the summands' dimension rows, its
@@ -65,8 +66,8 @@ decide the projective dimension class: 0, 1, or infinite; a finite
 dimension of 2 or more cannot occur and is guarded by an assertion on the
 third syzygy.
 
-This module declares the syzygy route's moving flags, kernel blocks,
-written blocks and cover kernels, per category in _TABLES: cluster.Tables,
+This module declares the syzygy route's kernel blocks, written blocks
+and cover kernels, per category in _TABLES: cluster.Tables,
 whose entries depend on their keys alone.  The covers, projectives,
 syzygies, radical powers and Gabriel arrows read the algebra, so a method
 fills each of their tables on a miss.
@@ -85,10 +86,10 @@ from .tilting import TiltingObject, check_tilting
 
 _ONE = 1
 # category -> the syzygy route's tables of the category, each from the
-# key of one fill to its value: moving flags (see _moves), kernel blocks
-# (_block_on_kernel), written blocks (_written_block) and the kernels of
-# covers, keyed by the stored columns (see AlgebraModule._syzygy).  An
-# entry is freed with its category.
+# key of one fill to its value: kernel blocks (_block_on_kernel), written
+# blocks (_written_block) and the kernels of covers, keyed by the stored
+# columns (see AlgebraModule._syzygy).  An entry is freed with its
+# category.
 _TABLES = weakref.WeakKeyDictionary()
 
 
@@ -98,7 +99,6 @@ def _tables(cc: ClusterCategory):
     if got is None:
         quotients = cc._get_engine()._quotients
         got = _TABLES[cc] = (
-            Table(lambda key: _moves(*key)),
             Table(lambda key: _block_on_kernel(quotients, *key)),
             Table(lambda key: _written_block(quotients, *key)),
             Table(lambda key: quotients[tuple(zip(*key[0])), key[1]]))
@@ -128,8 +128,7 @@ class ClusterTiltedAlgebra:
         self.summand = {i: tilting[i - 1] for i in self.labels}
         self._engine = eng = cc._get_engine()
         self._quotients = eng._quotients
-        (self._moving_flags, self._kernel_blocks, self._written_blocks,
-         self._kernels) = _tables(cc)
+        self._kernel_blocks, self._written_blocks, self._kernels = _tables(cc)
         s = self.summand
         # dim Hom(T_i, y) per summand, over every cid y
         self._dim_rows = tuple(map(eng.dim_row, tilting.summands))
@@ -283,8 +282,7 @@ class ClusterTiltedAlgebra:
         """(P_k, its moving blocks), which the covers read: per pair (i, j)
         with a radical basis element acting on P_k by a nonzero matrix, the
         pair, dim Hom(T_j, T_k) and its block exactly as module_of stored
-        it.  Whether a block moves is read from the category's table of
-        moving flags, keyed by the interned product entry."""
+        it (see _moves)."""
         got = self._proj.get(k)
         if got is None:
             mod = module_of(self, self.summand[k])
@@ -293,11 +291,10 @@ class ClusterTiltedAlgebra:
                     raise MeshConsistencyError(
                         f"the identity of End(T_{i}) does not act as the "
                         f"identity on P_{k}")
-            flags = self._moving_flags
             got = self._proj[k] = mod, tuple(
                 (pair, mod._dv[pair[1] - 1], mats)
                 for pair, mats in mod.act.items()
-                if flags[mats, pair[0] == pair[1]])
+                if _moves(mats, pair[0] == pair[1]))
         return got
 
 
@@ -619,9 +616,9 @@ def pd_class(module: AlgebraModule) -> PdClass:
     return _syzygy_chain(module)[1]
 
 
-def classify_modules(cc: ClusterCategory, tilting: TiltingObject):
-    """[(cid, dim vector, syzygy dim vectors, pd class)] per M outside
-    add T[1], in cid order.
+def classify_modules(cc: ClusterCategory, tilting: TiltingObject) -> dict:
+    """{cid: (dim vector, syzygy dim vectors, pd class)} per M outside
+    add T[1], in cid order: the modules table of TheoremReport.
 
     One algebra for the tilting, then one Hom_C(T, M) and one syzygy chain
     per module; M = T_k is read as the projective P_k, which the covers
@@ -630,12 +627,12 @@ def classify_modules(cc: ClusterCategory, tilting: TiltingObject):
     alg = build_algebra(cc, tilting)
     shifted = {cc.shift(s) for s in tilting.summands}
     label = {c: k for k, c in alg.summand.items()}
-    rows = []
+    rows = {}
     for m in cc.cids():
         if m not in shifted:
             k = label.get(m)
             mod = module_of(alg, m) if k is None else alg.projective_module(k)
-            rows.append((m, mod.dim_vector()) + _syzygy_chain(mod))
+            rows[m] = (mod.dim_vector(),) + _syzygy_chain(mod)
     # Every module refers to its algebra, and the algebra keeps its
     # projectives and syzygies: reference cycles that only the cyclic
     # garbage collector would free.  The algebra never leaves this

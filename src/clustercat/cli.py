@@ -28,7 +28,7 @@ import random
 import sys
 
 from . import presets
-from .algebra import PdClass, classify_modules
+from .algebra import classify_modules
 from .cluster import ClusterCategory
 from .dynkin import InputError, build_quiver
 from .hammocks import (
@@ -182,7 +182,7 @@ def _cmd_classify(args) -> int:
     lines = [f"tilting {_fmt_tilting(t)}",
              "cid  dim_vector  pd"]
     counts = {"0": 0, "1": 0, "inf": 0}
-    for m, dims, _syzygies, pd in classify_modules(cc, t):
+    for m, (dims, _syzygies, pd) in classify_modules(cc, t).items():
         dv = "".join(str(d) for d in dims)
         counts[pd.value] += 1
         lines.append(f"{m:<4} {dv:<11} {pd.value}")
@@ -228,10 +228,9 @@ def _cmd_verify(args) -> int:
     if first_bad is not None:
         lines.append("first disagreement at tilting "
                      + _fmt_tilting(first_bad.tilting))
-        for m, ideal, pd in first_bad.rows:
-            if ideal != (pd is PdClass.INFINITE):
-                lines.append(f"module {m}: I_M {'nonzero' if ideal else 'zero'}"
-                             f", pd {pd}")
+        for m, ideal, pd in first_bad.disagreements():
+            lines.append(f"module {m}: I_M {'nonzero' if ideal else 'zero'}"
+                         f", pd {pd}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0 if good == len(tiltings) else 1
 

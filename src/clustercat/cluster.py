@@ -237,7 +237,12 @@ class ClusterCategory:
 
     def hom_parts_c(self, x: int, y: int) -> tuple[int, int]:
         """(dim Hom_D(X, Y), dim Hom_D(X, FY)): the parts of Hom_C(X, Y) of
-        F-degree 0 and 1, for X and Y in the fundamental domain."""
+        F-degree 0 and 1, for X and Y in the fundamental domain; a cid
+        that is not an int of the category raises InputError."""
+        n = len(self.indecs)
+        # inline, not check_cids alone: the closed forms call it per pair
+        if not (type(x) is type(y) is int and 0 <= x < n and 0 <= y < n):
+            self.check_cids(x, y)
         X, Y = self.indecs[x], self.indecs[y]
         mod = self.mod
         up = mod.tau_inv.get(Y.mid)  # tau^-1 Y; None if Y is injective or P[1]
@@ -253,14 +258,16 @@ class ClusterCategory:
     def hom_row_c(self, x: int) -> tuple:
         """dim Hom_C(X, Y) for every cid Y in turn, the sums of hom_parts_c,
         built once per x in one pass over the Hom rows of mod kQ and their
-        transpose; each entry is stored once in hom_dim_c's memo too.
+        transpose; each entry is stored once in hom_dim_c's memo too.  A cid
+        that is not an int of the category raises InputError.
 
         With Z[1] the summand of Y + FY one shift up (see _hom_keys), the sum
         is Hom(X, Y) + Ext^1(X, Z) for a module X, Ext^1(X, Z) = D Hom(Z,
         tau X) by the Auslander-Reiten formula, and Hom(P_v, Z) for X =
         P_v[1]."""
         got = self._hom_rows.get(x)
-        if got is None:
+        if got is None or type(x) is not int:  # as in hom_dim_c
+            self.check_cids(x)
             mod, X = self.mod, self.indecs[x]
             rows = mod._rows()
             if X.kind == "shift":

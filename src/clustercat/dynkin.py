@@ -185,9 +185,6 @@ class ModARQuiver:
 
     # -- structure ---------------------------------------------------------
 
-    def arrows(self):
-        return [(x, y) for x in range(len(self.indecs)) for y in self.succ[x]]
-
     def dim(self, mid):
         return self.indecs[mid].dim
 

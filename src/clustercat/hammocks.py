@@ -18,6 +18,9 @@ form here, each once per pair of cids, and cross-checks the factorization
 criterion, membership in the union of the H(i,j), against the syzygy
 computation of projdim for every indecomposable.  classify_by_location
 gives the classes a third way, from the closed forms alone.
+A function that takes an unchecked tilting reads T[1] through _shifted.
+A TheoremReport keeps two tables, the syzygy verdict per module and the
+exact H(i,j) per label pair, and derives every other view from them.
 """
 
 import enum
@@ -25,9 +28,9 @@ import weakref
 from dataclasses import dataclass
 
 from .algebra import PdClass, classify_modules
-from .cluster import ClusterCategory, MeshConsistencyError
+from .cluster import MeshConsistencyError
 from .dynkin import InputError
-from .tilting import TiltingObject, check_tilting
+from .tilting import TiltingObject, check_labels, check_tilting
 
 # category -> {a * |cids| + b: (vertices, shape)}, see _closed_form; an
 # entry is freed with its category
@@ -58,32 +61,26 @@ class HammockSet:
     shape: Shape
 
 
-def shifted_summand(cc: ClusterCategory, tilting: TiltingObject, k: int) -> int:
-    """cid of T_k[1] for the 1-based summand label k."""
-    if not 1 <= k <= len(tilting.summands):
-        raise InputError("summand label out of range: %r" % (k,))
-    return cc.shift(tilting.summands[k - 1])
-
-
-def _shifted_pair(cc, tilting, i, j):
-    """The cids of (T_i[1], T_j[1]), once check_tilting has passed T: the
-    label functions answer only for a cluster-tilting object."""
+def _shifted(cc, tilting, *labels) -> list:
+    """The cids of T_k[1] at the given labels, or at every label in order
+    when none is given, once check_tilting has passed T and check_labels
+    the labels: nothing here answers for another object."""
     check_tilting(cc, tilting.summands)
-    return shifted_summand(cc, tilting, i), shifted_summand(cc, tilting, j)
+    check_labels(tilting, *labels)
+    s = tilting.summands
+    return [cc.shift(s[k - 1]) for k in labels or range(1, len(s) + 1)]
 
 
 def left_hammock(cc, tilting, i) -> frozenset:
     """H_i: the cids X with Hom_C(T_i[1], X) != 0."""
-    check_tilting(cc, tilting.summands)
-    row = cc.hom_row_c(shifted_summand(cc, tilting, i))
+    row = cc.hom_row_c(*_shifted(cc, tilting, i))
     return frozenset(x for x in cc.cids() if row[x] > 0)
 
 
 def right_hammock(cc, tilting, j) -> frozenset:
     """_jH: the cids X with Hom_C(X, T_j[1]) != 0, read from the row of
     T_j[1] as Hom_C(T_j[1], tau^2 X) by Serre duality."""
-    check_tilting(cc, tilting.summands)
-    row, tau = cc.hom_row_c(shifted_summand(cc, tilting, j)), cc.tau
+    row, tau = cc.hom_row_c(*_shifted(cc, tilting, j)), cc.tau
     return frozenset(x for x in cc.cids() if row[tau[tau[x]]] > 0)
 
 
@@ -116,7 +113,7 @@ def hij(cc, tilting, i, j) -> frozenset:
     reads that functor's arrow matrices and the additive counts, builds no
     functor of a middle object x, and stores no product.
     """
-    return cc._get_engine().hammock(*_shifted_pair(cc, tilting, i, j))
+    return cc._get_engine().hammock(*_shifted(cc, tilting, i, j))
 
 
 def factorization_ideal_nonzero(cc, tilting, m):
@@ -126,10 +123,11 @@ def factorization_ideal_nonzero(cc, tilting, m):
     it is nonzero iff some nonzero composite T_i[1] -> M -> T_j[1] exists.
     The witness is the first such basis pair, g and h as coordinate tuples
     in hom_basis order, pairs (i, j) in label order.
-    Only meaningful for M outside add T[1]: a shifted summand always admits
-    the identity factorization, so it is rejected here.
+    Only meaningful over a cluster-tilting object (_shifted checks it) and
+    for M outside add T[1]: a shifted summand always admits the identity
+    factorization, so it is rejected here.
     """
-    shifts = [cc.shift(s) for s in tilting.summands]
+    shifts = _shifted(cc, tilting)
     if m in shifts:
         raise InputError("factorization ideal is only tested outside add T[1]")
     for i, a in enumerate(shifts, 1):
@@ -221,7 +219,7 @@ def hij_closed_form(cc, tilting, i, j) -> HammockSet:
     category's table of closed forms (_closed_form); the labels of the
     returned set are the caller's.
     """
-    vertices, shape = _closed_form(cc, *_shifted_pair(cc, tilting, i, j))
+    vertices, shape = _closed_form(cc, *_shifted(cc, tilting, i, j))
     return HammockSet(i, j, vertices, shape)
 
 
@@ -295,10 +293,9 @@ def classify_by_location(cc, tilting) -> dict:
     shifted cids and nothing else: no module, syzygy, product table or
     hammock sweep, so it is a route of its own to the classes that
     verify_main_theorem finds by syzygies.  The tilting is checked first
-    (check_tilting): the theorem holds only over a cluster-tilting object.
+    (_shifted): the theorem holds only over a cluster-tilting object.
     """
-    check_tilting(cc, tilting.summands)
-    shifts = {cc.shift(s) for s in tilting.summands}
+    shifts = set(_shifted(cc, tilting))
     located = frozenset().union(*(_closed_form(cc, a, b)[0]
                                   for a in shifts for b in shifts))
     summands = set(tilting.summands)
@@ -309,19 +306,41 @@ def classify_by_location(cc, tilting) -> dict:
 
 @dataclass
 class TheoremReport:
-    """Per-module comparison of the factorization and syzygy criteria."""
+    """One verify: the syzygy verdict per module and the exact H(i,j) per
+    label pair; I_M != 0 exactly when M lies in some H(i,j)."""
 
     tilting: TiltingObject
-    rows: tuple  # (cid, ideal_nonzero, pd_class) per indecomposable
-    counts: dict  # PdClass -> number of modules
-    agreement: bool
-    # cid -> (dim vector, syzygy dim vectors, pd_class), in cid order
+    # cid -> (dim vector, syzygy dim vectors, pd_class) per M outside
+    # add T[1], in cid order, as classify_modules returns it
     modules: dict
     # (i, j) -> exact H(i,j), pairs in label order
     hij: dict
 
+    @property
+    def rows(self):
+        """(cid, ideal_nonzero, pd_class) per module, in cid order."""
+        union = frozenset().union(*self.hij.values())
+        return tuple([(m, m in union, pd)
+                      for m, (_dims, _syz, pd) in self.modules.items()])
+
+    @property
+    def counts(self):
+        """PdClass -> number of modules, every class present."""
+        pds = [pd for _dims, _syz, pd in self.modules.values()]
+        return {pd: pds.count(pd) for pd in PdClass}
+
+    @property
+    def agreement(self):
+        return not self.disagreements()
+
+    def disagreements(self):
+        """The rows whose two verdicts differ."""
+        infinite = PdClass.INFINITE
+        return [row for row in self.rows if row[1] != (row[2] is infinite)]
+
     def infinite_cids(self):
-        return frozenset(c for c, _w, p in self.rows if p is PdClass.INFINITE)
+        return frozenset(m for m, (_dims, _syz, pd) in self.modules.items()
+                         if pd is PdClass.INFINITE)
 
 
 def verify_main_theorem(cc, tilting) -> TheoremReport:
@@ -329,27 +348,15 @@ def verify_main_theorem(cc, tilting) -> TheoremReport:
 
     I_M != 0 exactly when M lies in some H(i,j), so the n^2 exact sets are
     read once from the category's hammock table, at the n shifted cids,
-    and kept on the report.  Runs over all indecomposables
-    outside add T[1]; any disagreement is recorded in the report, never
+    and kept on the report beside the modules outside add T[1]; any
+    disagreement is a view of the two (TheoremReport.disagreements), never
     silently dropped.  classify_modules, which runs first, checks the
     tilting: over a set of summands that is not cluster-tilting there is
-    no theorem to verify.
+    no theorem to verify, and the shifted cids are read after it.
     """
-    classified = classify_modules(cc, tilting)
+    modules = classify_modules(cc, tilting)
     shifts = [cc.shift(s) for s in tilting.summands]
     hammock = cc._get_engine().hammock
     sets = {(i, j): hammock(a, b) for i, a in enumerate(shifts, 1)
             for j, b in enumerate(shifts, 1)}
-    union = frozenset().union(*sets.values())
-    rows = []
-    modules = {}
-    counts = {PdClass.ZERO: 0, PdClass.ONE: 0, PdClass.INFINITE: 0}
-    agreement = True
-    for m, dims, syzygies, pd in classified:
-        ideal = m in union
-        counts[pd] += 1
-        rows.append((m, ideal, pd))
-        modules[m] = (dims, syzygies, pd)
-        if ideal != (pd is PdClass.INFINITE):
-            agreement = False
-    return TheoremReport(tilting, tuple(rows), counts, agreement, modules, sets)
+    return TheoremReport(tilting, modules, sets)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .cluster import ClusterCategory, MeshConsistencyError, Table
 from .dynkin import InputError, build_quiver
-from .hammocks import _closed_form, verify_main_theorem
-from .tilting import TiltingObject, check_tilting
+from .hammocks import _closed_form, _shifted, verify_main_theorem
+from .tilting import TiltingObject, check_labels
 
 FORMATS = ("dot", "tikz", "json", "ascii")
 
@@ -35,9 +35,10 @@ class RenderSpec:
     the format is one of FORMATS, each highlight is an (i, j, color)
     tuple or list, a color is letters, digits, #, ! and . only (a quote
     would end a DOT attribute early, an empty color writes fill=!30), JSON
-    output and highlights have a tilting, and every label lies in
-    1..len(tilting).  A bad spec raises InputError.  The tilting itself is
-    checked by the writers, which have the category (check_tilting).
+    output and highlights have a tilting, and every label is a summand
+    label of it (tilting.check_labels).  A bad spec raises InputError.
+    The tilting itself is checked by the writers, which have the category
+    (hammocks._shifted).
     """
 
     format: str = "dot"
@@ -60,10 +61,12 @@ class RenderSpec:
                 spec = f"{i}:{j}:{color}"
                 raise InputError(f"bad highlight {spec!r}: a color is "
                                  "letters, digits, #, ! and . only")
-            n = len(self.tilting)
-            if not (type(i) is type(j) is int and 0 < i <= n and 0 < j <= n):
+            try:
+                check_labels(self.tilting, i, j)
+            except InputError:
+                n = len(self.tilting)
                 raise InputError(f"highlight labels {i}:{j} out of range; "
-                                 f"summands are labelled 1..{n}")
+                                 f"summands are labelled 1..{n}") from None
 
 
 def _orbit_row(cc, c):
@@ -119,15 +122,15 @@ def _vertex_label(cc, c):
 
 def _highlight_map(cc, spec: RenderSpec):
     """cid -> color from a RenderSpec's (i, j, color) highlight triples,
-    once check_tilting has passed the spec's tilting, if it has one.
+    over the spec's tilting, if it has one.
 
-    H(i,j) is read from the category's hammock table at the shifted cids,
-    as hij reads it, so the tilting is checked once per drawing."""
+    H(i,j) is read from the category's hammock table at the shifted cids
+    that _shifted reads once, as hij reads it, so the tilting is checked
+    once per drawing."""
     colors = {}
     if spec.tilting is None:
         return colors
-    check_tilting(cc, spec.tilting.summands)
-    shifts = [cc.shift(s) for s in spec.tilting.summands]
+    shifts = _shifted(cc, spec.tilting)
     hammock, shifted = cc._get_engine().hammock, set(shifts)
     for i, j, color in spec.highlight:
         for c in sorted(hammock(shifts[i - 1], shifts[j - 1]) - shifted):

@@ -5,13 +5,15 @@ Ext-orthogonal indecomposables (n the rank).  In Dynkin types size n and
 maximality coincide, but is_cluster_tilting checks maximality explicitly
 anyway.  check_tilting is the input check of every entry point that takes
 a tilting (build_algebra, and through it classify_modules,
-verify_main_theorem and export_json; classify_by_location; mutate; the
-command line): the trichotomy and the I_M criterion hold only over a
-cluster-tilting object, so anything else raises InputError.
+verify_main_theorem and export_json; hammocks._shifted, and through it
+every other reader of T[1]; mutate; the command line): the trichotomy and
+the I_M criterion hold only over a cluster-tilting object, so anything
+else raises InputError.
 
 Summands carry labels 1..n by position.  A freshly built object lists its
 summands in ascending cid order; mutation replaces one summand in place, so
 labels stay attached to their positions along a mutation walk.
+check_labels is the one rule for what a label is.
 """
 
 from __future__ import annotations
@@ -93,6 +95,15 @@ def check_tilting(cc: ClusterCategory, cids) -> None:
         if cc.compatible(c) & chosen != chosen:
             raise InputError("not a cluster-tilting object: Ext^1(%d, %d) "
                              "!= 0" % first_ext_violation(cc, cids))
+
+
+def check_labels(tilting: TiltingObject, *labels) -> None:
+    """Raise InputError unless every label is a summand label of tilting:
+    an int in 1..len(tilting), and a bool is not one."""
+    for k in labels:
+        # type, not isinstance: a bool is an int but no label
+        if type(k) is not int or not 1 <= k <= len(tilting):
+            raise InputError(f"label {k!r} out of range 1..{len(tilting)}")
 
 
 def is_cluster_tilting(cc: ClusterCategory, summands) -> bool:
@@ -179,13 +190,12 @@ def completions(cc: ClusterCategory, rest):
 def mutate(cc: ClusterCategory, tilting: TiltingObject, k: int) -> TiltingObject:
     """Exchange the summand with label k (1-based); unique by theory.
 
-    The tilting is checked first (check_tilting, a few microseconds), so a
-    set of summands that is not cluster-tilting raises InputError, and
-    MutationError is left for a tilting whose exchange fails, an internal
-    fault.
+    The label (check_labels) and the tilting (check_tilting, a few
+    microseconds) are checked first, so a bad label or a set of summands
+    that is not cluster-tilting raises InputError, and MutationError is
+    left for a tilting whose exchange fails, an internal fault.
     """
-    if not 1 <= k <= len(tilting):
-        raise InputError(f"label {k} out of range 1..{len(tilting)}")
+    check_labels(tilting, k)
     check_tilting(cc, tilting.summands)
     old = tilting[k - 1]
     rest = tuple(c for i, c in enumerate(tilting) if i != k - 1)

@@ -304,7 +304,7 @@ def test_a_stored_kernel_block_never_masks_a_fault(monkeypatch):
     cc = ClusterCategory(build_quiver("D", 4))
     for t in enumerate_tiltings(cc):
         assert verify_main_theorem(cc, t).agreement
-    blocks = algebra._TABLES[cc][1]
+    blocks = algebra._TABLES[cc][0]
     assert blocks
     alg = build_algebra(cc, TiltingObject((0, 1, 3, 8)))
     mod = module_of(alg, 2)
@@ -414,8 +414,8 @@ def test_syzygy_memo_is_exact(category, family, rank, orientation):
     """Chains that share one memo equal chains that never read a memo.
 
     The memo-free chain calls _syzygy at every step, on an algebra over a
-    fresh category per tilting, whose tables of kernel blocks, moving flags
-    and quotients hold that tilting's entries only.  The report's modules
+    fresh category per tilting, whose tables of kernel blocks and
+    quotients hold that tilting's entries only.  The report's modules
     agree in dims and pd; an algebra over the shared category, whose
     tables every tilting before has filled, gives the same dims and action
     matrices at every step as well, so a stale or mis-keyed table entry

@@ -380,6 +380,10 @@ CID_CALLS = {
     "ext1_c": lambda cc, c: cc.ext1_c(0, c),
     "shift": lambda cc, c: cc.shift(c),
     "hom_dim_c": lambda cc, c: cc.hom_dim_c(0, c),
+    # the row of 1 is read first, so True finds a stored row
+    "hom_row_c": lambda cc, c: (cc.hom_row_c(1), cc.hom_row_c(c)),
+    "hom_parts_c": lambda cc, c: cc.hom_parts_c(c, 0),
+    "hom_parts_c-target": lambda cc, c: cc.hom_parts_c(0, c),
     "compatible": lambda cc, c: cc.compatible(c),
     "compose": lambda cc, c: cc.compose(0, c, 1, (1,), (1,)),
     "arrow_element": lambda cc, c: cc.arrow_element(c, 1),
@@ -392,9 +396,11 @@ CID_CALLS = {
 def test_cid_arguments_are_cids_of_the_category(category, call, bad):
     """On A3 (cids 0..8) a cid past the category's, a negative one, a bool
     (an int, but no cid) or a non-int raises InputError naming it, where
-    these calls raised KeyError or IndexError, answered for cid 1 or
-    found no sectional path."""
+    these calls raised KeyError or IndexError, answered for cid 1 or 8
+    or found no sectional path.  No call stores a row under the bad cid:
+    hom_dim_c raises for it afterwards too."""
     cc = category("A", 3)
-    with pytest.raises(InputError, match=re.escape(
-            f"no cid {bad!r} in this category")):
-        call(cc, bad)
+    for read in (lambda: call(cc, bad), lambda: cc.hom_dim_c(bad, 0)):
+        with pytest.raises(InputError, match=re.escape(
+                f"no cid {bad!r} in this category")):
+            read()

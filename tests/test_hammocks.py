@@ -22,7 +22,6 @@ from clustercat.hammocks import (
     left_hammock,
     right_hammock,
     sectional_path,
-    shifted_summand,
     verify_main_theorem,
 )
 from clustercat.meshhom import CoverFunctor, MeshHomEngine
@@ -62,7 +61,7 @@ def test_shifted_summand_in_left_hammock(category, family, rank):
     cc = category(family, rank)
     t = initial_tilting(cc)
     for i in range(1, rank + 1):
-        a = shifted_summand(cc, t, i)
+        a = cc.shift(t[i - 1])
         assert a in left_hammock(cc, t, i)
         assert a in right_hammock(cc, t, i)
 
@@ -138,7 +137,7 @@ def test_type_a_left_hammock_rectangle(category):
         for t in enumerate_tiltings(cc)[:8]:
             for i in range(1, rank + 1):
                 verts = left_hammock(cc, t, i)
-                a = shifted_summand(cc, t, i)
+                a = cc.shift(t[i - 1])
                 # supp Hom(a, -) = diagonals crossing the shift of a's diagonal
                 p, q = diagonal_of(cc, cc.shift(a))
                 gap = q - p
@@ -277,7 +276,7 @@ def test_unclassifiable_shape_is_not_stored(monkeypatch):
     fault is gone it reads as on a fresh category."""
     cc = ClusterCategory(build_quiver("D", 6))
     t = cycle_d6_tilting(cc)
-    a, b = shifted_summand(cc, t, 3), shifted_summand(cc, t, 2)
+    a, b = cc.shift(t[2]), cc.shift(t[1])
 
     def three_routes(_cc, a, b):
         return [([a], [b])] * 3
@@ -297,7 +296,7 @@ def test_unclassifiable_shape_is_not_stored(monkeypatch):
 
 def hom_ii_nonzero(cc, t, i):
     """Hom(T_i[1], T_i) != 0."""
-    return cc.hom_dim_c(shifted_summand(cc, t, i), t.summands[i - 1]) > 0
+    return cc.hom_dim_c(cc.shift(t[i - 1]), t.summands[i - 1]) > 0
 
 
 def test_hom_flag_up_forces_swing(category):
@@ -330,7 +329,7 @@ def test_diagonal_hammocks_are_points(category):
         cc = category(family, rank)
         for t in enumerate_tiltings(cc)[:12]:
             for i in range(1, rank + 1):
-                assert hij(cc, t, i, i) == {shifted_summand(cc, t, i)}
+                assert hij(cc, t, i, i) == {cc.shift(t[i - 1])}
                 assert hij_closed_form(cc, t, i, i).shape is \
                     Shape.SECTIONAL_PATH
 
@@ -340,12 +339,12 @@ def test_rim_property(category):
     cc = category("D", 4)
     for t in enumerate_tiltings(cc)[:15]:
         for i in range(1, 5):
-            a = shifted_summand(cc, t, i)
+            a = cc.shift(t[i - 1])
             li = left_hammock(cc, t, i)
             rim_excluded = {x for x in cc.cids() if cc.ext1_c(a, x) > 0}
             for j in range(1, 5):
                 if hij(cc, t, i, j):
-                    b = shifted_summand(cc, t, j)
+                    b = cc.shift(t[j - 1])
                     assert b in li
                     assert b not in rim_excluded
 
@@ -360,7 +359,7 @@ def test_factorization_witness_shape(category):
         w = factorization_ideal_nonzero(cc, t, m)
         if m in A3_CYCLIC_INFINITE:
             i, j, g, h = w
-            a, b = shifted_summand(cc, t, i), shifted_summand(cc, t, j)
+            a, b = cc.shift(t[i - 1]), cc.shift(t[j - 1])
             assert g in cc.hom_basis(a, m) and h in cc.hom_basis(m, b)
             assert any(cc.compose(a, m, b, g, h))
         else:
@@ -474,7 +473,7 @@ def test_hereditary_tiltings_have_no_infinite(category):
 
 def brute_force_membership(cc, t, m):
     """(i, j) with some nonzero T_i[1] -> m -> T_j[1], over every basis pair."""
-    shifts = [shifted_summand(cc, t, k) for k in range(1, len(t) + 1)]
+    shifts = [cc.shift(s) for s in t]
     pairs = []
     for i, a in enumerate(shifts, 1):
         for j, b in enumerate(shifts, 1):
@@ -534,7 +533,7 @@ def test_module_actions_equal_direct_composition(category, family, rank):
 
 def first_composing_pair(cc, t, m):
     """(i, j, g, h): the first nonzero T_i[1] -> m -> T_j[1] in basis order."""
-    shifts = [shifted_summand(cc, t, k) for k in range(1, len(t) + 1)]
+    shifts = [cc.shift(s) for s in t]
     for i, a in enumerate(shifts, 1):
         for j, b in enumerate(shifts, 1):
             for g in cc.hom_basis(a, m):

@@ -458,32 +458,33 @@ def test_a_pivot_other_than_one_raises_and_is_not_stored():
 def d5_sweep():
     """Every D5 tilting verified on a freshly built category: the
     category, the reports and copies of its tables of quotients, of kernel
-    blocks, of written blocks, of moving flags and of cover kernels."""
+    blocks, of written blocks and of cover kernels."""
     cc = ClusterCategory(build_quiver("D", 5))
     reports = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
-    flags, blocks, written, kernels = map(dict, algebra._TABLES[cc])
+    blocks, written, kernels = map(dict, algebra._TABLES[cc])
     return (cc, reports, dict(cc._get_engine()._quotients), blocks, written,
-            flags, kernels)
+            kernels)
 
 
 def test_every_quotient_after_a_d5_sweep_is_exact(d5_sweep):
     """Each entry is keyed by integer row tuples and holds the uncached
     rational reduction of its key, in ints.  Each written block is the one
-    a fresh _written_block builds from those reductions, each moving
-    flag says whether a matrix of its block past the identity (on a
-    diagonal pair) has a nonzero entry, by a fresh scan of its key, and
+    a fresh _written_block builds from those reductions, each cover term
+    of a kernel block's key is a moving block, one with a nonzero entry in
+    a matrix past the identity (on a diagonal pair), by a fresh scan, and
     each cover kernel, keyed by the cover's columns, is the uncached
     reduction of their transpose."""
-    _cc, _reports, table, _blocks, written, flags, kernels = d5_sweep
-    assert table and written and flags and kernels
+    _cc, _reports, table, blocks, written, kernels = d5_sweep
+    assert table and written and blocks and kernels
     for (cols, n), got in kernels.items():
         assert type(cols) is tuple
         assert all(type(col) is tuple for col in cols)
         rows = tuple(zip(*cols))
         assert got == quotient_basis(rows, n) and all_ints(got), (cols, n)
-    for (mats, diagonal), moves in flags.items():
-        assert moves is any(x for mat in mats[1 if diagonal else 0:]
-                            for col in mat for x in col), (mats, diagonal)
+    for _d, diagonal, terms, *_rest in blocks:
+        for *_offsets, mats in terms:
+            assert any(x for mat in mats[1 if diagonal else 0:]
+                       for col in mat for x in col), (mats, diagonal)
     for (rows, n), got in table.items():
         assert type(rows) is tuple
         assert all(type(row) is tuple and len(row) == n for row in rows)
@@ -496,15 +497,14 @@ def test_every_quotient_after_a_d5_sweep_is_exact(d5_sweep):
 
 def test_a_second_d5_sweep_adds_no_quotient(d5_sweep):
     """The first pass saturates the tables of quotients, of kernel blocks,
-    of written blocks, of moving flags and of cover kernels: the second
-    sends only queries they have seen, and the reports are the same."""
-    cc, reports, table, blocks, written, flags, kernels = d5_sweep
+    of written blocks and of cover kernels: the second sends only queries
+    they have seen, and the reports are the same."""
+    cc, reports, table, blocks, written, kernels = d5_sweep
     again = [verify_main_theorem(cc, t) for t in enumerate_tiltings(cc)]
     assert cc._get_engine()._quotients == table
-    assert algebra._TABLES[cc][0] == flags
-    assert algebra._TABLES[cc][1] == blocks
-    assert algebra._TABLES[cc][2] == written
-    assert algebra._TABLES[cc][3] == kernels
+    assert algebra._TABLES[cc][0] == blocks
+    assert algebra._TABLES[cc][1] == written
+    assert algebra._TABLES[cc][2] == kernels
     assert again == reports
 
 
@@ -512,16 +512,16 @@ def test_a_second_category_starts_with_no_quotients(d5_sweep):
     """The tables of quotients and of kernel blocks belong to their
     category: a new one starts empty, fills its own, and leaves the first
     category's as they were."""
-    cc, reports, table, blocks, _written, _flags, _kernels = d5_sweep
+    cc, reports, table, blocks, _written, _kernels = d5_sweep
     other = ClusterCategory(build_quiver("D", 5))
     eng = other._get_engine()
     assert eng._quotients == {} and other not in algebra._TABLES
     first = enumerate_tiltings(other)[0]
     assert verify_main_theorem(other, first) == reports[0]
     assert eng._quotients and eng._quotients.keys() <= table.keys()
-    assert algebra._TABLES[other][1].items() <= blocks.items()
+    assert algebra._TABLES[other][0].items() <= blocks.items()
     assert cc._get_engine()._quotients == table
-    assert algebra._TABLES[cc][1] == blocks
+    assert algebra._TABLES[cc][0] == blocks
 
 
 def engine_tables_digest(eng):

@@ -198,8 +198,12 @@ def test_every_entry_point_rejects_what_is_not_tilting(category, cids,
     assert not is_cluster_tilting(cc, cids)
 
 
-# the label functions and the drawing formats, each given labels 1 and 2
+# the label functions and the drawing formats, each given labels 1 and 2,
+# and factorization_ideal_nonzero at cid 1, outside add T[1] of (0, 2, 5);
+# it found a witness over (0, 3, 5) and None over (0, 1) before it checked
 LABEL_CALLS = {
+    "factorization_ideal_nonzero":
+        lambda cc, t: hammocks.factorization_ideal_nonzero(cc, t, 1),
     "hij": lambda cc, t: hammocks.hij(cc, t, 1, 2),
     "hij_closed_form": lambda cc, t: hammocks.hij_closed_form(cc, t, 1, 2),
     "left_hammock": lambda cc, t: hammocks.left_hammock(cc, t, 1),
@@ -239,7 +243,9 @@ def test_label_functions_and_drawings_check_the_tilting_once(
         calls.append(tuple(cids))
         return check_tilting(cc, cids)
 
-    for module in (algebra, hammocks, render):
+    # render reads T[1] through hammocks._shifted, so it calls no check
+    # of its own
+    for module in (algebra, hammocks):
         monkeypatch.setattr(module, "check_tilting", counted)
     for name, call in LABEL_CALLS.items():
         calls.clear()
@@ -253,6 +259,34 @@ def test_label_functions_and_drawings_check_the_tilting_once(
     calls.clear()
     assert export_json(cc, t)
     assert calls == [(0, 2, 5)]
+
+
+# on A3: below and past the labels 1..3, a bool (an int, but no label) and
+# three values that are no int
+BAD_LABELS = (0, 4, True, 1.0, "1", None)
+
+
+@pytest.mark.parametrize("label", BAD_LABELS, ids=repr)
+def test_a_label_is_an_int_in_range(category, label):
+    """One rule for a summand label, tilting.check_labels, read by mutate,
+    the label functions and RenderSpec: each raises InputError, where True
+    acted as label 1 and 1.0, "1" and None raised a bare TypeError."""
+    cc = category("A", 3)
+    t = TiltingObject((0, 2, 5))
+    calls = {
+        "mutate": lambda: mutate(cc, t, label),
+        "left_hammock": lambda: hammocks.left_hammock(cc, t, label),
+        "right_hammock": lambda: hammocks.right_hammock(cc, t, label),
+        "hij": lambda: hammocks.hij(cc, t, label, 1),
+        "hij-j": lambda: hammocks.hij(cc, t, 1, label),
+        "hij_closed_form": lambda: hammocks.hij_closed_form(cc, t, 1, label),
+        "RenderSpec": lambda: render.RenderSpec(
+            "dot", highlight=((label, 1, "red"),), tilting=t),
+    }
+    for name, call in calls.items():
+        with pytest.raises(InputError, match="out of range") as got:
+            call()
+        assert str(label) in str(got.value), name
 
 
 @pytest.mark.parametrize("cids,message", NOT_TILTING + (
